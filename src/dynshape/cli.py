@@ -5,8 +5,7 @@ formats are plain CSV (plus JSON for serialized models); every command is
 deterministic given its flags, config file and seed.  Exit codes: 0 success,
 2 usage error, 3 inconsistent or malformed inputs, 4 numerical failure.
 
-Environment overrides: DYNSHAPE_OUTDIR prefixes relative output paths,
-DYNSHAPE_THREADS sets the worker count for blockwise estimation.
+Environment override: DYNSHAPE_OUTDIR prefixes relative output paths.
 """
 from __future__ import annotations
 
@@ -51,7 +50,6 @@ CONFIG_KEYS = {
     "gp_nugget_floor",
     "var_fix_tol",
     "time_windows",
-    "threads",
 }
 
 
@@ -61,16 +59,6 @@ def _out_path(path: str) -> str:
         os.makedirs(outdir, exist_ok=True)
         return os.path.join(outdir, path)
     return path
-
-
-def _env_threads(value: int) -> int:
-    env = os.environ.get("DYNSHAPE_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise InputConsistencyError(f"DYNSHAPE_THREADS must be an integer, got {env!r}") from None
-    return value
 
 
 def _load_curves(args) -> tuple:
@@ -131,7 +119,6 @@ def _train_config(args) -> TrainConfig:
         block_size=int(pick("block_size", "block_size", int, 10)),
         var_fix_tol=float(pick("var_fix_tol", "var_fix_tol", float, 1e-10)),
         time_windows=int(pick("time_windows", "time_windows", int, 1)),
-        threads=_env_threads(int(pick("threads", "threads", int, 1))),
         estimation=est,
         gp=gp,
     )
@@ -340,7 +327,6 @@ def _add_fit_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--gp-nugget-floor", dest="gp_nugget_floor", type=float)
     p.add_argument("--var-fix-tol", dest="var_fix_tol", type=float)
     p.add_argument("--time-windows", dest="time_windows", type=int)
-    p.add_argument("--threads", type=int)
 
 
 def build_parser() -> argparse.ArgumentParser:

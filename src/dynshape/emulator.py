@@ -21,11 +21,14 @@ from .gp import FitConfig, GpModel, fit_gp, predict_many, prediction_metrics
 from .registration import (
     CurveSet,
     EstimationConfig,
+    FourierTable,
     Pattern,
     TransformParams,
+    deform,
     estimate_params_blocked,
     extract_pattern,
     fft_int_freqs,
+    inverse_fourier,
     to_fourier,
 )
 
@@ -53,7 +56,6 @@ class TrainConfig:
     block_size: int = 10
     var_fix_tol: float = 1e-10  # families with var <= tol * max(1, scale^2) are fixed
     time_windows: int = 1
-    threads: int = 1
     estimation: EstimationConfig = field(default_factory=EstimationConfig)
     gp: FitConfig = field(default_factory=FitConfig)
 
@@ -62,8 +64,6 @@ class TrainConfig:
             raise ValueError("block size must be >= 1")
         if self.time_windows < 1:
             raise ValueError("time_windows must be >= 1")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -82,9 +82,6 @@ class SegmentModel:
     grid_stop: int
     pattern: Pattern
     models: dict
-
-    def family(self, name: str):
-        return self.models[name]
 
     def evaluate_params(self, points: np.ndarray) -> dict:
         out = {}
@@ -122,18 +119,6 @@ class FunctionalSurrogate:
     @property
     def pattern(self) -> Pattern:
         return self.segments[0].pattern
-
-    @property
-    def gp_alpha(self):
-        return self.segments[0].models["alpha"]
-
-    @property
-    def gp_theta(self):
-        return self.segments[0].models["theta"]
-
-    @property
-    def gp_v(self):
-        return self.segments[0].models["v"]
 
     @property
     def fixed_components(self) -> dict:
@@ -237,9 +222,7 @@ def train(
         )
         t0 = time.perf_counter()
         try:
-            params, _ = estimate_params_blocked(
-                sub, config.block_size, config.estimation, threads=config.threads
-            )
+            params, _ = estimate_params_blocked(sub, config.block_size, config.estimation)
         except EstimationFailureError as err:
             raise EstimationFailureError(f"registration stage: {err}", starts=err.starts) from err
         reg_seconds += time.perf_counter() - t0
@@ -287,17 +270,25 @@ def train(
 
 def _segment_curves(segment: SegmentModel, params: dict) -> np.ndarray:
     """Forward-transform the segment pattern for a batch of parameter values."""
-    jw = segment.grid_stop - segment.grid_start
-    ell = fft_int_freqs(jw)
-    coeffs = (
-        params["alpha"][:, None]
-        * segment.pattern.coeffs[None, :]
-        * np.exp(-1j * np.outer(params["theta"], ell))
-    )
-    coeffs[:, 0] += params["v"]
-    values = (np.fft.ifft(coeffs, axis=1) * jw).real
+    ell = fft_int_freqs(segment.grid_stop - segment.grid_start)
+    coeffs = deform(segment.pattern.coeffs, ell, params["alpha"], params["theta"], params["v"])
+    values = inverse_fourier(FourierTable(coeffs=coeffs, ell=ell))
     lo = segment.start - segment.grid_start
     return values[:, lo : lo + (segment.stop - segment.start)]
+
+
+def _predict(surrogate: FunctionalSurrogate, points: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict]:
+    """Curves, extrapolation flags and the first segment's parameter values."""
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2 or points.shape[1] != surrogate.d:
+        raise ValueError(f"points must be m x {surrogate.d}")
+    out = np.empty((points.shape[0], surrogate.j))
+    seg_params = [seg.evaluate_params(points) for seg in surrogate.segments]
+    for seg, params in zip(surrogate.segments, seg_params):
+        out[:, seg.start : seg.stop] = _segment_curves(seg, params)
+    tol = 1e-12 * np.maximum(surrogate.box.span, 1.0)
+    outside = (points < surrogate.box.lower - tol) | (points > surrogate.box.upper + tol)
+    return out, outside.any(axis=1), seg_params[0]
 
 
 def predict_curves(surrogate: FunctionalSurrogate, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -306,15 +297,8 @@ def predict_curves(surrogate: FunctionalSurrogate, points: np.ndarray) -> tuple[
     Returns (m x J value matrix, length-m extrapolation flags); points
     outside the surrogate's box are flagged, not rejected.
     """
-    points = np.asarray(points, dtype=float)
-    if points.ndim != 2 or points.shape[1] != surrogate.d:
-        raise ValueError(f"points must be m x {surrogate.d}")
-    out = np.empty((points.shape[0], surrogate.j))
-    for seg in surrogate.segments:
-        out[:, seg.start : seg.stop] = _segment_curves(seg, seg.evaluate_params(points))
-    tol = 1e-12 * np.maximum(surrogate.box.span, 1.0)
-    outside = (points < surrogate.box.lower - tol) | (points > surrogate.box.upper + tol)
-    return out, outside.any(axis=1)
+    values, flags, _ = _predict(surrogate, points)
+    return values, flags
 
 
 def predict_curve(surrogate: FunctionalSurrogate, x0: np.ndarray) -> CurvePrediction:
@@ -322,11 +306,12 @@ def predict_curve(surrogate: FunctionalSurrogate, x0: np.ndarray) -> CurvePredic
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     if x0.shape != (surrogate.d,):
         raise ValueError(f"x0 must have {surrogate.d} coordinates")
-    values, flags = predict_curves(surrogate, x0[None, :])
-    params = {
-        name: float(surrogate.segments[0].evaluate_params(x0[None, :])[name][0]) for name in FAMILIES
-    }
-    return CurvePrediction(values=values[0], extrapolated=bool(flags[0]), params=params)
+    values, flags, params = _predict(surrogate, x0[None, :])
+    return CurvePrediction(
+        values=values[0],
+        extrapolated=bool(flags[0]),
+        params={name: float(params[name][0]) for name in FAMILIES},
+    )
 
 
 def _report_from_predictions(

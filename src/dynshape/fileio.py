@@ -27,8 +27,6 @@ __all__ = [
     "write_curves_csv",
     "read_curves_csv",
     "read_times_csv",
-    "write_responses_csv",
-    "read_responses_csv",
     "write_params_csv",
     "read_params_csv",
     "write_pattern_csv",
@@ -36,8 +34,6 @@ __all__ = [
     "write_crossplot_csv",
     "read_box_csv",
     "read_config",
-    "save_gp_model",
-    "load_gp_model",
     "save_surrogate",
     "load_surrogate",
     "curves_from_arrays",
@@ -177,17 +173,6 @@ def curves_from_arrays(
     return CurveSet(values=values, t_grid=step * np.arange(j), period=step * j), dropped
 
 
-# ---------------------------------------------------------------- simple columns
-
-
-def write_responses_csv(path: str, values: np.ndarray) -> None:
-    atomic_write_text(path, "\n".join(fmt(v) for v in np.asarray(values, dtype=float)) + "\n")
-
-
-def read_responses_csv(path: str) -> np.ndarray:
-    return read_times_csv(path)
-
-
 # ---------------------------------------------------------------- parameters and pattern
 
 
@@ -289,15 +274,6 @@ def read_config(path: str, known_keys: set[str]) -> dict:
 # ---------------------------------------------------------------- JSON models
 
 
-def save_gp_model(path: str, model: GpModel) -> None:
-    atomic_write_text(path, json.dumps(gp_model_to_dict(model), indent=1) + "\n")
-
-
-def load_gp_model(path: str) -> GpModel:
-    with open(path, "r") as handle:
-        return gp_model_from_dict(json.load(handle))
-
-
 def _family_to_dict(entry) -> dict:
     if isinstance(entry, GpModel):
         return {"kind": "gp", **gp_model_to_dict(entry)}
@@ -349,16 +325,13 @@ def load_surrogate(path: str) -> FunctionalSurrogate:
     )
     segments = []
     for seg in data["segments"]:
-        values = np.asarray(seg["pattern_values"], dtype=float)
-        jw = values.shape[0]
-        coeffs = np.fft.fft(values) / jw
         segments.append(
             SegmentModel(
                 start=int(seg["start"]),
                 stop=int(seg["stop"]),
                 grid_start=int(seg["grid_start"]),
                 grid_stop=int(seg["grid_stop"]),
-                pattern=Pattern(values=values, coeffs=coeffs),
+                pattern=Pattern(values=seg["pattern_values"]),
                 models={name: _family_from_dict(seg["families"][name]) for name in FAMILIES},
             )
         )

@@ -138,20 +138,14 @@ def corr_gaussian(x: np.ndarray, y: np.ndarray, spec: CorrelationSpec) -> float:
         raise ValueError("x and y must both have one coordinate per correlation length")
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise ValueError("inputs must be finite")
-    expo = np.abs(x - y) ** spec.smoothness / spec.lengths
-    return float(np.exp(-expo.sum()))
+    return float(_corr(x[None, :], y[None, :], spec)[0, 0])
 
 
-def _corr_matrix(points: np.ndarray, spec: CorrelationSpec) -> np.ndarray:
-    diff = np.abs(points[:, None, :] - points[None, :, :])
+def _corr(a: np.ndarray, b: np.ndarray, spec: CorrelationSpec) -> np.ndarray:
+    """Correlation matrix between the rows of a (m x d) and of b (n x d)."""
+    diff = np.abs(a[:, None, :] - b[None, :, :])
     expo = (diff ** spec.smoothness) / spec.lengths
     return np.exp(-expo.sum(axis=2))
-
-
-def _corr_cross(points: np.ndarray, x0: np.ndarray, spec: CorrelationSpec) -> np.ndarray:
-    diff = np.abs(points - x0)
-    expo = (diff ** spec.smoothness) / spec.lengths
-    return np.exp(-expo.sum(axis=1))
 
 
 def build_correlation(
@@ -168,7 +162,7 @@ def build_correlation(
         raise ValueError("need at least 2 design points")
     if nugget < 0:
         raise ValueError("nugget must be nonnegative")
-    corr = _corr_matrix(points, spec)
+    corr = _corr(points, points, spec)
     trial = nugget
     while True:
         try:
@@ -294,13 +288,9 @@ def fit_gp(design: DesignMatrix | np.ndarray, responses: np.ndarray, config: Fit
     def objective(log_lengths: np.ndarray) -> float:
         spec = CorrelationSpec(lengths=np.exp(log_lengths))
         try:
-            factor, _ = build_correlation(pts, spec, config.nugget_floor)
+            nll = neg_log_likelihood(pts, responses, spec, config.nugget_floor)
         except IllConditionedDesignError:
             return 1e25  # stands in for +inf, which the line search dislikes
-        beta = gls_beta(factor, responses)
-        s2 = mle_sigma2(factor, responses, beta)
-        logdet = 2.0 * np.log(np.diag(factor)).sum()
-        nll = 0.5 * (n * math.log(s2) + logdet + n)
         return nll + RIDGE_TIE * float(log_lengths @ log_lengths)
 
     if config.multistarts == 1:
@@ -364,7 +354,7 @@ def predict(model: GpModel, x0: np.ndarray) -> tuple[float, float]:
     if x0.shape != (model.d,):
         raise ValueError(f"x0 must have {model.d} coordinates")
     z0 = model.normalize_point(x0)
-    r = _corr_cross(model.normalized_design(), z0, model.corr)
+    r = _corr(z0[None, :], model.normalized_design(), model.corr)[0]
     mean = model.beta + r @ model.resid_solve
     w = cho_solve((model.factor, True), r)
     one_rinv_one = float(model.ones_solve.sum())
@@ -377,10 +367,7 @@ def predict_many(model: GpModel, points: np.ndarray) -> np.ndarray:
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != model.d:
         raise ValueError(f"points must be m x {model.d}")
-    z = (points - model.x_lo) / model.x_span
-    pts = model.normalized_design()
-    diff = np.abs(pts[None, :, :] - z[:, None, :])
-    r = np.exp(-((diff ** model.corr.smoothness) / model.corr.lengths).sum(axis=2))
+    r = _corr((points - model.x_lo) / model.x_span, model.normalized_design(), model.corr)
     return model.beta + r @ model.resid_solve
 
 

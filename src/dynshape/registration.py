@@ -36,9 +36,12 @@ __all__ = [
     "EstimationDiagnostics",
     "wrap_angle",
     "fft_int_freqs",
+    "identity_params",
     "to_fourier",
     "inverse_fourier",
     "make_weights",
+    "deform",
+    "undeform",
     "rephase",
     "contrast",
     "contrast_with_gradient",
@@ -46,7 +49,6 @@ __all__ = [
     "estimate_params_blocked",
     "extract_pattern",
     "align_curves",
-    "forward_transform",
 ]
 
 # validity floor for amplitude scales; estimation bounds are configured separately
@@ -108,13 +110,6 @@ class CurveSet:
     @property
     def angular_grid(self) -> np.ndarray:
         return _TWO_PI * np.arange(self.j) / self.j
-
-
-def curve_set_on_grid(values: np.ndarray, period: float) -> CurveSet:
-    """CurveSet with the canonical grid j/J * period."""
-    values = np.asarray(values, dtype=float)
-    j = values.shape[1]
-    return CurveSet(values=values, t_grid=(period / j) * np.arange(j), period=period)
 
 
 @dataclass(frozen=True)
@@ -188,10 +183,19 @@ class WeightSequence:
 
 @dataclass(frozen=True)
 class Pattern:
-    """Estimated common shape: grid values plus their Fourier coefficients."""
+    """Estimated common shape: grid values plus their Fourier coefficients.
+
+    The coefficients are always derived from the values, so a pattern rebuilt
+    from its saved values predicts exactly like the original.
+    """
 
     values: np.ndarray
-    coeffs: np.ndarray
+    coeffs: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        values = np.asarray(self.values, dtype=float)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "coeffs", np.fft.fft(values) / values.shape[0])
 
     @property
     def j(self) -> int:
@@ -265,20 +269,44 @@ def _check_alpha(alpha: np.ndarray, alpha_min: float) -> None:
         raise ValueError(f"amplitude scales below the floor {alpha_min:g}")
 
 
+def deform(coeffs: np.ndarray, ell: np.ndarray, alpha: np.ndarray, theta: np.ndarray,
+           v: np.ndarray) -> np.ndarray:
+    """Coefficients of alpha_k f(t - theta_k) + v_k, one row per parameter triple.
+
+    ``coeffs`` are the pattern's J coefficients in FFT order; alpha, theta and
+    v are equal-length arrays.  Inverse of :func:`undeform`.
+    """
+    out = alpha[:, None] * coeffs[None, :] * np.exp(-1j * np.outer(theta, ell))
+    out[:, 0] += v
+    return out
+
+
+def undeform(coeffs: np.ndarray, ell: np.ndarray, alpha: np.ndarray, theta: np.ndarray,
+             v) -> np.ndarray:
+    """Undo each row's deformation; inverse of :func:`deform`.
+
+    ``coeffs`` is n x J in FFT order and v is one entry per row or a scalar.
+    The result is (1/alpha_k) e^{i l theta_k} d_kl away from l = 0 and
+    (d_k0 - v_k)/alpha_k at l = 0.
+    """
+    # keep the phase matrix named: numpy reuses a large unnamed temporary in
+    # place and swaps the product's operands, which changes the last bits
+    phases = np.exp(1j * np.outer(theta, ell))
+    out = coeffs * phases / alpha[:, None]
+    out[:, 0] = (coeffs[:, 0] - v) / alpha
+    return out
+
+
 def rephase(table: FourierTable, params: TransformParams, alpha_min: float = ALPHA_FLOOR) -> np.ndarray:
     """Undo each curve's deformation in the Fourier domain.
 
-    Returns the n x J complex matrix with entries (1/alpha_k) e^{i l theta_k}
-    d_kl away from l = 0 and (d_k0 - v_k)/alpha_k at l = 0.  When the
+    Returns the n x J complex matrix of :func:`undeform`.  When the
     parameters are exact, every row equals the pattern's coefficients.
     """
     if params.n != table.n:
         raise ValueError("parameter vectors must have one entry per curve")
     _check_alpha(params.alpha, alpha_min)
-    phases = np.exp(1j * np.outer(params.theta, table.ell))
-    out = table.coeffs * phases / params.alpha[:, None]
-    out[:, 0] = (table.coeffs[:, 0] - params.v) / params.alpha
-    return out
+    return undeform(table.coeffs, table.ell, params.alpha, params.theta, params.v)
 
 
 def contrast(params: TransformParams, table: FourierTable, weights: WeightSequence) -> float:
@@ -288,11 +316,8 @@ def contrast(params: TransformParams, table: FourierTable, weights: WeightSequen
     cross-curve mean of the rephased coefficients.  Nonnegative; zero exactly
     when all rephased rows coincide on the support of the weights.
     """
-    wrapped = TransformParams(alpha=params.alpha, theta=_wrap_keep_reference(params.theta), v=params.v)
-    reph = rephase(table, wrapped)
-    resid = reph - reph.mean(axis=0)
-    d2 = weights.delta ** 2
-    return float((d2 * (resid.real ** 2 + resid.imag ** 2)).sum() / table.n)
+    theta = _wrap_keep_reference(params.theta)
+    return contrast_with_gradient(params.alpha, theta, table.coeffs, table.ell, weights.delta ** 2)[0]
 
 
 def _wrap_keep_reference(theta: np.ndarray) -> np.ndarray:
@@ -317,9 +342,10 @@ def contrast_with_gradient(
         dM/dtheta_k = -(2 / n)         sum_l delta_l^2 l Im(conj(u_kl) ctilde_kl)
 
     The reference curve's entries are fixed, so its components are omitted.
+    The weight at l = 0 is null, so the rephasing takes no vertical shifts.
     """
     n = coeffs.shape[0]
-    ct = coeffs * np.exp(1j * np.outer(theta, ell)) / alpha[:, None]
+    ct = undeform(coeffs, ell, alpha, theta, 0.0)
     u = ct - ct.mean(axis=0)
     m_val = float((delta2 * (u.real ** 2 + u.imag ** 2)).sum() / n)
     re_uc = u.real * ct.real + u.imag * ct.imag
@@ -441,7 +467,6 @@ def estimate_params_blocked(
     curves: CurveSet,
     block_size: int,
     config: EstimationConfig | None = None,
-    threads: int = 1,
 ) -> tuple[TransformParams, list[EstimationDiagnostics]]:
     """Blockwise estimation for large curve sets.
 
@@ -449,8 +474,6 @@ def estimate_params_blocked(
     reference curve is prepended to every block, each block is solved
     independently and the per-block estimates are concatenated.  With
     K >= n-1 this reduces to a single call of :func:`estimate_params`.
-    Blocks share no state, so with ``threads`` > 1 they are solved in a
-    thread pool; the result does not depend on the execution order.
     """
     if block_size < 1:
         raise ValueError("block size must be >= 1")
@@ -459,36 +482,21 @@ def estimate_params_blocked(
         params, diag = estimate_params(curves, config)
         return params, [diag]
 
-    blocks = [
-        np.arange(start, min(start + block_size, n)) for start in range(1, n, block_size)
-    ]
-
-    def solve(b: int):
-        rows = blocks[b]
+    alpha = np.ones(n)
+    theta = np.zeros(n)
+    v = np.zeros(n)
+    diags: list[EstimationDiagnostics] = []
+    for b, start in enumerate(range(1, n, block_size)):
+        rows = np.arange(start, min(start + block_size, n))
         sub = CurveSet(
             values=curves.values[np.concatenate(([0], rows))],
             t_grid=curves.t_grid,
             period=curves.period,
         )
         try:
-            return estimate_params(sub, config)
+            sub_params, sub_diag = estimate_params(sub, config)
         except EstimationFailureError as err:
             raise EstimationFailureError(f"block {b}: {err}", starts=err.starts) from err
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(solve, range(len(blocks))))
-    else:
-        results = [solve(b) for b in range(len(blocks))]
-
-    alpha = np.ones(n)
-    theta = np.zeros(n)
-    v = np.zeros(n)
-    diags: list[EstimationDiagnostics] = []
-    for b, (sub_params, sub_diag) in enumerate(results):
-        rows = blocks[b]
         alpha[rows] = sub_params.alpha[1:]
         theta[rows] = sub_params.theta[1:]
         v[rows] = sub_params.v[1:]
@@ -501,10 +509,8 @@ def extract_pattern(
     table: FourierTable, params: TransformParams, alpha_min: float = ALPHA_FLOOR
 ) -> Pattern:
     """Common-shape estimate: mean of the rephased coefficients, inverted to the grid."""
-    reph = rephase(table, params, alpha_min)
-    chat = reph.mean(axis=0)
-    values = np.fft.ifft(chat) * table.j
-    return Pattern(values=values.real, coeffs=chat)
+    chat = rephase(table, params, alpha_min).mean(axis=0)
+    return Pattern(values=inverse_fourier(FourierTable(coeffs=chat[None, :], ell=table.ell))[0])
 
 
 def align_curves(
@@ -517,14 +523,5 @@ def align_curves(
     exact parameters every row reproduces the pattern.
     """
     reph = rephase(to_fourier(curves), params, alpha_min)
-    values = (np.fft.ifft(reph, axis=1) * curves.j).real
+    values = inverse_fourier(FourierTable(coeffs=reph, ell=fft_int_freqs(curves.j)))
     return CurveSet(values=values, t_grid=curves.t_grid, period=curves.period)
-
-
-def forward_transform(pattern: Pattern, alpha: float, theta: float, v: float) -> np.ndarray:
-    """Evaluate alpha * f(t - theta) + v on the pattern's grid by phase shift."""
-    j = pattern.j
-    ell = fft_int_freqs(j)
-    coeffs = alpha * pattern.coeffs * np.exp(-1j * ell * theta)
-    coeffs[0] = coeffs[0] + v
-    return (np.fft.ifft(coeffs) * j).real

@@ -16,7 +16,15 @@ from dynshape.emulator import (
 )
 from dynshape.errors import TrainingError
 from dynshape.gp import FitConfig, GpModel, loo_metrics
-from dynshape.registration import CurveSet, EstimationConfig, Pattern, forward_transform
+from dynshape.registration import (
+    CurveSet,
+    EstimationConfig,
+    FourierTable,
+    Pattern,
+    deform,
+    fft_int_freqs,
+    inverse_fourier,
+)
 from dynshape.synth import SimSpec, co2_default_box, co2_style_spec, generate_functional_sim
 
 BOX = co2_default_box()
@@ -106,9 +114,10 @@ class TestPredict:
         params = surrogate.params
         i = 5
         pred = predict_curve(surrogate, design.points[i])
-        rebuilt = forward_transform(
-            surrogate.pattern, params.alpha[i], params.theta[i], params.v[i]
-        )
+        ell = fft_int_freqs(surrogate.pattern.j)
+        coeffs = deform(surrogate.pattern.coeffs, ell, params.alpha[i : i + 1],
+                        params.theta[i : i + 1], params.v[i : i + 1])
+        rebuilt = inverse_fourier(FourierTable(coeffs=coeffs, ell=ell))[0]
         scale = np.abs(rebuilt).max()
         np.testing.assert_allclose(pred.values, rebuilt, rtol=1e-6, atol=1e-6 * scale)
 
@@ -116,7 +125,7 @@ class TestPredict:
         j = 21
         grid = TWO_PI * np.arange(j) / j
         values = 3.0 + np.sin(grid)
-        pattern = Pattern(values=values, coeffs=np.fft.fft(values) / j)
+        pattern = Pattern(values=values)
         segment = SegmentModel(start=0, stop=j, grid_start=0, grid_stop=j, pattern=pattern,
                                models={"alpha": 1.0, "theta": 0.0, "v": 0.0})
         box = InputBox(lower=np.zeros(2), upper=np.ones(2))
@@ -149,6 +158,24 @@ class TestPredict:
         surrogate = train(design, curves, FAST, box=BOX)
         with pytest.raises(ValueError):
             predict_curve(surrogate, np.array([0.2, 100.0]))
+
+    @pytest.mark.parametrize("windows", [1, 2])
+    def test_single_point_equals_batch_bitwise(self, windows):
+        design, curves, _ = harness(n=12, j=41)
+        config = TrainConfig(
+            block_size=10, time_windows=windows,
+            estimation=EstimationConfig(multistarts=2, seed=0),
+            gp=FitConfig(multistarts=3, seed=0),
+        )
+        surrogate = train(design, curves, config, box=BOX)
+        assert len(surrogate.segments) == windows
+        for x in scale_to_box(lhd_sample(4, 3, seed=21), BOX).points:
+            single = predict_curve(surrogate, x)
+            batch, flags = predict_curves(surrogate, x[None, :])
+            assert np.array_equal(single.values, batch[0])
+            assert single.extrapolated == bool(flags[0])
+            first = surrogate.segments[0].evaluate_params(x[None, :])
+            assert single.params == {name: float(first[name][0]) for name in FAMILIES}
 
 
 class TestValidate:
