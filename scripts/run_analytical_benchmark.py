@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from dynshape.fileio import atomic_write_text, fmt, write_curves_csv, write_params_csv
+from dynshape.fileio import atomic_write_text, fmt, write_curves_csv, write_params_csv, write_table
 from dynshape.registration import (
     EstimationConfig,
     estimate_params,
@@ -60,11 +60,8 @@ def main(argv=None):
     pattern = extract_pattern(to_fourier(curves), est)
     f_true = parabola_pattern(curves.angular_grid)
     raw_mean = curves.values.mean(axis=0)
-    comp = ["t,f_true,pattern,raw_mean"] + [
-        f"{fmt(t)},{fmt(a)},{fmt(b)},{fmt(c)}"
-        for t, a, b, c in zip(curves.t_grid, f_true, pattern.values, raw_mean)
-    ]
-    atomic_write_text(os.path.join(args.outdir, "pattern_comparison.csv"), "\n".join(comp) + "\n")
+    write_table(os.path.join(args.outdir, "pattern_comparison.csv"), "t,f_true,pattern,raw_mean",
+                np.column_stack([curves.t_grid, f_true, pattern.values, raw_mean]))
 
     rmse_pattern = np.sqrt(np.mean((pattern.values - f_true) ** 2))
     rmse_raw = np.sqrt(np.mean((raw_mean - f_true) ** 2))

@@ -34,22 +34,31 @@ EXIT_USAGE = 2
 EXIT_INPUT = 3
 EXIT_NUMERICAL = 4
 
-CONFIG_KEYS = {
-    "seed",
-    "block_size",
-    "beta_exponent",
-    "alpha_min",
-    "alpha_max",
-    "l_max",
-    "multistarts",
-    "max_iters",
-    "gp_multistarts",
-    "gp_max_iters",
-    "gp_length_lo",
-    "gp_length_hi",
-    "gp_nugget_floor",
-    "var_fix_tol",
-    "time_windows",
+
+def int_or_none(text: str) -> int | None:
+    return None if text in ("none", "") else int(text)
+
+
+# Every training setting, once: key -> (type, the config classes it sets).
+# The flag is --key with "-" for "_"; the config-file key is the key itself.
+# A key names the field it sets, less any "gp_" prefix; a *_min/*_max or
+# *_lo/*_hi key that names no field sets one end of the <stem>_bounds pair.
+SETTINGS = {
+    "seed": (int, EstimationConfig, FitConfig),
+    "block_size": (int, TrainConfig),
+    "beta_exponent": (float, EstimationConfig),
+    "alpha_min": (float, EstimationConfig),
+    "alpha_max": (float, EstimationConfig),
+    "l_max": (int_or_none, EstimationConfig),
+    "multistarts": (int, EstimationConfig),
+    "max_iters": (int, EstimationConfig),
+    "gp_multistarts": (int, FitConfig),
+    "gp_max_iters": (int, FitConfig),
+    "gp_length_lo": (float, FitConfig),
+    "gp_length_hi": (float, FitConfig),
+    "gp_nugget_floor": (float, FitConfig),
+    "var_fix_tol": (float, TrainConfig),
+    "time_windows": (int, TrainConfig),
 }
 
 
@@ -61,66 +70,55 @@ def _out_path(path: str) -> str:
     return path
 
 
-def _load_curves(args) -> tuple:
-    """Curves (and their grid) from --curves plus --times/--period/header."""
-    values, header_times = fileio.read_curves_csv(args.curves)
-    times = None
-    period = getattr(args, "period", None)
-    if getattr(args, "times", None):
-        times = fileio.read_times_csv(args.times)
-    elif period is None:
+def _read_curves(path: str, args) -> tuple:
+    """Curves (and their grid) from a curves CSV plus --times/--period/header."""
+    values, header_times = fileio.read_curves_csv(path)
+    times = fileio.read_times_csv(args.times) if args.times else None
+    if times is None and args.period is None:
         times = header_times
-    curves, dropped = fileio.curves_from_arrays(values, times=times, period=period)
+    curves, dropped = fileio.curves_from_arrays(values, times=times, period=args.period)
     if dropped:
-        print("warning: even number of time steps; dropped the last sample to make J odd",
-              file=sys.stderr)
+        print(f"warning: {path} has an even number of time steps; dropped the last sample "
+              "to make J odd", file=sys.stderr)
     return curves, dropped
 
 
+def _design_and_curves(design_path: str, curves_path: str, args) -> tuple:
+    """Design rows and curves that must pair up one to one."""
+    points = fileio.read_design_csv(design_path)
+    curves, dropped = _read_curves(curves_path, args)
+    if points.shape[0] != curves.n:
+        raise InputConsistencyError(
+            f"{design_path} has {points.shape[0]} rows but {curves_path} has {curves.n} curves"
+        )
+    return DesignMatrix(points=points, normalized=False), curves, dropped
+
+
 def _train_config(args) -> TrainConfig:
-    """Merge config-file settings and command-line flags (flags win)."""
-    settings = {}
-    if getattr(args, "config", None):
-        settings = fileio.read_config(args.config, CONFIG_KEYS)
-
-    def pick(flag_name, key, cast, default):
-        flag = getattr(args, flag_name, None)
-        if flag is not None:
-            return flag
-        if key in settings:
-            return cast(settings[key])
-        return default
-
-    seed = int(pick("seed", "seed", int, 0))
-    est = EstimationConfig(
-        alpha_bounds=(
-            float(pick("alpha_min", "alpha_min", float, 0.05)),
-            float(pick("alpha_max", "alpha_max", float, 20.0)),
-        ),
-        beta_exponent=float(pick("beta_exponent", "beta_exponent", float, 1.5)),
-        l_max=(lambda v: None if v in (None, "none", "") else int(v))(
-            pick("l_max", "l_max", str, None)
-        ),
-        multistarts=int(pick("multistarts", "multistarts", int, 3)),
-        max_iters=int(pick("max_iters", "max_iters", int, 1000)),
-        seed=seed,
-    )
-    gp = FitConfig(
-        length_bounds=(
-            float(pick("gp_length_lo", "gp_length_lo", float, 1e-3)),
-            float(pick("gp_length_hi", "gp_length_hi", float, 1e3)),
-        ),
-        multistarts=int(pick("gp_multistarts", "gp_multistarts", int, 8)),
-        max_iters=int(pick("gp_max_iters", "gp_max_iters", int, 200)),
-        nugget_floor=float(pick("gp_nugget_floor", "gp_nugget_floor", float, 1e-10)),
-        seed=seed,
-    )
+    """The dataclass defaults, overridden by the config file, overridden by flags."""
+    given = {}
+    if args.config:
+        for key, text in fileio.read_config(args.config, set(SETTINGS)).items():
+            try:
+                given[key] = SETTINGS[key][0](text)
+            except ValueError:
+                raise InputConsistencyError(f"{args.config}: bad value {text!r} for {key}") from None
+    given.update((key, getattr(args, key)) for key in SETTINGS if getattr(args, key) is not None)
+    fields = {TrainConfig: {}, EstimationConfig: {}, FitConfig: {}}
+    for key, value in given.items():
+        for cls in SETTINGS[key][1:]:
+            name = key.removeprefix("gp_")
+            if name in cls.__dataclass_fields__:
+                fields[cls][name] = value
+            else:
+                stem, end = name.rsplit("_", 1)
+                pair = list(fields[cls].get(f"{stem}_bounds", getattr(cls, f"{stem}_bounds")))
+                pair[end in ("max", "hi")] = value
+                fields[cls][f"{stem}_bounds"] = tuple(pair)
     return TrainConfig(
-        block_size=int(pick("block_size", "block_size", int, 10)),
-        var_fix_tol=float(pick("var_fix_tol", "var_fix_tol", float, 1e-10)),
-        time_windows=int(pick("time_windows", "time_windows", int, 1)),
-        estimation=est,
-        gp=gp,
+        **fields[TrainConfig],
+        estimation=EstimationConfig(**fields[EstimationConfig]),
+        gp=FitConfig(**fields[FitConfig]),
     )
 
 
@@ -158,20 +156,18 @@ def cmd_synth_co2(args) -> None:
     fileio.write_curves_csv(_out_path(args.curves_out), curves)
     if args.truth_out:
         truth = np.column_stack([spec.alpha_fn(points), spec.theta_fn(points), spec.v_fn(points)])
-        lines = ["alpha,theta,v"] + [",".join(fileio.fmt(x) for x in row) for row in truth]
-        fileio.atomic_write_text(_out_path(args.truth_out), "\n".join(lines) + "\n")
+        fileio.write_table(_out_path(args.truth_out), "alpha,theta,v", truth)
     print(f"wrote {curves.n} x {curves.j} simulated curves to {args.curves_out}")
 
 
 def cmd_fit(args) -> None:
-    points = fileio.read_design_csv(args.design)
-    curves, dropped = _load_curves(args)
-    if points.shape[0] != curves.n:
-        raise InputConsistencyError(
-            f"design has {points.shape[0]} rows but the curve file has {curves.n}"
-        )
+    design, curves, dropped = _design_and_curves(args.design, args.curves, args)
     config = _train_config(args)
-    design = DesignMatrix(points=points, normalized=False)
+    window0_only = [f"--{flag}" for flag in ("params-out", "pattern-out", "diagnostics-out")
+                    if getattr(args, flag.replace("-", "_"))]
+    if config.time_windows > 1 and window0_only:
+        raise ValueError(f"{', '.join(window0_only)} would describe time window 0 only; "
+                         "drop them or train with one time window")
     surrogate = train(design, curves, config)
 
     fileio.save_surrogate(_out_path(args.surrogate_out), surrogate)
@@ -203,7 +199,7 @@ def cmd_fit(args) -> None:
 
 
 def cmd_align(args) -> None:
-    curves, _ = _load_curves(args)
+    curves, _ = _read_curves(args.curves, args)
     params = fileio.read_params_csv(args.params)
     if params.n != curves.n:
         raise InputConsistencyError(
@@ -219,7 +215,7 @@ def cmd_predict(args) -> None:
     points = fileio.read_design_csv(args.points)
     header = ",".join(f"t={fileio.fmt(t)}" for t in surrogate.t_grid) + ",extrapolated"
     if points.shape[0] == 0:
-        fileio.atomic_write_text(_out_path(args.out), header + "\n")
+        fileio.write_table(_out_path(args.out), header, [])
         print("no prediction points; wrote header only")
         return
     if points.shape[1] != surrogate.d:
@@ -227,30 +223,13 @@ def cmd_predict(args) -> None:
             f"points have {points.shape[1]} columns but the surrogate expects {surrogate.d}"
         )
     values, flags = predict_curves(surrogate, points)
-    lines = [header]
-    for row, flag in zip(values, flags):
-        lines.append(",".join(fileio.fmt(x) for x in row) + f",{int(flag)}")
-    fileio.atomic_write_text(_out_path(args.out), "\n".join(lines) + "\n")
+    fileio.write_table(_out_path(args.out), header, np.column_stack([values, flags]))
     print(f"wrote {points.shape[0]} predicted curves to {args.out}")
-
-
-def _load_test_set(args):
-    points = fileio.read_design_csv(args.test_design)
-    values, header_times = fileio.read_curves_csv(args.test_curves)
-    times = fileio.read_times_csv(args.times) if getattr(args, "times", None) else (
-        header_times if getattr(args, "period", None) is None else None
-    )
-    curves, _ = fileio.curves_from_arrays(values, times=times, period=getattr(args, "period", None))
-    if points.shape[0] != curves.n:
-        raise InputConsistencyError(
-            f"test design has {points.shape[0]} rows but the test curves have {curves.n}"
-        )
-    return DesignMatrix(points=points, normalized=False), curves
 
 
 def cmd_validate(args) -> None:
     surrogate = fileio.load_surrogate(args.surrogate)
-    test_design, test_curves = _load_test_set(args)
+    test_design, test_curves, _ = _design_and_curves(args.test_design, args.test_curves, args)
     report = validate(surrogate, test_design, test_curves)
     fileio.write_report_csv(_out_path(args.report_out), report, surrogate.t_grid)
     print(f"overall rmse = {fileio.fmt(report.overall_rmse)}; "
@@ -258,28 +237,19 @@ def cmd_validate(args) -> None:
 
 
 def cmd_bench(args) -> None:
-    points = fileio.read_design_csv(args.design)
-    curves, _ = _load_curves(args)
-    if points.shape[0] != curves.n:
-        raise InputConsistencyError(
-            f"design has {points.shape[0]} rows but the curve file has {curves.n}"
-        )
+    design, curves, _ = _design_and_curves(args.design, args.curves, args)
     config = _train_config(args)
-    design = DesignMatrix(points=points, normalized=False)
-    test_design, test_curves = _load_test_set(args)
+    test_design, test_curves, _ = _design_and_curves(args.test_design, args.test_curves, args)
     bench = benchmark_against_per_step(design, curves, test_design, test_curves, config)
 
-    lines = ["step,t,rmse_sim,q2_sim,flag_sim,rmse_step,q2_step,flag_step"]
-    for j in range(curves.j):
-        sim, step = bench.sim_report, bench.step_report
-        def cell(x):
-            return "nan" if np.isnan(x) else fileio.fmt(x)
-        lines.append(
-            f"{j + 1},{fileio.fmt(curves.t_grid[j])},"
-            f"{cell(sim.per_step_rmse[j])},{cell(sim.per_step_q2[j])},{int(sim.flags[j])},"
-            f"{cell(step.per_step_rmse[j])},{cell(step.per_step_q2[j])},{int(step.flags[j])}"
-        )
-    fileio.atomic_write_text(_out_path(args.report_out), "\n".join(lines) + "\n")
+    sim, step = bench.sim_report, bench.step_report
+    fileio.write_table(
+        _out_path(args.report_out),
+        "step,t,rmse_sim,q2_sim,flag_sim,rmse_step,q2_step,flag_step",
+        np.column_stack([np.arange(1, curves.j + 1), curves.t_grid,
+                         sim.per_step_rmse, sim.per_step_q2, sim.flags,
+                         step.per_step_rmse, step.per_step_q2, step.flags]),
+    )
 
     timing_lines = [
         "stage,seconds",
@@ -312,21 +282,8 @@ def _add_curve_inputs(p: argparse.ArgumentParser) -> None:
 
 def _add_fit_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="flat key = value settings file")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--block-size", dest="block_size", type=int)
-    p.add_argument("--beta-exponent", dest="beta_exponent", type=float)
-    p.add_argument("--alpha-min", dest="alpha_min", type=float)
-    p.add_argument("--alpha-max", dest="alpha_max", type=float)
-    p.add_argument("--l-max", dest="l_max", type=int)
-    p.add_argument("--multistarts", type=int)
-    p.add_argument("--max-iters", dest="max_iters", type=int)
-    p.add_argument("--gp-multistarts", dest="gp_multistarts", type=int)
-    p.add_argument("--gp-max-iters", dest="gp_max_iters", type=int)
-    p.add_argument("--gp-length-lo", dest="gp_length_lo", type=float)
-    p.add_argument("--gp-length-hi", dest="gp_length_hi", type=float)
-    p.add_argument("--gp-nugget-floor", dest="gp_nugget_floor", type=float)
-    p.add_argument("--var-fix-tol", dest="var_fix_tol", type=float)
-    p.add_argument("--time-windows", dest="time_windows", type=int)
+    for key, (kind, *_) in SETTINGS.items():
+        p.add_argument("--" + key.replace("_", "-"), dest=key, type=kind)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -422,12 +379,12 @@ def main(argv: list[str] | None = None) -> int:
     except InputConsistencyError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
+    except (DynshapeError, np.linalg.LinAlgError) as err:  # LinAlgError is a ValueError
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except DynshapeError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_NUMERICAL
     return 0
 
 

@@ -1,9 +1,10 @@
 """CSV and JSON artifact formats plus atomic file writing.
 
 All numeric CSV output uses 17 significant digits so that export followed by
-import reproduces the in-memory doubles exactly.  Output files are written to
-a temporary sibling and renamed into place, so a failure never leaves a
-partially written artifact behind.
+import reproduces the in-memory doubles exactly.  Numeric readers accept only
+finite numbers and name the file, line and column of the first bad cell.
+Output files are written to a temporary sibling and renamed into place, so a
+failure never leaves a partially written artifact behind.
 """
 from __future__ import annotations
 
@@ -22,6 +23,7 @@ from .registration import CurveSet, Pattern, TransformParams
 __all__ = [
     "fmt",
     "atomic_write_text",
+    "write_table",
     "write_design_csv",
     "read_design_csv",
     "write_curves_csv",
@@ -59,21 +61,48 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
-def _read_lines(path: str) -> list[str]:
+def write_table(path: str, header: str, rows) -> None:
+    """A header line plus one line of comma-joined :func:`fmt` cells per row."""
+    lines = [header] + [",".join(map(fmt, row)) for row in rows]
+    atomic_write_text(path, "\n".join(lines) + "\n")
+
+
+def _read_lines(path: str) -> list[tuple[int, str]]:
+    """(1-based line number, text) for every non-blank line of the file."""
     try:
         with open(path, "r") as handle:
-            return [line.rstrip("\n") for line in handle]
+            return [(no, line.rstrip("\n")) for no, line in enumerate(handle, start=1) if line.strip()]
     except OSError as err:
         raise InputConsistencyError(f"cannot read {path}: {err}") from err
 
 
-def _parse_float(token: str, path: str, line_no: int) -> float:
-    try:
-        return float(token)
-    except ValueError:
+def _read_numbers(path: str, lines: list[tuple[int, str]], width: int, skip: int = 0) -> np.ndarray:
+    """Rows of ``width`` cells, all but the first ``skip`` finite numbers.
+
+    Errors name the file, the line and the column.
+    """
+    values = np.empty((len(lines), width - skip))
+    for row, (no, line) in enumerate(lines):
+        cells = line.split(",")
+        if len(cells) != width:
+            raise InputConsistencyError(f"{path}, line {no}: expected {width} columns, got {len(cells)}")
+        try:
+            values[row] = [float(c) for c in cells[skip:]]
+        except ValueError:
+            for col, cell in enumerate(cells[skip:], start=skip + 1):
+                try:
+                    float(cell)
+                except ValueError:
+                    raise InputConsistencyError(
+                        f"{path}, line {no}, column {col}: expected a number, got {cell!r}"
+                    ) from None
+    finite = np.isfinite(values)
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0]
         raise InputConsistencyError(
-            f"{path}, line {line_no}: expected a number, got {token!r}"
-        ) from None
+            f"{path}, line {lines[row][0]}, column {col + skip + 1}: non-finite value {values[row, col]}"
+        )
+    return values
 
 
 # ---------------------------------------------------------------- designs
@@ -81,61 +110,43 @@ def _parse_float(token: str, path: str, line_no: int) -> float:
 
 def write_design_csv(path: str, points: np.ndarray) -> None:
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    header = ",".join(f"x{i + 1}" for i in range(points.shape[1]))
-    rows = [",".join(fmt(x) for x in row) for row in points]
-    atomic_write_text(path, "\n".join([header] + rows) + "\n")
+    write_table(path, ",".join(f"x{i + 1}" for i in range(points.shape[1])), points)
 
 
 def read_design_csv(path: str) -> np.ndarray:
-    lines = [ln for ln in _read_lines(path) if ln.strip()]
+    lines = _read_lines(path)
     if not lines:
         raise InputConsistencyError(f"{path}: empty design file")
-    header = lines[0].split(",")
-    d = len(header)
-    if header != [f"x{i + 1}" for i in range(d)]:
-        raise InputConsistencyError(f"{path}, line 1: expected header x1,...,x{d}")
-    rows = []
-    for i, line in enumerate(lines[1:], start=2):
-        cells = line.split(",")
-        if len(cells) != d:
-            raise InputConsistencyError(f"{path}, line {i}: expected {d} columns, got {len(cells)}")
-        rows.append([_parse_float(c, path, i) for c in cells])
-    return np.asarray(rows, dtype=float).reshape(-1, d)
+    no, header = lines[0]
+    names = header.split(",")
+    if names != [f"x{i + 1}" for i in range(len(names))]:
+        raise InputConsistencyError(f"{path}, line {no}: expected header x1,...,x{len(names)}")
+    return _read_numbers(path, lines[1:], len(names))
 
 
 # ---------------------------------------------------------------- curves
 
 
 def write_curves_csv(path: str, curves: CurveSet) -> None:
-    header = ",".join(f"t={fmt(t)}" for t in curves.t_grid)
-    rows = [",".join(fmt(x) for x in row) for row in curves.values]
-    atomic_write_text(path, "\n".join([header] + rows) + "\n")
+    write_table(path, ",".join(f"t={fmt(t)}" for t in curves.t_grid), curves.values)
 
 
 def read_curves_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
     """Returns (n x J value matrix, header time grid)."""
-    lines = [ln for ln in _read_lines(path) if ln.strip()]
+    lines = _read_lines(path)
     if len(lines) < 2:
         raise InputConsistencyError(f"{path}: need a header row and at least one curve row")
-    cells = lines[0].split(",")
-    times = []
+    no, header = lines[0]
+    cells = header.split(",")
     for i, cell in enumerate(cells):
         if not cell.startswith("t="):
-            raise InputConsistencyError(f"{path}, line 1: column {i + 1} header must look like t=<value>")
-        times.append(_parse_float(cell[2:], path, 1))
-    j = len(times)
-    values = []
-    for no, line in enumerate(lines[1:], start=2):
-        row = line.split(",")
-        if len(row) != j:
-            raise InputConsistencyError(f"{path}, line {no}: expected {j} columns, got {len(row)}")
-        values.append([_parse_float(c, path, no) for c in row])
-    return np.asarray(values, dtype=float), np.asarray(times, dtype=float)
+            raise InputConsistencyError(f"{path}, line {no}: column {i + 1} header must look like t=<value>")
+    times = _read_numbers(path, [(no, ",".join(c[2:] for c in cells))], len(cells))[0]
+    return _read_numbers(path, lines[1:], len(cells)), times
 
 
 def read_times_csv(path: str) -> np.ndarray:
-    lines = [ln for ln in _read_lines(path) if ln.strip()]
-    return np.asarray([_parse_float(ln.strip(), path, i + 1) for i, ln in enumerate(lines)])
+    return _read_numbers(path, _read_lines(path), 1)[:, 0]
 
 
 def curves_from_arrays(
@@ -177,46 +188,36 @@ def curves_from_arrays(
 
 
 def write_params_csv(path: str, params: TransformParams) -> None:
-    lines = ["curve,alpha,theta,v"]
-    for k in range(params.n):
-        lines.append(f"{k + 1},{fmt(params.alpha[k])},{fmt(params.theta[k])},{fmt(params.v[k])}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    index = np.arange(1, params.n + 1)
+    write_table(path, "curve,alpha,theta,v", np.column_stack([index, params.alpha, params.theta, params.v]))
 
 
 def read_params_csv(path: str) -> TransformParams:
-    lines = [ln for ln in _read_lines(path) if ln.strip()]
-    if not lines or lines[0] != "curve,alpha,theta,v":
-        raise InputConsistencyError(f"{path}, line 1: expected header curve,alpha,theta,v")
-    alpha, theta, v = [], [], []
-    for no, line in enumerate(lines[1:], start=2):
-        cells = line.split(",")
-        if len(cells) != 4:
-            raise InputConsistencyError(f"{path}, line {no}: expected 4 columns")
-        if int(cells[0]) != no - 1:
-            raise InputConsistencyError(f"{path}, line {no}: curve indices must be 1-based and ordered")
-        alpha.append(_parse_float(cells[1], path, no))
-        theta.append(_parse_float(cells[2], path, no))
-        v.append(_parse_float(cells[3], path, no))
-    return TransformParams(alpha=np.array(alpha), theta=np.array(theta), v=np.array(v))
+    lines = _read_lines(path)
+    if not lines or lines[0][1] != "curve,alpha,theta,v":
+        raise InputConsistencyError(f"{path}: expected the header curve,alpha,theta,v")
+    table = _read_numbers(path, lines[1:], 4)
+    misplaced = np.nonzero(table[:, 0] != np.arange(1, table.shape[0] + 1))[0]
+    if misplaced.size:
+        raise InputConsistencyError(
+            f"{path}, line {lines[1 + misplaced[0]][0]}: curve indices must be 1-based and ordered"
+        )
+    alpha, theta, v = table[:, 1:].T.copy()
+    return TransformParams(alpha=alpha, theta=theta, v=v)
 
 
 def write_pattern_csv(path: str, t_grid: np.ndarray, values: np.ndarray) -> None:
-    lines = ["t,f"] + [f"{fmt(t)},{fmt(v)}" for t, v in zip(t_grid, values)]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    write_table(path, "t,f", np.column_stack([t_grid, values]))
 
 
 # ---------------------------------------------------------------- reports
 
 
 def write_report_csv(path: str, report: ValidationReport, t_grid: np.ndarray) -> None:
-    lines = ["step,t,rmse,q2,flag"]
-    for j in range(t_grid.shape[0]):
-        q2 = report.per_step_q2[j]
-        lines.append(
-            f"{j + 1},{fmt(t_grid[j])},{fmt(report.per_step_rmse[j])},"
-            f"{'nan' if np.isnan(q2) else fmt(q2)},{int(report.flags[j])}"
-        )
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    steps = np.arange(1, t_grid.shape[0] + 1)
+    write_table(path, "step,t,rmse,q2,flag", np.column_stack(
+        [steps, t_grid, report.per_step_rmse, report.per_step_q2, report.flags]
+    ))
 
 
 def write_crossplot_csv(path: str, blocks: list[tuple[str, np.ndarray, np.ndarray]]) -> None:
@@ -236,21 +237,15 @@ def write_crossplot_csv(path: str, blocks: list[tuple[str, np.ndarray, np.ndarra
 
 def read_box_csv(path: str) -> InputBox:
     """Input box from rows of name,min,max (a literal header row is allowed)."""
-    lines = [ln for ln in _read_lines(path) if ln.strip()]
-    names, lower, upper = [], [], []
-    for no, line in enumerate(lines, start=1):
-        cells = [c.strip() for c in line.split(",")]
-        if no == 1 and [c.lower() for c in cells] == ["name", "min", "max"]:
-            continue
-        if len(cells) != 3:
-            raise InputConsistencyError(f"{path}, line {no}: expected name,min,max")
-        names.append(cells[0])
-        lower.append(_parse_float(cells[1], path, no))
-        upper.append(_parse_float(cells[2], path, no))
-    if not names:
+    lines = _read_lines(path)
+    if lines and [c.strip().lower() for c in lines[0][1].split(",")] == ["name", "min", "max"]:
+        lines = lines[1:]
+    if not lines:
         raise InputConsistencyError(f"{path}: no parameter rows found")
+    lower, upper = _read_numbers(path, lines, 3, skip=1).T.copy()
+    names = tuple(line.split(",", 1)[0].strip() for _, line in lines)
     try:
-        return InputBox(lower=np.array(lower), upper=np.array(upper), names=tuple(names))
+        return InputBox(lower=lower, upper=upper, names=names)
     except ValueError as err:
         raise InputConsistencyError(f"{path}: {err}") from err
 
@@ -258,7 +253,7 @@ def read_box_csv(path: str) -> InputBox:
 def read_config(path: str, known_keys: set[str]) -> dict:
     """Flat key = value settings; '#' starts a comment, unknown keys fail fast."""
     out = {}
-    for no, line in enumerate(_read_lines(path), start=1):
+    for no, line in _read_lines(path):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
@@ -313,19 +308,23 @@ def save_surrogate(path: str, surrogate: FunctionalSurrogate) -> None:
 
 
 def load_surrogate(path: str) -> FunctionalSurrogate:
-    with open(path, "r") as handle:
-        data = json.load(handle)
-    if data.get("format") != "dynshape-surrogate":
-        raise InputConsistencyError(f"{path}: not a surrogate file")
-    box_data = data["box"]
-    box = InputBox(
-        lower=np.asarray(box_data["lower"], dtype=float),
-        upper=np.asarray(box_data["upper"], dtype=float),
-        names=tuple(box_data["names"]) if box_data.get("names") else None,
-    )
-    segments = []
-    for seg in data["segments"]:
-        segments.append(
+    """Surrogate saved by :func:`save_surrogate`.
+
+    A missing, unreadable or malformed file, or one of another format or
+    version, raises :class:`InputConsistencyError` naming the path.
+    """
+    try:
+        with open(path, "r") as handle:
+            data = json.load(handle)
+        if (data.get("format"), data.get("version")) != ("dynshape-surrogate", 1):
+            raise ValueError("not a dynshape-surrogate version 1 file")
+        box_data = data["box"]
+        box = InputBox(
+            lower=np.asarray(box_data["lower"], dtype=float),
+            upper=np.asarray(box_data["upper"], dtype=float),
+            names=tuple(box_data["names"]) if box_data.get("names") else None,
+        )
+        segments = tuple(
             SegmentModel(
                 start=int(seg["start"]),
                 stop=int(seg["stop"]),
@@ -334,10 +333,13 @@ def load_surrogate(path: str) -> FunctionalSurrogate:
                 pattern=Pattern(values=seg["pattern_values"]),
                 models={name: _family_from_dict(seg["families"][name]) for name in FAMILIES},
             )
+            for seg in data["segments"]
         )
-    return FunctionalSurrogate(
-        box=box,
-        t_grid=np.asarray(data["t_grid"], dtype=float),
-        period=float(data["period"]),
-        segments=tuple(segments),
-    )
+        return FunctionalSurrogate(
+            box=box,
+            t_grid=np.asarray(data["t_grid"], dtype=float),
+            period=float(data["period"]),
+            segments=segments,
+        )
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as err:
+        raise InputConsistencyError(f"{path}: cannot load surrogate: {type(err).__name__}: {err}") from err

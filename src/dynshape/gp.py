@@ -1,12 +1,11 @@
 """Constant-mean Gaussian-process (kriging) regression.
 
 The response is modeled as beta + Z(x) with Z a centered stationary process
-whose correlation is the power-exponential kernel
+whose correlation is the Gaussian kernel
 
-    R(x, y) = exp(-sum_j |x_j - y_j|^p_j / length_j),
+    R(x, y) = exp(-sum_j (x_j - y_j)^2 / length_j).
 
-with smoothness p_j fixed at 2 (Gaussian kernel).  Correlation lengths are
-found by minimizing the concentrated negative log likelihood
+Correlation lengths are found by minimizing the concentrated negative log likelihood
 
     (1/2) [ n log sigma2_hat(theta) + log det(R(theta) + nugget I) + n ]
 
@@ -54,23 +53,15 @@ RIDGE_TIE = 1e-6
 
 @dataclass(frozen=True)
 class CorrelationSpec:
-    """Correlation lengths and smoothness exponents, one pair per dimension."""
+    """Correlation lengths of the Gaussian kernel, one per dimension."""
 
     lengths: np.ndarray
-    smoothness: np.ndarray | None = None
 
     def __post_init__(self):
         lengths = np.atleast_1d(np.asarray(self.lengths, dtype=float))
         object.__setattr__(self, "lengths", lengths)
         if np.any(lengths <= 0) or not np.all(np.isfinite(lengths)):
             raise ValueError("correlation lengths must be positive and finite")
-        if self.smoothness is None:
-            object.__setattr__(self, "smoothness", np.full(lengths.size, 2.0))
-        else:
-            p = np.atleast_1d(np.asarray(self.smoothness, dtype=float))
-            object.__setattr__(self, "smoothness", p)
-            if p.shape != lengths.shape or np.any(p <= 0) or np.any(p > 2):
-                raise ValueError("smoothness exponents must lie in (0, 2]")
 
 
 @dataclass(frozen=True)
@@ -131,7 +122,7 @@ class GpModel:
 
 
 def corr_gaussian(x: np.ndarray, y: np.ndarray, spec: CorrelationSpec) -> float:
-    """Power-exponential correlation between two points; 1 iff x == y."""
+    """Gaussian correlation between two points; 1 iff x == y."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
     if x.shape != y.shape or x.size != spec.lengths.size:
@@ -144,7 +135,10 @@ def corr_gaussian(x: np.ndarray, y: np.ndarray, spec: CorrelationSpec) -> float:
 def _corr(a: np.ndarray, b: np.ndarray, spec: CorrelationSpec) -> np.ndarray:
     """Correlation matrix between the rows of a (m x d) and of b (n x d)."""
     diff = np.abs(a[:, None, :] - b[None, :, :])
-    expo = (diff ** spec.smoothness) / spec.lengths
+    # Square with a per-dimension exponent array, never a scalar 2: numpy
+    # squares a scalar or broadcast exponent by multiplication, which differs
+    # in the last bit for some entries and moves the fitted lengths.
+    expo = (diff ** np.full(diff.shape[-1], 2.0)) / spec.lengths
     return np.exp(-expo.sum(axis=2))
 
 

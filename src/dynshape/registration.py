@@ -230,7 +230,6 @@ class EstimationDiagnostics:
     nfev: int
     seconds: float = 0.0
     starts: list = field(default_factory=list)
-    block_index: int | None = None
 
 
 def to_fourier(curves: CurveSet) -> FourierTable:
@@ -264,11 +263,6 @@ def make_weights(j: int, beta_exponent: float = 1.5, l_max: int | None = None) -
     return WeightSequence(delta=delta, ell=ell, beta_exponent=beta_exponent)
 
 
-def _check_alpha(alpha: np.ndarray, alpha_min: float) -> None:
-    if np.any(alpha < alpha_min):
-        raise ValueError(f"amplitude scales below the floor {alpha_min:g}")
-
-
 def deform(coeffs: np.ndarray, ell: np.ndarray, alpha: np.ndarray, theta: np.ndarray,
            v: np.ndarray) -> np.ndarray:
     """Coefficients of alpha_k f(t - theta_k) + v_k, one row per parameter triple.
@@ -297,7 +291,7 @@ def undeform(coeffs: np.ndarray, ell: np.ndarray, alpha: np.ndarray, theta: np.n
     return out
 
 
-def rephase(table: FourierTable, params: TransformParams, alpha_min: float = ALPHA_FLOOR) -> np.ndarray:
+def rephase(table: FourierTable, params: TransformParams) -> np.ndarray:
     """Undo each curve's deformation in the Fourier domain.
 
     Returns the n x J complex matrix of :func:`undeform`.  When the
@@ -305,7 +299,8 @@ def rephase(table: FourierTable, params: TransformParams, alpha_min: float = ALP
     """
     if params.n != table.n:
         raise ValueError("parameter vectors must have one entry per curve")
-    _check_alpha(params.alpha, alpha_min)
+    if np.any(params.alpha < ALPHA_FLOOR):
+        raise ValueError(f"amplitude scales below the floor {ALPHA_FLOOR:g}")
     return undeform(table.coeffs, table.ell, params.alpha, params.theta, params.v)
 
 
@@ -500,28 +495,23 @@ def estimate_params_blocked(
         alpha[rows] = sub_params.alpha[1:]
         theta[rows] = sub_params.theta[1:]
         v[rows] = sub_params.v[1:]
-        sub_diag.block_index = b
         diags.append(sub_diag)
     return TransformParams(alpha=alpha, theta=theta, v=v), diags
 
 
-def extract_pattern(
-    table: FourierTable, params: TransformParams, alpha_min: float = ALPHA_FLOOR
-) -> Pattern:
+def extract_pattern(table: FourierTable, params: TransformParams) -> Pattern:
     """Common-shape estimate: mean of the rephased coefficients, inverted to the grid."""
-    chat = rephase(table, params, alpha_min).mean(axis=0)
+    chat = rephase(table, params).mean(axis=0)
     return Pattern(values=inverse_fourier(FourierTable(coeffs=chat[None, :], ell=table.ell))[0])
 
 
-def align_curves(
-    curves: CurveSet, params: TransformParams, alpha_min: float = ALPHA_FLOOR
-) -> CurveSet:
+def align_curves(curves: CurveSet, params: TransformParams) -> CurveSet:
     """Apply the inverse deformation to every curve.
 
     Each curve is recentered, rescaled and advanced in time by its shift via a
     Fourier phase rotation (exact for the trigonometric interpolant), so on
     exact parameters every row reproduces the pattern.
     """
-    reph = rephase(to_fourier(curves), params, alpha_min)
+    reph = rephase(to_fourier(curves), params)
     values = inverse_fourier(FourierTable(coeffs=reph, ell=fft_int_freqs(curves.j)))
     return CurveSet(values=values, t_grid=curves.t_grid, period=curves.period)

@@ -1,10 +1,15 @@
+import json
 import os
 
 import numpy as np
 import pytest
 
-from dynshape import fileio
-from dynshape.cli import main
+from dynshape import cli, fileio
+from dynshape.cli import SETTINGS, _train_config, build_parser, int_or_none, main
+from dynshape.emulator import TrainConfig
+from dynshape.errors import InputConsistencyError
+from dynshape.gp import FitConfig
+from dynshape.registration import EstimationConfig
 
 BOX_TEXT = "PORO,0.15,0.35\nKSAND,10,300\nKRSAND,0.5,1.0\n"
 
@@ -258,3 +263,171 @@ class TestEnvironmentOverrides:
         assert run("design", "--n", "6", "--box", box_file, "--out", "design.csv") == 0
         assert (outdir / "design.csv").exists()
         assert not (tmp_path / "design.csv").exists()
+
+
+FIT_ARGV = ["fit", "--design", "d.csv", "--curves", "c.csv", "--surrogate-out", "s.json"]
+SAMPLE_TEXT = {int: "2", float: "0.5", int_or_none: "7"}
+
+
+def config_from(argv):
+    return _train_config(build_parser().parse_args(argv))
+
+
+class TestSettingsTable:
+    def test_no_flags_gives_defaults(self):
+        assert config_from(FIT_ARGV) == TrainConfig()
+
+    @pytest.mark.parametrize("key", sorted(SETTINGS))
+    def test_flag_equals_config_key(self, tmp_path, key):
+        text = SAMPLE_TEXT[SETTINGS[key][0]]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {text}\n")
+        from_flag = config_from(FIT_ARGV + ["--" + key.replace("_", "-"), text])
+        assert from_flag == config_from(FIT_ARGV + ["--config", str(cfg)])
+        assert from_flag != TrainConfig()
+
+    def test_every_setting_reaches_its_field(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("alpha_min = 0.1\ngp_length_hi = 100\nseed = 9\nl_max = none\n")
+        argv = FIT_ARGV + [
+            "--config", str(cfg), "--seed", "3", "--block-size", "4", "--beta-exponent", "1.25",
+            "--alpha-max", "9", "--l-max", "7", "--multistarts", "2", "--max-iters", "50",
+            "--gp-multistarts", "5", "--gp-max-iters", "60", "--gp-length-lo", "0.01",
+            "--gp-nugget-floor", "1e-8", "--var-fix-tol", "1e-6", "--time-windows", "2",
+        ]
+        assert config_from(argv) == TrainConfig(
+            block_size=4, var_fix_tol=1e-6, time_windows=2,
+            estimation=EstimationConfig(alpha_bounds=(0.1, 9.0), beta_exponent=1.25, l_max=7,
+                                        multistarts=2, max_iters=50, seed=3),
+            gp=FitConfig(length_bounds=(0.01, 100.0), multistarts=5, max_iters=60,
+                         nugget_floor=1e-8, seed=3),
+        )
+
+    def test_l_max_none_flag(self):
+        assert config_from(FIT_ARGV + ["--l-max", "none"]).estimation.l_max is None
+
+    def test_bad_config_value_is_input_error(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("multistarts = many\n")
+        with pytest.raises(InputConsistencyError, match="run.cfg.*multistarts"):
+            config_from(FIT_ARGV + ["--config", str(cfg)])
+
+
+def with_blank_and_bad_cell(path, bad_row, bad_col, token="nan"):
+    """Rewrite a CSV with a blank line after the first and one cell replaced."""
+    lines = open(path).read().splitlines()
+    cells = lines[bad_row].split(",")
+    cells[bad_col] = token
+    lines[bad_row] = ",".join(cells)
+    lines.insert(1, "")
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    return f"line {bad_row + 2}, column {bad_col + 1}: non-finite"
+
+
+class TestNonFiniteCells:
+    def test_design(self, tmp_path, box_file, capsys):
+        design, curves = make_dataset(tmp_path, box_file, n=6, j=11)
+        where = with_blank_and_bad_cell(design, 3, 1, "inf")
+        assert run("fit", "--design", design, "--curves", curves,
+                   "--surrogate-out", str(tmp_path / "s.json")) == 3
+        assert where in capsys.readouterr().err
+
+    def test_curves(self, tmp_path, box_file, capsys):
+        design, curves = make_dataset(tmp_path, box_file, n=6, j=11)
+        where = with_blank_and_bad_cell(curves, 2, 4)
+        assert run("fit", "--design", design, "--curves", curves,
+                   "--surrogate-out", str(tmp_path / "s.json")) == 3
+        assert where in capsys.readouterr().err
+
+    def test_params(self, tmp_path, box_file, capsys):
+        _, curves = make_dataset(tmp_path, box_file, n=6, j=11)
+        params = tmp_path / "p.csv"
+        params.write_text("curve,alpha,theta,v\n" + "".join(f"{k},1,0,0\n" for k in range(1, 7)))
+        where = with_blank_and_bad_cell(str(params), 4, 2, "-inf")
+        assert run("align", "--curves", curves, "--params", str(params),
+                   "--out", str(tmp_path / "a.csv")) == 3
+        assert where in capsys.readouterr().err
+
+    def test_box(self, tmp_path, box_file, capsys):
+        where = with_blank_and_bad_cell(box_file, 2, 2)
+        assert run("design", "--n", "5", "--box", box_file, "--out", str(tmp_path / "d.csv")) == 3
+        assert where in capsys.readouterr().err
+
+    def test_times(self, tmp_path, box_file, capsys):
+        design, curves = make_dataset(tmp_path, box_file, n=6, j=11)
+        times = tmp_path / "times.csv"
+        times.write_text("".join(f"{k}\n" for k in range(11)))
+        where = with_blank_and_bad_cell(str(times), 5, 0)
+        assert run("fit", "--design", design, "--curves", curves, "--times", str(times),
+                   "--surrogate-out", str(tmp_path / "s.json")) == 3
+        assert where in capsys.readouterr().err
+
+    def test_prediction_points(self, tmp_path, box_file, capsys):
+        design, curves = make_dataset(tmp_path, box_file)
+        surrogate = str(tmp_path / "sur.json")
+        run("fit", "--design", design, "--curves", curves, "--gp-multistarts", "3",
+            "--multistarts", "2", "--surrogate-out", surrogate)
+        points = tmp_path / "pts.csv"
+        points.write_text("x1,x2,x3\n0.2,100,inf\n")
+        assert run("predict", "--surrogate", surrogate, "--points", str(points),
+                   "--out", str(tmp_path / "p.csv")) == 3
+        assert "line 2, column 3: non-finite" in capsys.readouterr().err
+
+
+class TestSurrogateErrors:
+    @pytest.mark.parametrize("text", [
+        None,
+        "not json",
+        '{"format": "dynshape-surrogate", "version": 1, "t_grid": [0]}',
+        "VERSION",
+    ])
+    def test_unloadable_surrogate_exits_3(self, tmp_path, box_file, capsys, text):
+        path = tmp_path / "sur.json"
+        if text == "VERSION":
+            design, curves = make_dataset(tmp_path, box_file)
+            run("fit", "--design", design, "--curves", curves, "--gp-multistarts", "3",
+                "--multistarts", "2", "--surrogate-out", str(path))
+            data = json.loads(path.read_text())
+            data["version"] = 99
+            text = json.dumps(data)
+        if text is not None:
+            path.write_text(text)
+        points = tmp_path / "pts.csv"
+        points.write_text("x1,x2,x3\n0.2,100,0.7\n")
+        capsys.readouterr()
+        assert run("predict", "--surrogate", str(path), "--points", str(points),
+                   "--out", str(tmp_path / "p.csv")) == 3
+        assert str(path) in capsys.readouterr().err
+
+    def test_linalg_error_exits_4(self, tmp_path, box_file, monkeypatch):
+        design, curves = make_dataset(tmp_path, box_file, n=6, j=11)
+
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("singular matrix")
+
+        monkeypatch.setattr(cli, "train", singular)
+        assert run("fit", "--design", design, "--curves", curves,
+                   "--surrogate-out", str(tmp_path / "s.json")) == 4
+
+
+class TestTimeWindowArtifacts:
+    @pytest.mark.parametrize("flag", ["--params-out", "--pattern-out", "--diagnostics-out"])
+    def test_window_zero_only_artifacts_are_refused(self, tmp_path, box_file, capsys, flag):
+        design, curves = make_dataset(tmp_path, box_file, n=6, j=11)
+        surrogate = tmp_path / "s.json"
+        assert run("fit", "--design", design, "--curves", curves, "--time-windows", "2",
+                   "--surrogate-out", str(surrogate), flag, str(tmp_path / "out")) == 2
+        assert flag in capsys.readouterr().err
+        assert not surrogate.exists()
+
+    def test_window_count_from_config_file(self, tmp_path, box_file, capsys):
+        design, curves = make_dataset(tmp_path, box_file, n=6, j=11)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("time_windows = 2\n")
+        assert run("fit", "--design", design, "--curves", curves, "--config", str(cfg),
+                   "--surrogate-out", str(tmp_path / "s.json"),
+                   "--params-out", str(tmp_path / "p.csv"),
+                   "--pattern-out", str(tmp_path / "f.csv")) == 2
+        err = capsys.readouterr().err
+        assert "--params-out" in err and "--pattern-out" in err

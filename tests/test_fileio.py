@@ -2,6 +2,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import deformed_curves
 from dynshape import fileio
@@ -9,7 +11,7 @@ from dynshape.doe import lhd_sample, scale_to_box
 from dynshape.emulator import TrainConfig, predict_curves, train
 from dynshape.errors import InputConsistencyError
 from dynshape.gp import FitConfig
-from dynshape.registration import EstimationConfig, TransformParams
+from dynshape.registration import CurveSet, EstimationConfig, TransformParams
 from dynshape.synth import co2_default_box, co2_style_spec, generate_functional_sim
 
 
@@ -185,3 +187,102 @@ class TestModelSerialization:
         with pytest.raises(InputConsistencyError):
             fileio.load_surrogate(path)
 
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+class TestRoundTripProperties:
+    """Write -> read reproduces every finite double exactly."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(points=arrays(float, st.tuples(st.integers(0, 6), st.integers(1, 4)), elements=finite))
+    def test_design(self, tmp_path_factory, points):
+        path = str(tmp_path_factory.mktemp("design") / "design.csv")
+        fileio.write_design_csv(path, points)
+        assert np.array_equal(fileio.read_design_csv(path), points)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        values=arrays(float, st.tuples(st.integers(1, 5), st.sampled_from([3, 5, 9])), elements=finite),
+        period=st.floats(1e-3, 1e6),
+    )
+    def test_curves(self, tmp_path_factory, values, period):
+        j = values.shape[1]
+        curves = CurveSet(values=values, t_grid=period / j * np.arange(j), period=period)
+        path = str(tmp_path_factory.mktemp("curves") / "curves.csv")
+        fileio.write_curves_csv(path, curves)
+        back, times = fileio.read_curves_csv(path)
+        assert np.array_equal(back, curves.values)
+        assert np.array_equal(times, curves.t_grid)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 8))
+    def test_params(self, tmp_path_factory, data, n):
+        def column(elements):
+            return data.draw(arrays(float, n - 1, elements=elements))
+
+        params = TransformParams(
+            alpha=np.concatenate(([1.0], column(st.floats(1e-300, 1e300)))),
+            theta=np.concatenate(([0.0], column(finite))),
+            v=np.concatenate(([0.0], column(finite))),
+        )
+        path = str(tmp_path_factory.mktemp("params") / "params.csv")
+        fileio.write_params_csv(path, params)
+        back = fileio.read_params_csv(path)
+        for name in ("alpha", "theta", "v"):
+            assert np.array_equal(getattr(back, name), getattr(params, name))
+
+
+class TestWriteTable:
+    def test_cells_and_flags(self, tmp_path):
+        path = tmp_path / "t.csv"
+        fileio.write_table(str(path), "a,b,c", np.array([[1.0, np.nan, True], [0.1, -0.0, False]]))
+        assert path.read_text() == "a,b,c\n1,nan,1\n0.10000000000000001,-0,0\n"
+
+    def test_no_rows(self, tmp_path):
+        path = tmp_path / "t.csv"
+        fileio.write_table(str(path), "x1", [])
+        assert path.read_text() == "x1\n"
+
+
+class TestReaderLineNumbers:
+    def test_blank_lines_are_counted(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("x1,x2\n\n1,2\n\n3,four\n")
+        with pytest.raises(InputConsistencyError, match=r"line 5, column 2: expected a number"):
+            fileio.read_design_csv(str(path))
+
+    def test_params_index_must_be_a_number(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text("curve,alpha,theta,v\n1,1,0,0\nx,1,0,0\n")
+        with pytest.raises(InputConsistencyError, match=r"line 3, column 1"):
+            fileio.read_params_csv(str(path))
+
+    def test_params_index_is_the_data_row_position(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text("curve,alpha,theta,v\n\n1,1,0,0\n\n2,1,0,0\n4,1,0,0\n")
+        with pytest.raises(InputConsistencyError, match=r"line 6: curve indices"):
+            fileio.read_params_csv(str(path))
+
+    def test_config_line_numbers_count_blank_lines(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("seed = 1\n\n# note\nbogus\n")
+        with pytest.raises(InputConsistencyError, match="line 4"):
+            fileio.read_config(str(path), {"seed"})
+
+
+class TestSurrogateFileErrors:
+    @pytest.mark.parametrize("text", [
+        None,                                   # missing file
+        "not json at all",
+        "[1, 2, 3]",
+        '{"format": "dynshape-surrogate", "version": 1}',
+        '{"format": "dynshape-surrogate", "version": 99}',
+    ])
+    def test_raises_input_error_naming_path(self, tmp_path, text):
+        path = tmp_path / "s.json"
+        if text is not None:
+            path.write_text(text)
+        with pytest.raises(InputConsistencyError, match="s.json"):
+            fileio.load_surrogate(str(path))
