@@ -95,15 +95,32 @@ def _design_and_curves(design_path: str, curves_path: str, args) -> tuple:
 
 
 def _train_config(args) -> TrainConfig:
-    """The dataclass defaults, overridden by the config file, overridden by flags."""
-    given = {}
+    """The dataclass defaults, overridden by the config file, overridden by flags.
+
+    A rejected value is a usage error if the flags alone hold it, else an
+    input error naming the file and the keys without which it would pass.
+    """
+    from_file = {}
     if args.config:
         for key, text in fileio.read_config(args.config, set(SETTINGS)).items():
             try:
-                given[key] = SETTINGS[key][0](text)
+                from_file[key] = SETTINGS[key][0](text)
             except ValueError:
                 raise InputConsistencyError(f"{args.config}: bad value {text!r} for {key}") from None
-    given.update((key, getattr(args, key)) for key in SETTINGS if getattr(args, key) is not None)
+    flags = {key: getattr(args, key) for key in SETTINGS if getattr(args, key) is not None}
+    given = {**from_file, **flags}
+    try:
+        return _config_from(given)
+    except ValueError as err:
+        if not _accepted(flags):
+            raise
+        keys = [key for key in from_file if key not in flags]
+        blamed = [key for key in keys if _accepted({k: v for k, v in given.items() if k != key})]
+        raise InputConsistencyError(f"{args.config}: {', '.join(blamed or keys)}: {err}") from None
+
+
+def _config_from(given: dict) -> TrainConfig:
+    """``TrainConfig`` from setting values, each default where ``given`` has none."""
     fields = {TrainConfig: {}, EstimationConfig: {}, FitConfig: {}}
     for key, value in given.items():
         for cls in SETTINGS[key][1:]:
@@ -120,6 +137,14 @@ def _train_config(args) -> TrainConfig:
         estimation=EstimationConfig(**fields[EstimationConfig]),
         gp=FitConfig(**fields[FitConfig]),
     )
+
+
+def _accepted(given: dict) -> bool:
+    try:
+        _config_from(given)
+    except ValueError:
+        return False
+    return True
 
 
 # ---------------------------------------------------------------- commands
@@ -230,6 +255,9 @@ def cmd_predict(args) -> None:
 def cmd_validate(args) -> None:
     surrogate = fileio.load_surrogate(args.surrogate)
     test_design, test_curves, _ = _design_and_curves(args.test_design, args.test_curves, args)
+    if test_curves.j != surrogate.j:
+        raise InputConsistencyError(f"--test-curves {args.test_curves} has J = {test_curves.j} "
+                                    f"time steps but the surrogate has J = {surrogate.j}")
     report = validate(surrogate, test_design, test_curves)
     fileio.write_report_csv(_out_path(args.report_out), report, surrogate.t_grid)
     print(f"overall rmse = {fileio.fmt(report.overall_rmse)}; "

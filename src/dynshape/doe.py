@@ -9,7 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import pdist
 
 __all__ = [
     "InputBox",
@@ -90,8 +89,15 @@ def _check_size(n: int, d: int) -> None:
 
 
 def min_pairwise_distance(points: np.ndarray) -> float:
-    """Smallest Euclidean distance between any two rows of ``points``."""
-    return float(pdist(np.asarray(points, dtype=float)).min())
+    """Smallest Euclidean distance between any two rows of ``points``.
+
+    Squares are summed column by column, in order, as in ``scipy``'s
+    ``pdist``, so the result equals ``pdist(points).min()`` bit for bit.
+    """
+    pts = np.asarray(points, dtype=float)
+    i, j = np.triu_indices(pts.shape[0], 1)
+    diff = pts[i] - pts[j]
+    return float(np.sqrt(sum(diff[:, c] * diff[:, c] for c in range(pts.shape[1])).min()))
 
 
 def lhd_sample(n: int, d: int, seed: int) -> DesignMatrix:
@@ -115,6 +121,11 @@ def _swap_hill_climb(pts: np.ndarray) -> np.ndarray:
     First-improvement sweeps over all (column, row pair) swaps; a swap is kept
     only if it strictly increases the minimum distance, so the criterion never
     decreases.  Deterministic for a given input.
+
+    Swapping rows i and j in one column changes only distances in rows i and
+    j, so it can raise the minimum only if every pair at the minimum touches
+    i or j.  For each (column, i) only those partners j are tried, all in one
+    array, and the first improving one is kept, as a loop over j would.
     """
     pts = pts.copy()
     n, d = pts.shape
@@ -123,33 +134,39 @@ def _swap_hill_climb(pts: np.ndarray) -> np.ndarray:
     d2 = np.einsum("ijk,ijk->ij", diff, diff)
     np.fill_diagonal(d2, np.inf)
     best = d2.min()
+    count = (d2 == best).sum(axis=0)  # pairs at the minimum that touch each row
 
     for _ in range(_MAX_SWEEPS):
         improved = False
         for k in range(d):
             for i in range(n - 1):
-                for j in range(i + 1, n):
-                    if pts[i, k] == pts[j, k]:
-                        continue
+                j = i
+                while True:
+                    # the pairs at the minimum that avoid i must all touch partner j
+                    rest = slice(j + 1, n)
+                    apart = count.sum() // 2 - count[i]
+                    js = j + 1 + np.flatnonzero(count[rest] - (d2[i, rest] == best) == apart)
+                    js = js[pts[js, k] != pts[i, k]]
+                    if not js.size:
+                        break
+                    t = np.arange(js.size)
+                    # one swapped copy of the design per partner; the rows are
+                    # summed as ((pts - pts[i]) ** 2).sum(axis=1) to keep the bits
+                    a = np.repeat(pts[None], js.size, axis=0)
+                    a[t, i, k], a[t, js, k] = pts[js, k], pts[i, k]
+                    row_i = ((a - a[:, i, None]) ** 2).sum(axis=2)
+                    row_j = ((a - a[t, js, None]) ** 2).sum(axis=2)
+                    row_i[:, i] = row_j[t, js] = np.inf
+                    up = np.flatnonzero(np.minimum(row_i.min(axis=1), row_j.min(axis=1)) > best)
+                    if not up.size:
+                        break
+                    t, j = up[0], js[up[0]]
                     pts[i, k], pts[j, k] = pts[j, k], pts[i, k]
-                    row_i = ((pts - pts[i]) ** 2).sum(axis=1)
-                    row_j = ((pts - pts[j]) ** 2).sum(axis=1)
-                    row_i[i] = np.inf
-                    row_j[j] = np.inf
-                    mask = np.ones(n, dtype=bool)
-                    mask[[i, j]] = False
-                    others = d2[np.ix_(mask, mask)].min() if n > 2 else np.inf
-                    cand = min(others, row_i.min(), row_j.min())
-                    if cand > best:
-                        best = cand
-                        d2[i, :] = row_i
-                        d2[:, i] = row_i
-                        d2[j, :] = row_j
-                        d2[:, j] = row_j
-                        d2[i, i] = d2[j, j] = np.inf
-                        improved = True
-                    else:
-                        pts[i, k], pts[j, k] = pts[j, k], pts[i, k]
+                    d2[i, :] = d2[:, i] = row_i[t]
+                    d2[j, :] = d2[:, j] = row_j[t]
+                    best = d2.min()
+                    count = (d2 == best).sum(axis=0)
+                    improved = True
         if not improved:
             break
     return pts

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_solve, cholesky, LinAlgError
-from scipy.optimize import minimize
 
 from .doe import DesignMatrix, lhd_sample
 from .errors import DegenerateResponseError, FitFailureError, IllConditionedDesignError
@@ -261,6 +260,7 @@ def fit_gp(design: DesignMatrix | np.ndarray, responses: np.ndarray, config: Fit
     the input data.  The weight is far below any practically significant
     likelihood difference.
     """
+    from scipy.optimize import minimize  # imported here: prediction never needs it
     if config is None:
         config = FitConfig()
     pts_raw = design.points if isinstance(design, DesignMatrix) else np.asarray(design, dtype=float)

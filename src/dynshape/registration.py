@@ -21,7 +21,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import EstimationFailureError
 
@@ -217,6 +216,8 @@ class EstimationConfig:
         lo, hi = self.alpha_bounds
         if not (0 < lo < hi):
             raise ValueError("alpha bounds must satisfy 0 < lo < hi")
+        if self.l_max is not None and self.l_max < 1:
+            raise ValueError("l_max must be >= 1")
         if self.beta_exponent <= 0:
             raise ValueError("weight exponent must be positive")
         if self.multistarts < 1:
@@ -385,6 +386,7 @@ def estimate_params(
     wrapped to [-pi, pi).  Vertical shifts carry no weight in the contrast and
     are recovered afterwards as v_k = d_k0 - alpha_k * d_10.
     """
+    from scipy.optimize import minimize  # imported here: prediction never needs it
     if config is None:
         config = EstimationConfig()
     if curves.n < 2:

@@ -204,6 +204,19 @@ class TestValidateCommand:
                 assert float(q2) == pytest.approx(1.0, abs=1e-9)
             assert float(rmse) == pytest.approx(0.0, abs=1e-9)
 
+    def test_other_time_grid_is_input_error(self, tmp_path, box_file, capsys):
+        design, curves = make_dataset(tmp_path, box_file, n=6, j=55)
+        surrogate = str(tmp_path / "sur.json")
+        assert run("fit", "--design", design, "--curves", curves, "--gp-multistarts", "1",
+                   "--multistarts", "1", "--surrogate-out", surrogate) == 0
+        test_design, test_curves = make_dataset(tmp_path, box_file, n=4, j=11, seed=5)
+        capsys.readouterr()
+        assert run("validate", "--surrogate", surrogate, "--test-design", test_design,
+                   "--test-curves", test_curves, "--report-out", str(tmp_path / "r.csv")) == 3
+        err = capsys.readouterr().err
+        assert f"--test-curves {test_curves}" in err
+        assert "J = 11" in err and "J = 55" in err
+
 
 class TestAlignCommand:
     def test_identity_params_roundtrip(self, tmp_path, box_file):
@@ -311,6 +324,31 @@ class TestSettingsTable:
         cfg.write_text("multistarts = many\n")
         with pytest.raises(InputConsistencyError, match="run.cfg.*multistarts"):
             config_from(FIT_ARGV + ["--config", str(cfg)])
+
+    @pytest.mark.parametrize("key,text", [("alpha_min", "30"), ("l_max", "0")])
+    @pytest.mark.parametrize("source", ["file", "flag"])
+    def test_rejected_value_exit_code(self, tmp_path, box_file, capsys, key, text, source):
+        design, curves = make_dataset(tmp_path, box_file, n=6, j=11)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"seed = 2\n{key} = {text}\n" if source == "file" else "seed = 2\n")
+        flag = ["--" + key.replace("_", "-"), text] if source == "flag" else []
+        capsys.readouterr()
+        code = run("fit", "--design", design, "--curves", curves, "--config", str(cfg), *flag,
+                   "--surrogate-out", str(tmp_path / "s.json"))
+        err = capsys.readouterr().err
+        if source == "file":
+            assert code == 3
+            assert f"{cfg}: {key}:" in err
+        else:
+            assert code == 2
+            assert str(cfg) not in err
+        assert not (tmp_path / "s.json").exists()
+
+    def test_flag_can_complete_a_file_value(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("alpha_min = 30\n")
+        config = config_from(FIT_ARGV + ["--config", str(cfg), "--alpha-max", "40"])
+        assert config.estimation.alpha_bounds == (30.0, 40.0)
 
 
 def with_blank_and_bad_cell(path, bad_row, bad_col, token="nan"):
