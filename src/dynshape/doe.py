@@ -16,7 +16,6 @@ __all__ = [
     "lhd_sample",
     "maximin_lhd",
     "scale_to_box",
-    "normalize_to_unit",
     "min_pairwise_distance",
 ]
 
@@ -100,12 +99,13 @@ def min_pairwise_distance(points: np.ndarray) -> float:
     return float(np.sqrt(sum(diff[:, c] * diff[:, c] for c in range(pts.shape[1])).min()))
 
 
-def lhd_sample(n: int, d: int, seed: int) -> DesignMatrix:
+def lhd_sample(n: int, d: int, seed: int | list[int]) -> DesignMatrix:
     """Draw a Latin hypercube design on [0, 1]^d.
 
     Every column contains exactly one point in each of the n equal-width
     strata [i/n, (i+1)/n); placement inside a stratum is uniform.  The result
-    is a deterministic function of (n, d, seed).
+    is a deterministic function of (n, d, seed); ``seed`` is anything
+    ``numpy.random.default_rng`` takes, such as an int or a list of ints.
     """
     _check_size(n, d)
     rng = np.random.default_rng(seed)
@@ -175,10 +175,10 @@ def _swap_hill_climb(pts: np.ndarray) -> np.ndarray:
 def maximin_lhd(n: int, d: int, seed: int, restarts: int = 10) -> DesignMatrix:
     """Maximin-improved Latin hypercube design on [0, 1]^d.
 
-    Generates ``restarts`` stratified designs (restart r uses seed + r, so
-    restart 0 starts from ``lhd_sample(n, d, seed)``), hill-climbs each by
-    column-element swaps, and keeps the candidate with the largest minimum
-    pairwise distance.  Ties keep the earliest candidate.
+    Generates ``restarts`` stratified designs (restart r starts from
+    ``lhd_sample(n, d, [seed, r])``, so no two seeds share a restart),
+    hill-climbs each by column-element swaps, and keeps the candidate with
+    the largest minimum pairwise distance.  Ties keep the earliest candidate.
     """
     _check_size(n, d)
     if restarts < 1:
@@ -186,7 +186,7 @@ def maximin_lhd(n: int, d: int, seed: int, restarts: int = 10) -> DesignMatrix:
     best_pts = None
     best_dist = -np.inf
     for r in range(restarts):
-        cand = _swap_hill_climb(lhd_sample(n, d, seed + r).points)
+        cand = _swap_hill_climb(lhd_sample(n, d, [seed, r]).points)
         dist = min_pairwise_distance(cand)
         if dist > best_dist:
             best_dist = dist
@@ -202,13 +202,3 @@ def scale_to_box(design: DesignMatrix, box: InputBox) -> DesignMatrix:
         raise ValueError(f"design has {design.d} columns but the box has {box.dims}")
     pts = box.lower + design.points * box.span
     return DesignMatrix(points=pts, normalized=False)
-
-
-def normalize_to_unit(design: DesignMatrix, box: InputBox) -> DesignMatrix:
-    """Inverse of :func:`scale_to_box`."""
-    if design.normalized:
-        raise ValueError("design is already normalized")
-    if design.d != box.dims:
-        raise ValueError(f"design has {design.d} columns but the box has {box.dims}")
-    pts = (design.points - box.lower) / box.span
-    return DesignMatrix(points=pts, normalized=True)

@@ -9,9 +9,10 @@ Correlation lengths are found by minimizing the concentrated negative log likeli
 
     (1/2) [ n log sigma2_hat(theta) + log det(R(theta) + nugget I) + n ]
 
-over log-lengths with a multistart bound-constrained quasi-Newton search.
-Inputs are normalized to the design's bounding box inside fit and predict, so
-the length bounds are scale free.
+over log-lengths with a multistart L-BFGS-B search that is given the
+likelihood's analytic gradient (see ``likelihood_with_gradient``).  Inputs are
+normalized to the design's bounding box inside fit and predict, so the length
+bounds are scale free.
 """
 from __future__ import annotations
 
@@ -32,6 +33,7 @@ __all__ = [
     "build_correlation",
     "gls_beta",
     "mle_sigma2",
+    "likelihood_with_gradient",
     "neg_log_likelihood",
     "fit_gp",
     "assemble_gp_model",
@@ -189,17 +191,41 @@ def mle_sigma2(factor: np.ndarray, responses: np.ndarray, beta: float) -> float:
     return max(s2, SIGMA2_FLOOR)
 
 
-def neg_log_likelihood(
+def likelihood_with_gradient(
     points: np.ndarray, responses: np.ndarray, spec: CorrelationSpec, nugget: float = 0.0
-) -> float:
-    """Concentrated negative log likelihood (up to the (n/2) log 2 pi constant)."""
+) -> tuple[float, np.ndarray]:
+    """Concentrated negative log likelihood and its gradient in the log-lengths.
+
+    The value omits the (n/2) log 2 pi constant.  With K = R + nugget I,
+    a = Kinv (Y - beta 1) and D_j the squared differences in dimension j,
+
+        d nll / d log length_j = (1/2) tr[(Kinv - a a' / sigma2) (R o D_j)] / length_j,
+
+    where o is the elementwise product; beta and sigma2 are at their
+    closed-form optima, so their own variation drops out.
+    """
+    points = np.asarray(points, dtype=float)
     responses = np.asarray(responses, dtype=float)
     factor, used = build_correlation(points, spec, nugget)
     n = responses.shape[0]
     beta = gls_beta(factor, responses)
     s2 = mle_sigma2(factor, responses, beta)
     logdet = 2.0 * np.log(np.diag(factor)).sum()
-    return 0.5 * (n * math.log(s2) + logdet + n)
+    nll = 0.5 * (n * math.log(s2) + logdet + n)
+
+    kinv = cho_solve((factor, True), np.eye(n))
+    a = kinv @ (responses - beta)
+    weights = (kinv - np.outer(a, a) / s2) * _corr(points, points, spec)
+    sq_diff = (points[:, None, :] - points[None, :, :]) ** 2
+    grad = 0.5 * np.einsum("ik,ikj->j", weights, sq_diff) / spec.lengths
+    return nll, grad
+
+
+def neg_log_likelihood(
+    points: np.ndarray, responses: np.ndarray, spec: CorrelationSpec, nugget: float = 0.0
+) -> float:
+    """Concentrated negative log likelihood (up to the (n/2) log 2 pi constant)."""
+    return likelihood_with_gradient(points, responses, spec, nugget)[0]
 
 
 def assemble_gp_model(
@@ -249,16 +275,17 @@ def assemble_gp_model(
 def fit_gp(design: DesignMatrix | np.ndarray, responses: np.ndarray, config: FitConfig | None = None) -> GpModel:
     """Fit correlation lengths by concentrated maximum likelihood.
 
-    Runs ``config.multistarts`` bound-constrained quasi-Newton searches in
-    log-length space, started from a small Latin hypercube over the bounds,
-    and returns the model assembled at the best lengths found.
+    Runs ``config.multistarts`` L-BFGS-B searches in log-length space, one per
+    start of a small Latin hypercube over the bounds, each on the analytic
+    gradient of :func:`likelihood_with_gradient`, and returns the model
+    assembled at the best lengths found.
 
     The search objective carries a tiny quadratic tie-breaker in the
-    log-lengths (weight ``RIDGE_TIE``): near-linear responses leave the
-    likelihood flat across decades of length, and without a tie-breaker the
-    selected point on such a ridge would depend on roundoff-level details of
-    the input data.  The weight is far below any practically significant
-    likelihood difference.
+    log-lengths (weight ``RIDGE_TIE``), the only guard against flat ridges:
+    near-linear responses leave the likelihood flat across decades of length,
+    and without a tie-breaker the selected point on such a ridge would depend
+    on roundoff-level details of the input data.  The weight is far below any
+    practically significant likelihood difference.
     """
     from scipy.optimize import minimize  # imported here: prediction never needs it
     if config is None:
@@ -279,13 +306,14 @@ def fit_gp(design: DesignMatrix | np.ndarray, responses: np.ndarray, config: Fit
     log_lo, log_hi = np.log(config.length_bounds[0]), np.log(config.length_bounds[1])
     bounds = [(log_lo, log_hi)] * d
 
-    def objective(log_lengths: np.ndarray) -> float:
+    def objective(log_lengths: np.ndarray) -> tuple[float, np.ndarray]:
         spec = CorrelationSpec(lengths=np.exp(log_lengths))
         try:
-            nll = neg_log_likelihood(pts, responses, spec, config.nugget_floor)
+            nll, grad = likelihood_with_gradient(pts, responses, spec, config.nugget_floor)
         except IllConditionedDesignError:
-            return 1e25  # stands in for +inf, which the line search dislikes
-        return nll + RIDGE_TIE * float(log_lengths @ log_lengths)
+            return 1e25, np.zeros(d)  # stands in for +inf, which the line search dislikes
+        return (nll + RIDGE_TIE * float(log_lengths @ log_lengths),
+                grad + 2.0 * RIDGE_TIE * log_lengths)
 
     if config.multistarts == 1:
         starts = np.full((1, d), 0.5 * (log_lo + log_hi))
@@ -299,6 +327,7 @@ def fit_gp(design: DesignMatrix | np.ndarray, responses: np.ndarray, config: Fit
             objective,
             x0,
             method="L-BFGS-B",
+            jac=True,
             bounds=bounds,
             options={"maxiter": config.max_iters},
         )
@@ -310,32 +339,8 @@ def fit_gp(design: DesignMatrix | np.ndarray, responses: np.ndarray, config: Fit
         raise FitFailureError("all likelihood-search starts failed", starts=attempts)
     best = min(usable, key=lambda a: a["fun"])
 
-    # polish the winner with a derivative-free simplex search: the
-    # quasi-Newton stop point wanders with finite-difference noise, and
-    # predictions should not depend on roundoff-level perturbations of the
-    # training data.  Coordinates the search drove onto a bound stay pinned
-    # there; the simplex stalls on active bounds.
-    x_best = best["x"].copy()
-    free = (x_best > log_lo + 1e-9) & (x_best < log_hi - 1e-9)
-    if free.any():
-        def sub_objective(z: np.ndarray) -> float:
-            full = x_best.copy()
-            full[free] = z
-            return objective(full)
-
-        polish = minimize(
-            sub_objective,
-            x_best[free],
-            method="Nelder-Mead",
-            bounds=[(log_lo, log_hi)] * int(free.sum()),
-            options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 1000, "maxfev": 2000},
-        )
-        if np.isfinite(polish.fun) and polish.fun <= best["fun"]:
-            x_best[free] = np.clip(polish.x, log_lo, log_hi)
-
-    model = assemble_gp_model(pts_raw, responses, np.exp(x_best), config.nugget_floor,
-                              normalize=True)
-    return model
+    return assemble_gp_model(pts_raw, responses, np.exp(best["x"]), config.nugget_floor,
+                             normalize=True)
 
 
 def predict(model: GpModel, x0: np.ndarray) -> tuple[float, float]:

@@ -335,7 +335,7 @@ def test_c09_contrast_gradient_checks():
         "09 analytic contrast gradients match central differences",
         worst <= 1e-5,
         f"worst relative deviation {worst:.2e} over 10 random points "
-        "(likelihood search uses numeric gradients, so no further check applies)",
+        "(the likelihood gradient has its own central-difference test in test_gp)",
     )
 
 
@@ -350,7 +350,7 @@ def test_c10_invariant_suite():
                 failures.append("stratification")
 
     # maximin dominance over its starting design
-    base = min_pairwise_distance(lhd_sample(12, 3, seed=4).points)
+    base = min_pairwise_distance(lhd_sample(12, 3, seed=[4, 0]).points)
     champ = min_pairwise_distance(maximin_lhd(12, 3, seed=4, restarts=3).points)
     if champ < base:
         failures.append("maximin dominance")

@@ -52,6 +52,15 @@ class TestDesignCommand:
         run("design", "--n", "12", "--box", box_file, "--seed", "7", "--out", out)
         assert open(out, "rb").read() == first
 
+    def test_seeds_give_different_designs(self, tmp_path, box_file):
+        written = []
+        for seed in ("0", "1"):
+            out = str(tmp_path / f"design{seed}.csv")
+            run("design", "--n", "12", "--box", box_file, "--seed", seed,
+                "--maximin-restarts", "5", "--out", out)
+            written.append(open(out, "rb").read())
+        assert written[0] != written[1]
+
     def test_n_one_is_usage_error(self, tmp_path, box_file):
         with pytest.raises(SystemExit) as exc:
             run("design", "--n", "1", "--box", box_file, "--out", str(tmp_path / "d.csv"))

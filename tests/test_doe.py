@@ -12,7 +12,6 @@ from dynshape.doe import (
     lhd_sample,
     maximin_lhd,
     min_pairwise_distance,
-    normalize_to_unit,
     scale_to_box,
     _swap_hill_climb,
 )
@@ -63,7 +62,7 @@ class TestLhdSample:
 
 class TestMaximin:
     def test_single_restart_improves_base(self):
-        base = lhd_sample(10, 2, seed=7)
+        base = lhd_sample(10, 2, seed=[7, 0])
         improved = maximin_lhd(10, 2, seed=7, restarts=1)
         assert min_pairwise_distance(improved.points) >= min_pairwise_distance(base.points)
         assert_stratified(improved.points)
@@ -78,7 +77,7 @@ class TestMaximin:
         # the maximin search must beat the median of its own restart pool
         n, d, seed, restarts = 30, 3, 11, 50
         champion = maximin_lhd(n, d, seed=seed, restarts=restarts)
-        plain = [min_pairwise_distance(lhd_sample(n, d, seed + r).points) for r in range(restarts)]
+        plain = [min_pairwise_distance(lhd_sample(n, d, [seed, r]).points) for r in range(restarts)]
         assert min_pairwise_distance(champion.points) > float(np.median(plain))
 
     def test_deterministic(self):
@@ -271,13 +270,6 @@ class TestScaleToBox:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             scale_to_box(lhd_sample(4, 2, seed=0), TABLE_BOX)
-
-    @settings(max_examples=25, deadline=None)
-    @given(seed=st.integers(0, 10**6))
-    def test_affine_round_trip(self, seed):
-        design = lhd_sample(8, 3, seed=seed)
-        back = normalize_to_unit(scale_to_box(design, TABLE_BOX), TABLE_BOX)
-        np.testing.assert_allclose(back.points, design.points, rtol=1e-12, atol=1e-15)
 
 
 class TestInputBox:

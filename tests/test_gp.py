@@ -17,6 +17,7 @@ from dynshape.gp import (
     gls_beta,
     gp_model_from_dict,
     gp_model_to_dict,
+    likelihood_with_gradient,
     loo_metrics,
     mle_sigma2,
     neg_log_likelihood,
@@ -158,6 +159,44 @@ class TestNegLogLikelihood:
                 model.nugget,
             )
             assert worse > best
+
+
+class TestLikelihoodGradient:
+    def test_value_is_neg_log_likelihood(self):
+        rng = np.random.default_rng(4)
+        pts = rng.uniform(size=(9, 3))
+        y = rng.normal(size=9)
+        spec = CorrelationSpec(lengths=np.array([0.3, 0.8, 2.0]))
+        assert neg_log_likelihood(pts, y, spec, 1e-10) == likelihood_with_gradient(
+            pts, y, spec, 1e-10
+        )[0]
+
+    def test_matches_central_differences(self):
+        # in the log-lengths, on designs with cond(K) < 1e6: beyond that,
+        # roundoff in the solves makes the comparison noisy (3e-2 seen)
+        h = 1e-4
+        worst, checked = 0.0, 0
+        for seed in range(30):
+            rng = np.random.default_rng(seed)
+            n, d = int(rng.integers(5, 15)), int(rng.integers(1, 4))
+            pts = rng.uniform(size=(n, d))
+            y = rng.normal(size=n)
+            phi = rng.uniform(math.log(0.02), math.log(2.0), d)
+            spec = CorrelationSpec(lengths=np.exp(phi))
+            factor, nugget = build_correlation(pts, spec, 1e-10)
+            if np.linalg.cond(factor) ** 2 >= 1e6:
+                continue
+            checked += 1
+            _, grad = likelihood_with_gradient(pts, y, spec, nugget)
+            for j in range(d):
+                step = h * np.eye(d)[j]
+                fd = (
+                    neg_log_likelihood(pts, y, CorrelationSpec(lengths=np.exp(phi + step)), nugget)
+                    - neg_log_likelihood(pts, y, CorrelationSpec(lengths=np.exp(phi - step)), nugget)
+                ) / (2 * h)
+                worst = max(worst, abs(fd - grad[j]) / max(abs(fd), 1e-12))
+        assert checked >= 20
+        assert worst <= 1e-6
 
 
 class TestFit:
