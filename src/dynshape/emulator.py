@@ -313,6 +313,10 @@ def predict_curve(surrogate: FunctionalSurrogate, x0: np.ndarray) -> CurvePredic
 
 
 def _report_from_predictions(predicted: np.ndarray, truth: np.ndarray) -> ValidationReport:
+    if predicted.shape[0] != truth.shape[0]:
+        raise ValueError("test design and test curves must have the same number of rows")
+    if predicted.shape[1] != truth.shape[1]:
+        raise ValueError("test curves must share the surrogate's time grid")
     j = truth.shape[1]
     rmse = np.sqrt(((predicted - truth) ** 2).mean(axis=0))
     step_var = truth.var(axis=0)
@@ -332,10 +336,6 @@ def validate(
     Steps whose true values have (near-)zero variance across the test points
     are flagged and get a NaN Q2 instead of failing the run.
     """
-    if test_design.points.shape[0] != test_curves.n:
-        raise ValueError("test design and test curves must have the same number of rows")
-    if test_curves.j != surrogate.j:
-        raise ValueError("test curves must share the surrogate's time grid")
     predicted, _ = predict_curves(surrogate, test_design.points)
     return _report_from_predictions(predicted, test_curves.values)
 
@@ -358,8 +358,8 @@ def benchmark_against_per_step(
         config = TrainConfig()
 
     surrogate = train(design, curves, config)
-    sim_report = validate(surrogate, test_design, test_curves)
     sim_pred, _ = predict_curves(surrogate, test_design.points)
+    sim_report = _report_from_predictions(sim_pred, test_curves.values)
 
     t0 = time.perf_counter()
     step_pred = np.empty((test_curves.n, curves.j))

@@ -10,6 +10,7 @@ the Fourier domain the deformation acts coefficient-wise, so the parameters
 are estimated by minimizing a weighted contrast between each curve's
 "rephased" coefficients and their cross-curve mean.  The first curve is the
 reference and is pinned to (alpha, theta, v) = (1, 0, 0) for identifiability.
+Real curves on an odd grid need only the half spectrum l = 0 ... (J-1)/2.
 
 The weight at frequency zero is null, which removes the vertical shifts from
 the contrast entirely; they are recovered afterwards in closed form from the
@@ -62,8 +63,8 @@ def wrap_angle(theta):
 
 
 def fft_int_freqs(j: int) -> np.ndarray:
-    """Integer frequencies 0, 1, ..., (J-1)/2, -(J-1)/2, ..., -1 in FFT order."""
-    return np.rint(np.fft.fftfreq(j, d=1.0 / j)).astype(int)
+    """Integer frequencies 0, 1, ..., (J-1)/2 of the half spectrum of a J-point grid."""
+    return np.arange(j // 2 + 1)
 
 
 @dataclass(frozen=True)
@@ -113,7 +114,7 @@ class CurveSet:
 
 @dataclass(frozen=True)
 class FourierTable:
-    """Per-curve discrete Fourier coefficients, 1/J-normalized, in FFT order."""
+    """Per-curve 1/J-normalized Fourier coefficients, half spectrum l = 0 ... (J-1)/2."""
 
     coeffs: np.ndarray
     ell: np.ndarray
@@ -123,15 +124,15 @@ class FourierTable:
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "ell", np.asarray(self.ell, dtype=int))
         if coeffs.ndim != 2 or self.ell.shape != (coeffs.shape[1],):
-            raise ValueError("coeffs must be n x J with one integer frequency per column")
+            raise ValueError("coeffs must be n x (J+1)/2 with one integer frequency per column")
 
     @property
     def n(self) -> int:
         return self.coeffs.shape[0]
 
     @property
-    def j(self) -> int:
-        return self.coeffs.shape[1]
+    def j(self) -> int:  # the grid size J, not the column count (J+1)/2
+        return 2 * self.coeffs.shape[1] - 1
 
 
 @dataclass(frozen=True)
@@ -167,7 +168,7 @@ def identity_params(n: int) -> TransformParams:
 
 @dataclass(frozen=True)
 class WeightSequence:
-    """Frequency weights delta_l = |l|^-beta with delta_0 = 0, in FFT order."""
+    """Frequency weights delta_l = l^-beta with delta_0 = 0, on the half spectrum."""
 
     delta: np.ndarray
     ell: np.ndarray
@@ -184,8 +185,8 @@ class WeightSequence:
 class Pattern:
     """Estimated common shape: grid values plus their Fourier coefficients.
 
-    The coefficients are always derived from the values, so a pattern rebuilt
-    from its saved values predicts exactly like the original.
+    The half-spectrum coefficients are always derived from the values, so a
+    pattern rebuilt from its saved values predicts exactly like the original.
     """
 
     values: np.ndarray
@@ -194,7 +195,7 @@ class Pattern:
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "coeffs", np.fft.fft(values) / values.shape[0])
+        object.__setattr__(self, "coeffs", np.fft.rfft(values) / values.shape[0])
 
     @property
     def j(self) -> int:
@@ -236,31 +237,31 @@ class EstimationDiagnostics:
 def to_fourier(curves: CurveSet) -> FourierTable:
     """Discrete Fourier coefficients d_kl = (1/J) sum_j Y_kj e^{-2 pi i j l / J}.
 
-    Real input curves give Hermitian-symmetric tables: d_{k,-l} = conj(d_{k,l}).
+    Real curves give d_{k,-l} = conj(d_{k,l}), so only l = 0 ... (J-1)/2 is kept.
     """
     j = curves.j
     if j % 2 == 0:
         raise ValueError("Fourier analysis here requires an odd number of samples")
-    coeffs = np.fft.fft(curves.values, axis=1) / j
+    coeffs = np.fft.rfft(curves.values, axis=1) / j
     return FourierTable(coeffs=coeffs, ell=fft_int_freqs(j))
 
 
 def inverse_fourier(table: FourierTable) -> np.ndarray:
     """Real curve values from a coefficient table (inverse of :func:`to_fourier`)."""
-    return (np.fft.ifft(table.coeffs, axis=1) * table.j).real
+    return np.fft.irfft(table.coeffs * table.j, n=table.j, axis=1)
 
 
 def make_weights(j: int, beta_exponent: float = 1.5, l_max: int | None = None) -> WeightSequence:
-    """Weights delta_l = |l|^-beta, zero at l = 0 and beyond an optional cap."""
+    """Weights delta_l = l^-beta on the half spectrum, zero at l = 0 and beyond an optional cap."""
     if j < 3 or j % 2 == 0:
         raise ValueError(f"J must be odd and >= 3, got {j}")
     ell = fft_int_freqs(j)
     with np.errstate(divide="ignore"):
-        delta = np.where(ell == 0, 0.0, np.abs(ell, dtype=float) ** (-beta_exponent))
+        delta = np.where(ell == 0, 0.0, ell.astype(float) ** (-beta_exponent))
     if l_max is not None:
         if l_max < 1:
             raise ValueError("l_max must be >= 1")
-        delta = np.where(np.abs(ell) > l_max, 0.0, delta)
+        delta = np.where(ell > l_max, 0.0, delta)
     return WeightSequence(delta=delta, ell=ell, beta_exponent=beta_exponent)
 
 
@@ -268,26 +269,37 @@ def deform(coeffs: np.ndarray, ell: np.ndarray, alpha: np.ndarray, theta: np.nda
            v: np.ndarray) -> np.ndarray:
     """Coefficients of alpha_k f(t - theta_k) + v_k, one row per parameter triple.
 
-    ``coeffs`` are the pattern's J coefficients in FFT order; alpha, theta and
-    v are equal-length arrays.  Inverse of :func:`undeform`.
+    ``coeffs`` are the pattern's half-spectrum coefficients at frequencies
+    ``ell``; alpha, theta and v are equal-length arrays.  Inverse of :func:`undeform`.
     """
-    out = alpha[:, None] * coeffs[None, :] * np.exp(-1j * np.outer(theta, ell))
+    phases = _phases(-theta, ell)
+    out = alpha[:, None] * coeffs[None, :] * phases
     out[:, 0] += v
     return out
+
+
+def _phases(theta: np.ndarray, ell: np.ndarray) -> np.ndarray:
+    """e^{i theta_k l}, filled from real cos and sin (cheaper than a complex exp)."""
+    x = np.outer(theta, ell)
+    phases = np.empty(x.shape, dtype=complex)
+    phases.real = np.cos(x)
+    phases.imag = np.sin(x)
+    return phases
 
 
 def undeform(coeffs: np.ndarray, ell: np.ndarray, alpha: np.ndarray, theta: np.ndarray,
              v) -> np.ndarray:
     """Undo each row's deformation; inverse of :func:`deform`.
 
-    ``coeffs`` is n x J in FFT order and v is one entry per row or a scalar.
-    The result is (1/alpha_k) e^{i l theta_k} d_kl away from l = 0 and
-    (d_k0 - v_k)/alpha_k at l = 0.
+    ``coeffs`` is n x (J+1)/2 on the half spectrum and v is one entry per row
+    or a scalar.  The result is (1/alpha_k) e^{i l theta_k} d_kl away from
+    l = 0 and (d_k0 - v_k)/alpha_k at l = 0.
     """
     # keep the phase matrix named: numpy reuses a large unnamed temporary in
     # place and swaps the product's operands, which changes the last bits
-    phases = np.exp(1j * np.outer(theta, ell))
-    out = coeffs * phases / alpha[:, None]
+    phases = _phases(theta, ell)
+    out = coeffs * phases
+    out *= (1.0 / alpha)[:, None]  # same bits as dividing, without numpy's complex division
     out[:, 0] = (coeffs[:, 0] - v) / alpha
     return out
 
@@ -295,7 +307,7 @@ def undeform(coeffs: np.ndarray, ell: np.ndarray, alpha: np.ndarray, theta: np.n
 def rephase(table: FourierTable, params: TransformParams) -> np.ndarray:
     """Undo each curve's deformation in the Fourier domain.
 
-    Returns the n x J complex matrix of :func:`undeform`.  When the
+    Returns the n x (J+1)/2 complex matrix of :func:`undeform`.  When the
     parameters are exact, every row equals the pattern's coefficients.
     """
     if params.n != table.n:
@@ -337,32 +349,34 @@ def contrast_with_gradient(
         dM/dalpha_k = -(2 / n alpha_k) sum_l delta_l^2 Re(conj(u_kl) ctilde_kl)
         dM/dtheta_k = -(2 / n)         sum_l delta_l^2 l Im(conj(u_kl) ctilde_kl)
 
-    The reference curve's entries are fixed, so its components are omitted.
-    The weight at l = 0 is null, so the rephasing takes no vertical shifts.
+    over all l.  The inputs hold l >= 0 only: the terms at -l equal those at l
+    and delta_0 = 0, so each full sum is exactly twice the half sum (hence 2
+    and -4/n), and the rephasing can skip the vertical shifts.  The reference
+    curve is fixed, so its components are omitted.
     """
     n = coeffs.shape[0]
     ct = undeform(coeffs, ell, alpha, theta, 0.0)
     u = ct - ct.mean(axis=0)
-    m_val = float((delta2 * (u.real ** 2 + u.imag ** 2)).sum() / n)
+    m_val = float(2.0 * (delta2 * (u.real ** 2 + u.imag ** 2)).sum() / n)
     re_uc = u.real * ct.real + u.imag * ct.imag
     im_uc = u.real * ct.imag - u.imag * ct.real
-    g_alpha = -(2.0 / n) * (delta2 * re_uc).sum(axis=1) / alpha
-    g_theta = -(2.0 / n) * (delta2 * ell * im_uc).sum(axis=1)
+    g_alpha = -(4.0 / n) * (delta2 * re_uc).sum(axis=1) / alpha
+    g_theta = -(4.0 / n) * (delta2 * ell * im_uc).sum(axis=1)
     return m_val, g_alpha[1:], g_theta[1:]
 
 
 def _coarse_start(
-    coeffs: np.ndarray, delta2: np.ndarray, alpha_bounds: tuple[float, float]
+    coeffs: np.ndarray, delta2: np.ndarray, j: int, alpha_bounds: tuple[float, float]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Initial (alpha, theta) per curve from a grid scan against the reference.
 
     For each curve the weighted cross-correlation with curve 1 is evaluated at
-    all J grid shifts through a single FFT; the best shift seeds theta and the
-    matching closed-form scale seeds alpha.
+    all J grid shifts through a single inverse real FFT; the best shift seeds
+    theta and the matching closed-form scale seeds alpha.
     """
-    n, j = coeffs.shape
+    n = coeffs.shape[0]
     q = delta2 * np.conj(coeffs) * coeffs[0][None, :]
-    corr = np.fft.fft(q, axis=1).real
+    corr = np.fft.irfft(np.conj(q), n=j, axis=1) * (j / 2)  # half-spectrum sums, like denom
     s_best = corr.argmax(axis=1)
     theta0 = wrap_angle(_TWO_PI * s_best / j)
     denom = (delta2 * (coeffs.real ** 2 + coeffs.imag ** 2)).sum(axis=1)
@@ -394,12 +408,12 @@ def estimate_params(
     t_begin = time.perf_counter()
     table = to_fourier(curves)
     weights = make_weights(curves.j, config.beta_exponent, config.l_max)
-    delta2 = weights.delta ** 2
-    coeffs = table.coeffs
-    ell = table.ell
+    # frequencies above l_max carry zero weight: drop them once for every evaluation
+    keep = slice(None if config.l_max is None else config.l_max + 1)
+    coeffs, ell, delta2 = table.coeffs[:, keep], table.ell[keep], weights.delta[keep] ** 2
     n = curves.n
 
-    alpha0, theta0 = _coarse_start(coeffs, delta2, config.alpha_bounds)
+    alpha0, theta0 = _coarse_start(coeffs, delta2, curves.j, config.alpha_bounds)
     lo, hi = config.alpha_bounds
     bounds = [(lo, hi)] * (n - 1) + [(t - np.pi, t + np.pi) for t in theta0[1:]]
 

@@ -63,7 +63,8 @@ def _resolve_pattern(pattern: PatternLike) -> Callable[[np.ndarray], np.ndarray]
     if samples.ndim != 1 or samples.size < 3 or samples.size % 2 == 0:
         raise ValueError("a sampled pattern needs an odd number >= 3 of grid values")
     j = samples.size
-    coeffs = np.fft.fft(samples) / j
+    coeffs = np.fft.rfft(samples) / j
+    coeffs[1:] *= 2.0  # interpolant c_0 + 2 Re sum_{l>0} c_l e^{ilt} on the half spectrum
     ell = fft_int_freqs(j)
 
     def interpolant(t):

@@ -177,6 +177,32 @@ class TestPredict:
             first = surrogate.segments[0].evaluate_params(x[None, :])
             assert single.params == {name: float(first[name][0]) for name in FAMILIES}
 
+    @pytest.mark.parametrize("windows", [1, 2])
+    def test_predict_curves_matches_full_spectrum_oracle(self, windows):
+        design, curves, _ = harness(n=12, j=41)
+        config = TrainConfig(
+            block_size=10, time_windows=windows,
+            estimation=EstimationConfig(multistarts=2, seed=0),
+            gp=FitConfig(multistarts=3, seed=0),
+        )
+        surrogate = train(design, curves, config, box=BOX)
+        points = scale_to_box(lhd_sample(7, 3, seed=21), BOX).points
+        values, _ = predict_curves(surrogate, points)
+        expected = np.empty_like(values)
+        for seg in surrogate.segments:
+            # deform every FFT frequency of the pattern and invert with a complex FFT
+            p = seg.evaluate_params(points)
+            j = seg.grid_stop - seg.grid_start
+            ell = np.rint(np.fft.fftfreq(j, d=1.0 / j))
+            coeffs = np.fft.fft(seg.pattern.values) / j
+            full = p["alpha"][:, None] * coeffs * np.exp(-1j * np.outer(p["theta"], ell))
+            full[:, 0] += p["v"]
+            segment_values = (np.fft.ifft(full, axis=1) * j).real
+            lo = seg.start - seg.grid_start
+            expected[:, seg.start : seg.stop] = segment_values[:, lo : lo + seg.stop - seg.start]
+        scale = np.abs(expected).max()
+        np.testing.assert_allclose(values, expected, rtol=0, atol=1e-12 * scale)
+
 
 class TestValidate:
     def test_self_consistency(self):

@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import TWO_PI, deformed_curves, trig_pattern
+from dynshape import registration
 from dynshape.registration import (
     CurveSet,
     EstimationConfig,
     FourierTable,
     TransformParams,
+    _coarse_start,
     align_curves,
     contrast,
     contrast_with_gradient,
@@ -52,10 +54,10 @@ class TestFourier:
         grid = TWO_PI * np.arange(j) / j
         curves = CurveSet(values=np.cos(grid)[None, :], t_grid=grid, period=TWO_PI)
         table = to_fourier(curves)
+        assert list(table.ell) == [0, 1, 2]
         by_ell = dict(zip(table.ell, table.coeffs[0]))
         assert by_ell[1] == pytest.approx(0.5, abs=1e-12)
-        assert by_ell[-1] == pytest.approx(0.5, abs=1e-12)
-        for ell in (0, 2, -2):
+        for ell in (0, 2):
             assert abs(by_ell[ell]) < 1e-12
 
     @settings(max_examples=30, deadline=None)
@@ -68,10 +70,13 @@ class TestFourier:
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 10**6))
     def test_hermitian_symmetry(self, seed):
-        table = to_fourier(random_curveset(seed, j=15))
-        order = np.argsort(table.ell)
-        sorted_coeffs = table.coeffs[:, order]
-        np.testing.assert_allclose(sorted_coeffs, np.conj(sorted_coeffs[:, ::-1]), atol=1e-12)
+        # the half table is the l >= 0 part of the full spectrum; the rest is its conjugate
+        curves = random_curveset(seed, j=15)
+        table = to_fourier(curves)
+        full = np.fft.fft(curves.values, axis=1) / curves.j
+        assert table.coeffs.shape == (curves.n, 8) and table.j == curves.j
+        np.testing.assert_allclose(table.coeffs, full[:, :8], atol=1e-12)
+        np.testing.assert_allclose(full[:, 8:], np.conj(full[:, 7:0:-1]), atol=1e-12)
 
     def test_even_j_rejected(self):
         with pytest.raises(ValueError):
@@ -81,16 +86,17 @@ class TestFourier:
 class TestWeights:
     def test_reference_values(self):
         w = make_weights(11, beta_exponent=1.5)
+        assert list(w.ell) == [0, 1, 2, 3, 4, 5]
         by_ell = dict(zip(w.ell, w.delta))
         assert by_ell[0] == 0.0
         assert by_ell[1] == 1.0
         assert by_ell[2] == pytest.approx(2.0 ** -1.5, rel=1e-12)
-        assert by_ell[-3] == by_ell[3]
+        assert by_ell[3] == pytest.approx(3.0 ** -1.5, rel=1e-12)
 
     def test_truncation(self):
         w = make_weights(11, beta_exponent=1.5, l_max=2)
         by_ell = dict(zip(w.ell, w.delta))
-        assert by_ell[3] == 0.0 and by_ell[-3] == 0.0 and by_ell[2] > 0
+        assert by_ell[3] == 0.0 and by_ell[5] == 0.0 and by_ell[2] > 0
 
     def test_even_j_rejected(self):
         with pytest.raises(ValueError):
@@ -136,7 +142,7 @@ class TestDeformPrimitive:
     def test_undeform_inverts_deform(self, seed, half, m):
         j = 2 * half + 1
         rng = np.random.default_rng(seed)
-        coeffs = np.fft.fft(rng.normal(0.0, 3.0, j)) / j
+        coeffs = np.fft.rfft(rng.normal(0.0, 3.0, j)) / j
         ell = fft_int_freqs(j)
         alpha = np.exp(rng.uniform(np.log(0.05), np.log(20.0), m))
         theta = rng.uniform(-10.0, 10.0, m)
@@ -144,6 +150,80 @@ class TestDeformPrimitive:
         back = undeform(deform(coeffs, ell, alpha, theta, v), ell, alpha, theta, v)
         scale = max(np.abs(coeffs).max(), (np.abs(v) / alpha).max())
         np.testing.assert_allclose(back, np.tile(coeffs, (m, 1)), rtol=0, atol=1e-12 * scale)
+
+
+def full_spectrum(values):
+    """Complex FFT table, integer frequencies in FFT order and squared weights (beta 1.5)."""
+    j = values.shape[1]
+    ell = np.rint(np.fft.fftfreq(j, d=1.0 / j))
+    with np.errstate(divide="ignore"):
+        delta2 = np.where(ell == 0, 0.0, np.abs(ell) ** -1.5) ** 2
+    return np.fft.fft(values, axis=1) / j, ell, delta2
+
+
+def full_spectrum_contrast(alpha, theta, values):
+    """Contrast and gradients summed over every FFT frequency, the reference oracle."""
+    n = values.shape[0]
+    coeffs, ell, delta2 = full_spectrum(values)
+    ct = coeffs * np.exp(1j * np.outer(theta, ell)) / alpha[:, None]
+    u = ct - ct.mean(axis=0)
+    uc = np.conj(u) * ct
+    value = (delta2 * np.abs(u) ** 2).sum() / n
+    g_alpha = -(2.0 / n) * (delta2 * uc.real).sum(axis=1) / alpha
+    g_theta = -(2.0 / n) * (delta2 * ell * uc.imag).sum(axis=1)
+    return value, g_alpha[1:], g_theta[1:]
+
+
+class TestHalfSpectrum:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10**6), n=st.integers(2, 7), half=st.integers(1, 60))
+    def test_contrast_matches_full_spectrum_oracle(self, seed, n, half):
+        rng = np.random.default_rng(seed)
+        curves = random_curveset(seed, n=n, j=2 * half + 1)
+        table = to_fourier(curves)
+        alpha = np.concatenate(([1.0], np.exp(rng.uniform(np.log(0.05), np.log(20.0), n - 1))))
+        theta = np.concatenate(([0.0], rng.uniform(-np.pi, np.pi, n - 1)))
+        delta2 = make_weights(curves.j).delta ** 2
+        value, g_a, g_t = contrast_with_gradient(alpha, theta, table.coeffs, table.ell, delta2)
+        ref_value, ref_a, ref_t = full_spectrum_contrast(alpha, theta, curves.values)
+        assert value == pytest.approx(ref_value, rel=1e-13)
+        for got, ref in ((g_a, ref_a), (g_t, ref_t)):
+            np.testing.assert_allclose(got, ref, rtol=0, atol=1e-13 * np.abs(ref).max())
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_coarse_start_matches_full_fft_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        j = 41
+        theta = np.concatenate(([0.0], rng.uniform(-np.pi, np.pi, 5)))
+        alpha = np.concatenate(([1.0], rng.uniform(0.3, 2.0, 5)))
+        v = np.concatenate(([0.0], rng.normal(size=5)))
+        curves, _ = deformed_curves(alpha, theta, v, j=j, noise_var=0.2, seed=seed)
+        table = to_fourier(curves)
+        delta2 = make_weights(j).delta ** 2
+        alpha0, theta0 = _coarse_start(table.coeffs, delta2, j, (0.05, 20.0))
+        # the full-spectrum scan: one complex FFT of the weighted cross spectrum
+        full, _, full_delta2 = full_spectrum(curves.values)
+        corr = np.fft.fft(full_delta2 * np.conj(full) * full[0][None, :], axis=1).real
+        s_best = corr.argmax(axis=1)
+        expected_theta = wrap_angle(TWO_PI * s_best / j)
+        expected_theta[0] = 0.0
+        assert np.array_equal(theta0, expected_theta)
+        denom = (full_delta2 * np.abs(full) ** 2).sum(axis=1)
+        expected_alpha = np.clip(denom / corr[np.arange(6), s_best], 0.05, 20.0)
+        np.testing.assert_allclose(alpha0[1:], expected_alpha[1:], rtol=1e-12)
+
+    def test_l_max_slices_to_same_estimates(self, monkeypatch):
+        curves, _ = deformed_curves([1.0, 1.3, 0.7, 1.8], [0.0, 0.9, -1.7, 2.2],
+                                    [0.0, 1.0, -0.5, 0.2], j=61, noise_var=0.05, seed=3)
+        sliced, _ = estimate_params(curves, EstimationConfig(l_max=5, multistarts=2, seed=0))
+        # the same zero weights above l = 5, but every frequency kept in the arrays
+        make = registration.make_weights
+        monkeypatch.setattr(registration, "make_weights",
+                            lambda j, beta, l_max: make(j, beta, 5))
+        unsliced, _ = estimate_params(curves, EstimationConfig(multistarts=2, seed=0))
+        for name in ("alpha", "theta", "v"):
+            np.testing.assert_allclose(getattr(sliced, name), getattr(unsliced, name),
+                                       rtol=0, atol=1e-12)
 
 
 class TestContrast:
