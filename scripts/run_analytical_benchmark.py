@@ -43,7 +43,7 @@ def main(argv=None):
     curves, truth = generate_analytical(
         args.n, args.j, args.noise_var, args.seed, alpha_range=tuple(args.alpha_range)
     )
-    est, diag = estimate_params(curves, EstimationConfig(multistarts=3, seed=args.seed))
+    est, diag = estimate_params(curves, EstimationConfig())
 
     write_curves_csv(os.path.join(args.outdir, "curves.csv"), curves)
     write_params_csv(os.path.join(args.outdir, "params_true.csv"), truth)

@@ -42,7 +42,7 @@ def main(argv=None):
 
     config = TrainConfig(
         block_size=10,
-        estimation=EstimationConfig(multistarts=2, seed=args.seed),
+        estimation=EstimationConfig(),
         gp=FitConfig(multistarts=6, seed=args.seed),
     )
     bench = benchmark_against_per_step(design, curves, test_design, test_curves, config)

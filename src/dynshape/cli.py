@@ -44,13 +44,12 @@ def int_or_none(text: str) -> int | None:
 # A key names the field it sets, less any "gp_" prefix; a *_min/*_max or
 # *_lo/*_hi key that names no field sets one end of the <stem>_bounds pair.
 SETTINGS = {
-    "seed": (int, EstimationConfig, FitConfig),
+    "seed": (int, FitConfig),
     "block_size": (int, TrainConfig),
     "beta_exponent": (float, EstimationConfig),
     "alpha_min": (float, EstimationConfig),
     "alpha_max": (float, EstimationConfig),
     "l_max": (int_or_none, EstimationConfig),
-    "multistarts": (int, EstimationConfig),
     "max_iters": (int, EstimationConfig),
     "gp_multistarts": (int, FitConfig),
     "gp_max_iters": (int, FitConfig),
@@ -76,7 +75,12 @@ def _read_curves(path: str, args) -> tuple:
     times = fileio.read_times_csv(args.times) if args.times else None
     if times is None and args.period is None:
         times = header_times
-    curves, dropped = fileio.curves_from_arrays(values, times=times, period=args.period)
+    if times is None and not args.period > 0:
+        raise InputConsistencyError(f"--period must be positive, got {args.period:g}")
+    try:
+        curves, dropped = fileio.curves_from_arrays(values, times=times, period=args.period)
+    except ValueError as err:  # too few columns left for an odd grid
+        raise InputConsistencyError(f"{path}: {err}") from None
     if dropped:
         print(f"warning: {path} has an even number of time steps; dropped the last sample "
               "to make J odd", file=sys.stderr)
@@ -153,6 +157,8 @@ def _accepted(given: dict) -> bool:
 def cmd_design(args) -> None:
     if args.n < 2:
         raise argparse.ArgumentTypeError("--n must be at least 2")
+    if args.maximin_restarts < 0:
+        raise argparse.ArgumentTypeError("--maximin-restarts must be at least 0")
     box = fileio.read_box_csv(args.box)
     if args.maximin_restarts > 0:
         design = maximin_lhd(args.n, box.dims, seed=args.seed, restarts=args.maximin_restarts)
@@ -252,12 +258,18 @@ def cmd_predict(args) -> None:
     print(f"wrote {points.shape[0]} predicted curves to {args.out}")
 
 
+def _test_set(args, j: int) -> tuple:
+    """The held-out design and curves, which must share the training grid of J steps."""
+    test_design, test_curves, _ = _design_and_curves(args.test_design, args.test_curves, args)
+    if test_curves.j != j:
+        raise InputConsistencyError(f"--test-curves {args.test_curves} has J = {test_curves.j} "
+                                    f"time steps but the surrogate has J = {j}")
+    return test_design, test_curves
+
+
 def cmd_validate(args) -> None:
     surrogate = fileio.load_surrogate(args.surrogate)
-    test_design, test_curves, _ = _design_and_curves(args.test_design, args.test_curves, args)
-    if test_curves.j != surrogate.j:
-        raise InputConsistencyError(f"--test-curves {args.test_curves} has J = {test_curves.j} "
-                                    f"time steps but the surrogate has J = {surrogate.j}")
+    test_design, test_curves = _test_set(args, surrogate.j)
     report = validate(surrogate, test_design, test_curves)
     fileio.write_report_csv(_out_path(args.report_out), report, surrogate.t_grid)
     print(f"overall rmse = {fileio.fmt(report.overall_rmse)}; "
@@ -266,8 +278,8 @@ def cmd_validate(args) -> None:
 
 def cmd_bench(args) -> None:
     design, curves, _ = _design_and_curves(args.design, args.curves, args)
+    test_design, test_curves = _test_set(args, curves.j)
     config = _train_config(args)
-    test_design, test_curves, _ = _design_and_curves(args.test_design, args.test_curves, args)
     bench = benchmark_against_per_step(design, curves, test_design, test_curves, config)
 
     sim, step = bench.sim_report, bench.step_report
@@ -326,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--box", required=True, help="CSV of name,min,max rows")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--maximin-restarts", dest="maximin_restarts", type=int, default=20,
-                   help="0 = plain Latin hypercube without maximin improvement")
+                   help="0 = plain Latin hypercube without maximin improvement; must be >= 0")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_design)
 

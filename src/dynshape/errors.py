@@ -26,7 +26,7 @@ class DegenerateResponseError(DynshapeError):
 
 
 class EstimationFailureError(DynshapeError):
-    """Transformation-parameter search did not converge on any start."""
+    """The contrast search ended at a non-finite value; ``starts`` holds its diagnostics."""
 
     def __init__(self, message, starts=None):
         super().__init__(message)

@@ -204,14 +204,12 @@ class Pattern:
 
 @dataclass(frozen=True)
 class EstimationConfig:
-    """Settings for the contrast minimization."""
+    """Settings for the contrast search: alpha bounds, weight exponent, l cap, iteration cap."""
 
     alpha_bounds: tuple[float, float] = (0.05, 20.0)
     beta_exponent: float = 1.5
     l_max: int | None = None
-    multistarts: int = 3
     max_iters: int = 1000
-    seed: int = 0
 
     def __post_init__(self):
         lo, hi = self.alpha_bounds
@@ -221,8 +219,6 @@ class EstimationConfig:
             raise ValueError("l_max must be >= 1")
         if self.beta_exponent <= 0:
             raise ValueError("weight exponent must be positive")
-        if self.multistarts < 1:
-            raise ValueError("multistarts must be >= 1")
 
 
 @dataclass
@@ -394,11 +390,11 @@ def estimate_params(
 ) -> tuple[TransformParams, EstimationDiagnostics]:
     """Estimate the per-curve deformation parameters by contrast minimization.
 
-    A coarse grid alignment seeds a multistart bound-constrained quasi-Newton
-    search with analytic gradients over (alpha_k, theta_k), k >= 2; each
-    theta_k is refined inside a full period centered at its seed and reported
-    wrapped to [-pi, pi).  Vertical shifts carry no weight in the contrast and
-    are recovered afterwards as v_k = d_k0 - alpha_k * d_10.
+    One bound-constrained quasi-Newton search from a grid-scan start, with
+    analytic gradients over (alpha_k, theta_k), k >= 2; each theta_k is
+    refined inside a full period centered at its seed and reported wrapped to
+    [-pi, pi).  Vertical shifts carry no weight in the contrast and are
+    recovered afterwards as v_k = d_k0 - alpha_k * d_10.
     """
     from scipy.optimize import minimize  # imported here: prediction never needs it
     if config is None:
@@ -414,8 +410,7 @@ def estimate_params(
     n = curves.n
 
     alpha0, theta0 = _coarse_start(coeffs, delta2, curves.j, config.alpha_bounds)
-    lo, hi = config.alpha_bounds
-    bounds = [(lo, hi)] * (n - 1) + [(t - np.pi, t + np.pi) for t in theta0[1:]]
+    bounds = [config.alpha_bounds] * (n - 1) + [(t - np.pi, t + np.pi) for t in theta0[1:]]
 
     def objective(x: np.ndarray) -> tuple[float, np.ndarray]:
         alpha = np.concatenate(([1.0], x[: n - 1]))
@@ -423,53 +418,31 @@ def estimate_params(
         m_val, g_a, g_t = contrast_with_gradient(alpha, theta, coeffs, ell, delta2)
         return m_val, np.concatenate((g_a, g_t))
 
-    starts = [np.concatenate((alpha0[1:], theta0[1:]))]
-    for s in range(1, config.multistarts):
-        rng = np.random.default_rng([config.seed, s])
-        jitter_t = rng.uniform(-1.5, 1.5, n - 1) * (_TWO_PI / curves.j)
-        jitter_a = np.exp(rng.uniform(-0.15, 0.15, n - 1))
-        starts.append(
-            np.concatenate((np.clip(alpha0[1:] * jitter_a, lo, hi), theta0[1:] + jitter_t))
-        )
+    res = minimize(
+        objective,
+        np.concatenate((alpha0[1:], theta0[1:])),
+        jac=True,
+        method="L-BFGS-B",
+        bounds=bounds,
+        options={"maxiter": config.max_iters, "ftol": 1e-16, "gtol": 1e-10},
+    )
+    start = {"start": 0, "fun": float(res.fun), "nit": int(res.nit), "message": str(res.message)}
+    if not np.isfinite(res.fun):
+        raise EstimationFailureError("the contrast minimization ended at a non-finite value",
+                                     starts=[start])
 
-    attempts = []
-    for idx, x0 in enumerate(starts):
-        res = minimize(
-            objective,
-            x0,
-            jac=True,
-            method="L-BFGS-B",
-            bounds=bounds,
-            options={"maxiter": config.max_iters, "ftol": 1e-16, "gtol": 1e-10},
-        )
-        attempts.append(
-            {
-                "start": idx,
-                "fun": float(res.fun),
-                "nit": int(res.nit),
-                "nfev": int(res.nfev),
-                "message": str(res.message),
-                "x": res.x,
-                "usable": bool(np.isfinite(res.fun)),
-            }
-        )
-    usable = [a for a in attempts if a["usable"]]
-    if not usable:
-        raise EstimationFailureError("no contrast-minimization start converged", starts=attempts)
-    best = min(usable, key=lambda a: a["fun"])
-
-    alpha_hat = np.concatenate(([1.0], best["x"][: n - 1]))
-    theta_hat = _wrap_keep_reference(np.concatenate(([0.0], best["x"][n - 1 :])))
+    alpha_hat = np.concatenate(([1.0], res.x[: n - 1]))
+    theta_hat = _wrap_keep_reference(np.concatenate(([0.0], res.x[n - 1 :])))
     c0 = coeffs[:, 0].real
     v_hat = c0 - alpha_hat * c0[0]
     v_hat[0] = 0.0
     params = TransformParams(alpha=alpha_hat, theta=theta_hat, v=v_hat)
     diag = EstimationDiagnostics(
         contrast=contrast(params, table, weights),
-        iterations=best["nit"],
-        nfev=best["nfev"],
+        iterations=start["nit"],
+        nfev=int(res.nfev),
         seconds=time.perf_counter() - t_begin,
-        starts=[{k: a[k] for k in ("start", "fun", "nit", "message")} for a in attempts],
+        starts=[start],
     )
     return params, diag
 

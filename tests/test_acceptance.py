@@ -74,7 +74,7 @@ def recovery_errors(est, truth):
 def test_c01_analytical_noiseless_replication():
     t0 = time.perf_counter()
     curves, truth = generate_analytical(101, 101, 0.0, seed=12)
-    config = EstimationConfig(alpha_bounds=(1e-3, 20.0), multistarts=3, max_iters=3000, seed=0)
+    config = EstimationConfig(alpha_bounds=(1e-3, 20.0), max_iters=3000)
     est, _ = estimate_params(curves, config)
     elapsed = time.perf_counter() - t0
     e_alpha, e_theta, e_v = recovery_errors(est, truth)
@@ -89,7 +89,7 @@ def test_c01_analytical_noiseless_replication():
 
 def test_c02_analytical_noisy_crossplot():
     curves, truth = generate_analytical(101, 801, 0.5, seed=2, alpha_range=(0.3, 1.0))
-    config = EstimationConfig(multistarts=2, max_iters=2000, seed=0)
+    config = EstimationConfig(max_iters=2000)
     est, _ = estimate_params(curves, config)
     stats = {}
     ok = True
@@ -109,7 +109,7 @@ def test_c03_pattern_beats_raw_mean():
     wins = 0
     for seed in range(10):
         curves, _ = generate_analytical(101, 101, 0.5, seed=seed)
-        est, _ = estimate_params(curves, EstimationConfig(multistarts=2, seed=0))
+        est, _ = estimate_params(curves, EstimationConfig())
         pattern = extract_pattern(to_fourier(curves), est)
         f_true = parabola_pattern(curves.angular_grid)
         rmse_pattern = np.sqrt(np.mean((pattern.values - f_true) ** 2))
@@ -140,7 +140,7 @@ def test_c04_contrast_oracle():
 
 def test_c05a_blocked_equals_unblocked_bitwise():
     curves, _ = generate_analytical(41, 101, 0.0, seed=12)
-    config = EstimationConfig(alpha_bounds=(1e-3, 20.0), multistarts=2, seed=0)
+    config = EstimationConfig(alpha_bounds=(1e-3, 20.0))
     solo, _ = estimate_params(curves, config)
     blocked, _ = estimate_params_blocked(curves, block_size=curves.n - 1, config=config)
     ok = (
@@ -154,7 +154,7 @@ def test_c05a_blocked_equals_unblocked_bitwise():
 
 def test_c05b_blocked_recovery_tolerance():
     curves, truth = generate_analytical(101, 101, 0.0, seed=12)
-    config = EstimationConfig(alpha_bounds=(1e-3, 20.0), multistarts=3, max_iters=3000, seed=0)
+    config = EstimationConfig(alpha_bounds=(1e-3, 20.0), max_iters=3000)
     est, diags = estimate_params_blocked(curves, block_size=10, config=config)
     e_alpha, e_theta, e_v = recovery_errors(est, truth)
     ok = len(diags) == 10 and e_alpha <= 1e-3 and e_theta <= 1e-3 and e_v <= 1e-3
@@ -229,7 +229,7 @@ def test_c06_kriging_unit_suite():
 def _pipeline_config():
     return TrainConfig(
         block_size=10,
-        estimation=EstimationConfig(multistarts=2, seed=0),
+        estimation=EstimationConfig(),
         gp=FitConfig(multistarts=6, seed=0),
     )
 
@@ -393,7 +393,7 @@ def test_c10_invariant_suite():
     train_curves = generate_functional_sim(spec, design)
     config = TrainConfig(
         block_size=10,
-        estimation=EstimationConfig(multistarts=2, seed=0),
+        estimation=EstimationConfig(),
         gp=FitConfig(multistarts=4, seed=0),
     )
     test_points = scale_to_box(lhd_sample(6, 3, seed=17), BOX).points

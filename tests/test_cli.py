@@ -66,6 +66,14 @@ class TestDesignCommand:
             run("design", "--n", "1", "--box", box_file, "--out", str(tmp_path / "d.csv"))
         assert exc.value.code == 2
 
+    def test_negative_restarts_is_usage_error(self, tmp_path, box_file):
+        out = tmp_path / "d.csv"
+        with pytest.raises(SystemExit) as exc:
+            run("design", "--n", "5", "--box", box_file, "--maximin-restarts", "-3",
+                "--out", str(out))
+        assert exc.value.code == 2
+        assert not out.exists()
+
     def test_malformed_box_is_input_error(self, tmp_path):
         bad = tmp_path / "box.csv"
         bad.write_text("PORO,0.15\n")
@@ -96,7 +104,7 @@ class TestFitCommand:
         pattern = str(tmp_path / "pattern.csv")
         diag = str(tmp_path / "diag.txt")
         assert run("fit", "--design", design, "--curves", curves,
-                   "--gp-multistarts", "3", "--multistarts", "2",
+                   "--gp-multistarts", "3",
                    "--surrogate-out", surrogate, "--params-out", params,
                    "--pattern-out", pattern, "--diagnostics-out", diag) == 0
         text = open(diag).read()
@@ -119,13 +127,46 @@ class TestFitCommand:
     def test_config_file_and_flag_override(self, tmp_path, box_file):
         design, curves = make_dataset(tmp_path, box_file)
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("gp_multistarts = 3\nmultistarts = 2\nblock_size = 4\n")
+        cfg.write_text("gp_multistarts = 3\nblock_size = 4\n")
         surrogate = str(tmp_path / "s.json")
         assert run("fit", "--design", design, "--curves", curves, "--config", str(cfg),
                    "--surrogate-out", surrogate) == 0
         cfg.write_text("gp_multistarts = 3\nnot_a_key = 1\n")
         assert run("fit", "--design", design, "--curves", curves, "--config", str(cfg),
                    "--surrogate-out", surrogate) == 3
+
+    def test_registration_multistarts_flag_is_gone(self, tmp_path, box_file):
+        design, curves = make_dataset(tmp_path, box_file, n=6, j=11)
+        with pytest.raises(SystemExit) as exc:
+            run("fit", "--design", design, "--curves", curves, "--multistarts", "2",
+                "--surrogate-out", str(tmp_path / "s.json"))
+        assert exc.value.code == 2
+
+    def test_registration_multistarts_key_is_unknown(self, tmp_path, box_file, capsys):
+        design, curves = make_dataset(tmp_path, box_file, n=6, j=11)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("block_size = 4\nmultistarts = 2\n")
+        capsys.readouterr()
+        assert run("fit", "--design", design, "--curves", curves, "--config", str(cfg),
+                   "--surrogate-out", str(tmp_path / "s.json")) == 3
+        assert f"{cfg}, line 2: unknown setting 'multistarts'" in capsys.readouterr().err
+
+    def test_two_column_curves_name_the_file(self, tmp_path, box_file, capsys):
+        design, _ = make_dataset(tmp_path, box_file, n=3, j=11)
+        narrow = tmp_path / "narrow.csv"
+        narrow.write_text("t=0,t=1\n1,2\n3,4\n5,6\n")
+        capsys.readouterr()
+        assert run("fit", "--design", design, "--curves", str(narrow),
+                   "--surrogate-out", str(tmp_path / "s.json")) == 3
+        err = capsys.readouterr().err
+        assert f"error: {narrow}: " in err and "J=1" in err
+
+    def test_nonpositive_period_names_the_flag(self, tmp_path, box_file, capsys):
+        design, curves = make_dataset(tmp_path, box_file, n=6, j=11)
+        capsys.readouterr()
+        assert run("fit", "--design", design, "--curves", curves, "--period", "-1",
+                   "--surrogate-out", str(tmp_path / "s.json")) == 3
+        assert "--period must be positive" in capsys.readouterr().err
 
     def test_even_j_warns_and_drops(self, tmp_path, box_file, capsys):
         design, curves = make_dataset(tmp_path, box_file, j=21)
@@ -137,7 +178,7 @@ class TestFitCommand:
         even = tmp_path / "even.csv"
         even.write_text("\n".join([header] + rows) + "\n")
         assert run("fit", "--design", design, "--curves", str(even),
-                   "--gp-multistarts", "3", "--multistarts", "2",
+                   "--gp-multistarts", "3",
                    "--surrogate-out", str(tmp_path / "s.json"),
                    "--diagnostics-out", str(tmp_path / "d.txt")) == 0
         assert "dropped the last sample" in capsys.readouterr().err
@@ -149,7 +190,7 @@ class TestPredictCommand:
         design, curves = make_dataset(tmp_path, box_file)
         surrogate = str(tmp_path / "sur.json")
         run("fit", "--design", design, "--curves", curves, "--gp-multistarts", "3",
-            "--multistarts", "2", "--gp-nugget-floor", "0",
+            "--gp-nugget-floor", "0",
             "--surrogate-out", surrogate)
         pred = str(tmp_path / "pred.csv")
         assert run("predict", "--surrogate", surrogate, "--points", design,
@@ -166,7 +207,7 @@ class TestPredictCommand:
         design, curves = make_dataset(tmp_path, box_file)
         surrogate = str(tmp_path / "sur.json")
         run("fit", "--design", design, "--curves", curves, "--gp-multistarts", "3",
-            "--multistarts", "2", "--surrogate-out", surrogate)
+            "--surrogate-out", surrogate)
         empty = tmp_path / "pts.csv"
         empty.write_text("x1,x2,x3\n")
         out = str(tmp_path / "pred.csv")
@@ -179,7 +220,7 @@ class TestPredictCommand:
         design, curves = make_dataset(tmp_path, box_file)
         surrogate = str(tmp_path / "sur.json")
         run("fit", "--design", design, "--curves", curves, "--gp-multistarts", "3",
-            "--multistarts", "2", "--surrogate-out", surrogate)
+            "--surrogate-out", surrogate)
         pts = tmp_path / "pts.csv"
         pts.write_text("x1,x2\n0.2,100\n")
         assert run("predict", "--surrogate", surrogate, "--points", str(pts),
@@ -191,7 +232,7 @@ class TestValidateCommand:
         design, curves = make_dataset(tmp_path, box_file)
         surrogate = str(tmp_path / "sur.json")
         run("fit", "--design", design, "--curves", curves, "--gp-multistarts", "3",
-            "--multistarts", "2", "--surrogate-out", surrogate)
+            "--surrogate-out", surrogate)
         test_design = str(tmp_path / "td.csv")
         run("design", "--n", "6", "--box", box_file, "--seed", "3", "--out", test_design)
         pred = str(tmp_path / "pred.csv")
@@ -217,7 +258,7 @@ class TestValidateCommand:
         design, curves = make_dataset(tmp_path, box_file, n=6, j=55)
         surrogate = str(tmp_path / "sur.json")
         assert run("fit", "--design", design, "--curves", curves, "--gp-multistarts", "1",
-                   "--multistarts", "1", "--surrogate-out", surrogate) == 0
+                   "--surrogate-out", surrogate) == 0
         test_design, test_curves = make_dataset(tmp_path, box_file, n=4, j=11, seed=5)
         capsys.readouterr()
         assert run("validate", "--surrogate", surrogate, "--test-design", test_design,
@@ -249,7 +290,7 @@ class TestBenchCommand:
         crossplot = str(tmp_path / "cross.csv")
         assert run("bench", "--design", design, "--curves", curves,
                    "--test-design", test_design, "--test-curves", test_curves,
-                   "--gp-multistarts", "2", "--multistarts", "1",
+                   "--gp-multistarts", "2",
                    "--report-out", report, "--timings-out", timings,
                    "--crossplot-out", crossplot) == 0
         assert open(report).read().splitlines()[0] == (
@@ -262,6 +303,25 @@ class TestBenchCommand:
         assert cross[0] == "true,predicted,method,step"
         assert len(cross) == 1 + 2 * 6 * 11
 
+    def test_other_time_grid_fails_before_training(self, tmp_path, box_file, capsys,
+                                                     monkeypatch):
+        design, curves = make_dataset(tmp_path, box_file, n=6, j=55)
+        test_design, test_curves = make_dataset(tmp_path, box_file, n=4, j=11, seed=5)
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained before checking the test grid")
+
+        monkeypatch.setattr(cli, "benchmark_against_per_step", no_training)
+        report = tmp_path / "cmp.csv"
+        capsys.readouterr()
+        assert run("bench", "--design", design, "--curves", curves,
+                   "--test-design", test_design, "--test-curves", test_curves,
+                   "--report-out", str(report), "--timings-out", str(tmp_path / "t.csv")) == 3
+        err = capsys.readouterr().err
+        assert f"--test-curves {test_curves}" in err
+        assert "J = 11" in err and "J = 55" in err
+        assert not report.exists()
+
     def test_metric_report_deterministic(self, tmp_path, box_file):
         design, curves = make_dataset(tmp_path, box_file, n=8, j=11)
         test_design, test_curves = make_dataset(tmp_path, box_file, n=5, j=11, seed=6)
@@ -269,7 +329,7 @@ class TestBenchCommand:
         timings = str(tmp_path / "timings.csv")
         args = ("bench", "--design", design, "--curves", curves,
                 "--test-design", test_design, "--test-curves", test_curves,
-                "--gp-multistarts", "2", "--multistarts", "1",
+                "--gp-multistarts", "2",
                 "--report-out", report, "--timings-out", timings)
         assert run(*args) == 0
         first = open(report, "rb").read()
@@ -313,14 +373,14 @@ class TestSettingsTable:
         cfg.write_text("alpha_min = 0.1\ngp_length_hi = 100\nseed = 9\nl_max = none\n")
         argv = FIT_ARGV + [
             "--config", str(cfg), "--seed", "3", "--block-size", "4", "--beta-exponent", "1.25",
-            "--alpha-max", "9", "--l-max", "7", "--multistarts", "2", "--max-iters", "50",
+            "--alpha-max", "9", "--l-max", "7", "--max-iters", "50",
             "--gp-multistarts", "5", "--gp-max-iters", "60", "--gp-length-lo", "0.01",
             "--gp-nugget-floor", "1e-8", "--var-fix-tol", "1e-6", "--time-windows", "2",
         ]
         assert config_from(argv) == TrainConfig(
             block_size=4, var_fix_tol=1e-6, time_windows=2,
             estimation=EstimationConfig(alpha_bounds=(0.1, 9.0), beta_exponent=1.25, l_max=7,
-                                        multistarts=2, max_iters=50, seed=3),
+                                        max_iters=50),
             gp=FitConfig(length_bounds=(0.01, 100.0), multistarts=5, max_iters=60,
                          nugget_floor=1e-8, seed=3),
         )
@@ -330,7 +390,7 @@ class TestSettingsTable:
 
     def test_bad_config_value_is_input_error(self, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("multistarts = many\n")
+        cfg.write_text("gp_multistarts = many\n")
         with pytest.raises(InputConsistencyError, match="run.cfg.*multistarts"):
             config_from(FIT_ARGV + ["--config", str(cfg)])
 
@@ -414,7 +474,7 @@ class TestNonFiniteCells:
         design, curves = make_dataset(tmp_path, box_file)
         surrogate = str(tmp_path / "sur.json")
         run("fit", "--design", design, "--curves", curves, "--gp-multistarts", "3",
-            "--multistarts", "2", "--surrogate-out", surrogate)
+            "--surrogate-out", surrogate)
         points = tmp_path / "pts.csv"
         points.write_text("x1,x2,x3\n0.2,100,inf\n")
         assert run("predict", "--surrogate", surrogate, "--points", str(points),
@@ -434,7 +494,7 @@ class TestSurrogateErrors:
         if text == "VERSION":
             design, curves = make_dataset(tmp_path, box_file)
             run("fit", "--design", design, "--curves", curves, "--gp-multistarts", "3",
-                "--multistarts", "2", "--surrogate-out", str(path))
+                "--surrogate-out", str(path))
             data = json.loads(path.read_text())
             data["version"] = 99
             text = json.dumps(data)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import TWO_PI
 from dynshape.doe import DesignMatrix, InputBox, lhd_sample, scale_to_box
@@ -30,7 +31,7 @@ from dynshape.synth import SimSpec, co2_default_box, co2_style_spec, generate_fu
 BOX = co2_default_box()
 FAST = TrainConfig(
     block_size=10,
-    estimation=EstimationConfig(multistarts=2, seed=0),
+    estimation=EstimationConfig(),
     gp=FitConfig(multistarts=4, seed=0),
 )
 
@@ -107,7 +108,7 @@ class TestPredict:
         design, curves, _ = harness(n=14)
         config = TrainConfig(
             block_size=10,
-            estimation=EstimationConfig(multistarts=2, seed=0),
+            estimation=EstimationConfig(),
             gp=FitConfig(multistarts=4, seed=0, nugget_floor=0.0),
         )
         surrogate = train(design, curves, config, box=BOX)
@@ -164,7 +165,7 @@ class TestPredict:
         design, curves, _ = harness(n=12, j=41)
         config = TrainConfig(
             block_size=10, time_windows=windows,
-            estimation=EstimationConfig(multistarts=2, seed=0),
+            estimation=EstimationConfig(),
             gp=FitConfig(multistarts=3, seed=0),
         )
         surrogate = train(design, curves, config, box=BOX)
@@ -182,7 +183,7 @@ class TestPredict:
         design, curves, _ = harness(n=12, j=41)
         config = TrainConfig(
             block_size=10, time_windows=windows,
-            estimation=EstimationConfig(multistarts=2, seed=0),
+            estimation=EstimationConfig(),
             gp=FitConfig(multistarts=3, seed=0),
         )
         surrogate = train(design, curves, config, box=BOX)
@@ -285,6 +286,22 @@ class TestEquivariance:
         np.testing.assert_allclose(big, factor * base, rtol=1e-6)
 
 
+    @settings(max_examples=10, deadline=None)
+    @given(design_seed=st.integers(0, 2**16), shift=st.integers(0, 32),
+           factor=st.floats(0.25, 4.0))
+    def test_rotation_and_scaling_across_designs(self, design_seed, shift, factor):
+        # the c10 invariants on drawn designs, rotations and scales, with the same bound
+        design, curves, _ = harness(n=14, design_seed=design_seed,
+                                    v_fn=lambda pts: np.zeros(pts.shape[0]))
+        moved = CurveSet(values=factor * np.roll(curves.values, shift, axis=1),
+                         t_grid=curves.t_grid, period=curves.period)
+        test_points = scale_to_box(lhd_sample(6, 3, seed=17), BOX).points
+        base, _ = predict_curves(train(design, curves, FAST, box=BOX), test_points)
+        got, _ = predict_curves(train(design, moved, FAST, box=BOX), test_points)
+        want = factor * np.roll(base, shift, axis=1)
+        assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
+
+
 class TestTimeWindows:
     def test_two_windows_cover_grid(self):
         # windowing is meant for curves whose behaviour differs between time
@@ -303,7 +320,7 @@ class TestTimeWindows:
         curves = generate_functional_sim(shiftless, design)
         config = TrainConfig(
             block_size=10, time_windows=2,
-            estimation=EstimationConfig(multistarts=2, seed=0),
+            estimation=EstimationConfig(),
             gp=FitConfig(multistarts=3, seed=0),
         )
         surrogate = train(design, curves, config, box=BOX)

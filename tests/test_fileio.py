@@ -154,7 +154,7 @@ class TestModelSerialization:
         box = co2_default_box()
         design = scale_to_box(lhd_sample(10, 3, seed=1), box)
         curves = generate_functional_sim(co2_style_spec(j=21), design)
-        config = TrainConfig(estimation=EstimationConfig(multistarts=2, seed=0),
+        config = TrainConfig(estimation=EstimationConfig(),
                              gp=FitConfig(multistarts=3, seed=0))
         surrogate = train(design, curves, config, box=box)
         path = str(tmp_path / "surrogate.json")
@@ -171,7 +171,7 @@ class TestModelSerialization:
         box = co2_default_box()
         design = scale_to_box(lhd_sample(12, 3, seed=4), box)
         curves = generate_functional_sim(co2_style_spec(j=41, noise_var=0.01, seed=2), design)
-        config = TrainConfig(time_windows=windows, estimation=EstimationConfig(multistarts=2, seed=0),
+        config = TrainConfig(time_windows=windows, estimation=EstimationConfig(),
                              gp=FitConfig(multistarts=3, seed=0))
         surrogate = train(design, curves, config, box=box)
         path = str(tmp_path / "surrogate.json")

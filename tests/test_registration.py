@@ -215,12 +215,12 @@ class TestHalfSpectrum:
     def test_l_max_slices_to_same_estimates(self, monkeypatch):
         curves, _ = deformed_curves([1.0, 1.3, 0.7, 1.8], [0.0, 0.9, -1.7, 2.2],
                                     [0.0, 1.0, -0.5, 0.2], j=61, noise_var=0.05, seed=3)
-        sliced, _ = estimate_params(curves, EstimationConfig(l_max=5, multistarts=2, seed=0))
+        sliced, _ = estimate_params(curves, EstimationConfig(l_max=5))
         # the same zero weights above l = 5, but every frequency kept in the arrays
         make = registration.make_weights
         monkeypatch.setattr(registration, "make_weights",
                             lambda j, beta, l_max: make(j, beta, 5))
-        unsliced, _ = estimate_params(curves, EstimationConfig(multistarts=2, seed=0))
+        unsliced, _ = estimate_params(curves, EstimationConfig())
         for name in ("alpha", "theta", "v"):
             np.testing.assert_allclose(getattr(sliced, name), getattr(unsliced, name),
                                        rtol=0, atol=1e-12)
@@ -346,7 +346,7 @@ class TestGradient:
 class TestEstimation:
     def test_band_limited_exact_recovery(self, small_deformed):
         curves, truth = small_deformed
-        est, diag = estimate_params(curves, EstimationConfig(multistarts=2, seed=0))
+        est, diag = estimate_params(curves, EstimationConfig())
         assert np.abs(est.alpha - truth.alpha).max() < 1e-7
         assert wrapped_diff(est.theta, truth.theta).max() < 1e-7
         assert np.abs(est.v - truth.v).max() < 1e-7
@@ -356,23 +356,29 @@ class TestEstimation:
         # aliasing of the non-band-limited pattern shrinks with the grid;
         # at J=501 recovery reaches the 1e-4 scale
         curves, truth = generate_analytical(30, 501, 0.0, seed=4)
-        est, _ = estimate_params(curves, EstimationConfig(alpha_bounds=(1e-3, 20.0),
-                                                          multistarts=2, seed=0))
+        est, _ = estimate_params(curves, EstimationConfig(alpha_bounds=(1e-3, 20.0)))
         assert np.abs(est.alpha - truth.alpha).max() <= 1e-4
         assert wrapped_diff(est.theta, truth.theta).max() <= 1e-4
         assert np.abs(est.v - truth.v).max() <= 1e-4
 
+    def test_one_search_per_call(self, small_deformed):
+        curves, _ = small_deformed
+        starts = estimate_params(curves)[1].starts
+        assert len(starts) == 1
+        assert set(starts[0]) == {"start", "fun", "nit", "message"}
+        assert np.isfinite(starts[0]["fun"])
+
     def test_identical_curves_identity(self):
         values = np.tile(trig_pattern(TWO_PI * np.arange(21) / 21), (2, 1))
         curves = CurveSet(values=values, t_grid=TWO_PI * np.arange(21) / 21, period=TWO_PI)
-        est, _ = estimate_params(curves, EstimationConfig(multistarts=1, seed=0))
+        est, _ = estimate_params(curves, EstimationConfig())
         assert est.alpha[1] == pytest.approx(1.0, abs=1e-9)
         assert est.theta[1] == pytest.approx(0.0, abs=1e-9)
         assert est.v[1] == pytest.approx(0.0, abs=1e-9)
 
     def test_noisy_crossplot_slopes(self):
         curves, truth = generate_analytical(60, 301, 0.5, seed=1, alpha_range=(0.3, 1.0))
-        est, _ = estimate_params(curves, EstimationConfig(multistarts=2, seed=0))
+        est, _ = estimate_params(curves, EstimationConfig())
         for name in ("alpha", "theta", "v"):
             t, e = getattr(truth, name)[1:], getattr(est, name)[1:]
             if name == "theta":
@@ -387,7 +393,7 @@ class TestEstimation:
 
     def test_reference_ordering_invariance(self, small_deformed):
         curves, _ = small_deformed
-        cfg = EstimationConfig(multistarts=2, seed=0)
+        cfg = EstimationConfig()
         est, _ = estimate_params(curves, cfg)
         perm = np.array([0, 3, 1, 4, 2])  # keeps the reference first
         permuted = CurveSet(values=curves.values[perm], t_grid=curves.t_grid,
@@ -406,7 +412,7 @@ class TestEstimation:
 class TestBlocked:
     def test_single_block_identical(self, small_deformed):
         curves, _ = small_deformed
-        cfg = EstimationConfig(multistarts=2, seed=0)
+        cfg = EstimationConfig()
         solo, _ = estimate_params(curves, cfg)
         blocked, diags = estimate_params_blocked(curves, block_size=curves.n - 1, config=cfg)
         assert np.array_equal(solo.alpha, blocked.alpha)
@@ -417,7 +423,7 @@ class TestBlocked:
     def test_blocked_recovery_any_k(self, small_deformed):
         curves, truth = small_deformed
         for k in (1, 2, 3):
-            est, diags = estimate_params_blocked(curves, k, EstimationConfig(multistarts=2))
+            est, diags = estimate_params_blocked(curves, k, EstimationConfig())
             assert len(diags) == int(np.ceil((curves.n - 1) / k))
             assert np.abs(est.alpha - truth.alpha).max() < 1e-7
             assert wrapped_diff(est.theta, truth.theta).max() < 1e-7
@@ -425,7 +431,7 @@ class TestBlocked:
 
     def test_wall_time_linear_in_blocks(self):
         curves, _ = generate_analytical(101, 101, 0.0, seed=12)
-        cfg = EstimationConfig(alpha_bounds=(1e-3, 20.0), multistarts=2, max_iters=2000, seed=0)
+        cfg = EstimationConfig(alpha_bounds=(1e-3, 20.0), max_iters=2000)
         t0 = time.perf_counter()
         _, diags = estimate_params_blocked(curves, 10, cfg)
         total = time.perf_counter() - t0
@@ -450,7 +456,7 @@ class TestPatternAndAlign:
 
     def test_noisy_pattern_beats_raw_mean(self):
         curves, truth = generate_analytical(101, 101, 0.5, seed=5)
-        est, _ = estimate_params(curves, EstimationConfig(multistarts=2, seed=0))
+        est, _ = estimate_params(curves, EstimationConfig())
         pattern = extract_pattern(to_fourier(curves), est)
         from dynshape.synth import parabola_pattern
 
