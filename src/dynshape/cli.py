@@ -79,8 +79,9 @@ def _read_curves(path: str, args) -> tuple:
         raise InputConsistencyError(f"--period must be positive, got {args.period:g}")
     try:
         curves, dropped = fileio.curves_from_arrays(values, times=times, period=args.period)
-    except ValueError as err:  # too few columns left for an odd grid
-        raise InputConsistencyError(f"{path}: {err}") from None
+    except (ValueError, InputConsistencyError) as err:  # a bad grid, or too few columns left
+        source = f"--times {args.times} with {path}" if args.times else path
+        raise InputConsistencyError(f"{source}: {err}") from None
     if dropped:
         print(f"warning: {path} has an even number of time steps; dropped the last sample "
               "to make J odd", file=sys.stderr)

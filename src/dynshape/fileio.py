@@ -284,7 +284,7 @@ def _family_from_dict(data: dict):
 def save_surrogate(path: str, surrogate: FunctionalSurrogate) -> None:
     data = {
         "format": "dynshape-surrogate",
-        "version": 1,
+        "version": 2,
         "box": {
             "lower": surrogate.box.lower.tolist(),
             "upper": surrogate.box.upper.tolist(),
@@ -308,16 +308,19 @@ def save_surrogate(path: str, surrogate: FunctionalSurrogate) -> None:
 
 
 def load_surrogate(path: str) -> FunctionalSurrogate:
-    """Surrogate saved by :func:`save_surrogate`.
+    """Surrogate saved by :func:`save_surrogate`; its GPs need no factorization.
 
     A missing, unreadable or malformed file, or one of another format or
-    version, raises :class:`InputConsistencyError` naming the path.
+    version (1 is from an older dynshape), raises
+    :class:`InputConsistencyError` naming the path.
     """
     try:
         with open(path, "r") as handle:
             data = json.load(handle)
-        if (data.get("format"), data.get("version")) != ("dynshape-surrogate", 1):
-            raise ValueError("not a dynshape-surrogate version 1 file")
+        if (data.get("format"), data.get("version")) == ("dynshape-surrogate", 1):
+            raise ValueError("written by an older dynshape; refit it")
+        if (data.get("format"), data.get("version")) != ("dynshape-surrogate", 2):
+            raise ValueError("not a dynshape-surrogate version 2 file")
         box_data = data["box"]
         box = InputBox(
             lower=np.asarray(box_data["lower"], dtype=float),

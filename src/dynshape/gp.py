@@ -12,7 +12,8 @@ Correlation lengths are found by minimizing the concentrated negative log likeli
 over log-lengths with a multistart L-BFGS-B search that is given the
 likelihood's analytic gradient (see ``likelihood_with_gradient``).  Inputs are
 normalized to the design's bounding box inside fit and predict, so the length
-bounds are scale free.
+bounds are scale free.  Only fitting factors a matrix, so only fitting
+imports ``scipy``: a loaded model predicts its mean from stored weights.
 """
 from __future__ import annotations
 
@@ -20,7 +21,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky, LinAlgError
 
 from .doe import DesignMatrix, lhd_sample
 from .errors import DegenerateResponseError, FitFailureError, IllConditionedDesignError
@@ -91,8 +91,9 @@ class GpModel:
 
     ``design`` and ``responses`` are kept in original (box) coordinates;
     ``corr.lengths`` refer to inputs normalized by (x_lo, x_span).  ``factor``
-    is the lower Cholesky factor of R + nugget I on the normalized design.
-    The solve vectors are cached so prediction needs no factorization work.
+    is the lower Cholesky factor of R + nugget I on the normalized design, or
+    None (with ``ones_solve``) in a loaded model until a variance or LOO needs
+    it; the kriging weights ``resid_solve`` give the mean without it.
     """
 
     design: np.ndarray
@@ -101,7 +102,7 @@ class GpModel:
     beta: float
     sigma2: float
     nugget: float
-    factor: np.ndarray
+    factor: np.ndarray = field(repr=False, default=None)
     x_lo: np.ndarray = field(repr=False, default=None)
     x_span: np.ndarray = field(repr=False, default=None)
     resid_solve: np.ndarray = field(repr=False, default=None)  # Rinv (Y - beta 1)
@@ -133,6 +134,19 @@ def corr_gaussian(x: np.ndarray, y: np.ndarray, spec: CorrelationSpec) -> float:
     return float(_corr(x[None, :], y[None, :], spec)[0, 0])
 
 
+def _unit_box(design: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(x_lo, x_span) of the design's bounding box; a constant column spans 1."""
+    x_lo = design.min(axis=0)
+    x_span = design.max(axis=0) - x_lo
+    return x_lo, np.where(x_span > 0, x_span, 1.0)
+
+
+def _solve(factor: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kinv b through the lower Cholesky factor of K."""
+    from scipy.linalg import cho_solve  # imported here: a loaded model predicts its mean without it
+    return cho_solve((factor, True), b)
+
+
 def _corr(a: np.ndarray, b: np.ndarray, spec: CorrelationSpec) -> np.ndarray:
     """Correlation matrix between the rows of a (m x d) and of b (n x d)."""
     diff = np.abs(a[:, None, :] - b[None, :, :])
@@ -152,6 +166,7 @@ def build_correlation(
     the nugget is escalated by factors of 10 up to ``NUGGET_MAX``; failure at
     the maximum raises :class:`IllConditionedDesignError`.
     """
+    from scipy.linalg import cholesky
     points = np.asarray(points, dtype=float)
     if points.shape[0] < 2:
         raise ValueError("need at least 2 design points")
@@ -163,7 +178,7 @@ def build_correlation(
         try:
             factor = cholesky(corr + trial * np.eye(points.shape[0]), lower=True)
             return factor, trial
-        except LinAlgError:
+        except np.linalg.LinAlgError:
             if trial >= NUGGET_MAX:
                 raise IllConditionedDesignError(
                     f"correlation matrix not positive definite even at nugget {trial:g}"
@@ -178,16 +193,13 @@ def gls_beta(factor: np.ndarray, responses: np.ndarray) -> float:
     beta = (1' Rinv 1)^-1 1' Rinv Y, computed through the stored factorization.
     """
     ones = np.ones(responses.shape[0])
-    rinv_y = cho_solve((factor, True), responses)
-    rinv_1 = cho_solve((factor, True), ones)
-    return float(ones @ rinv_y / (ones @ rinv_1))
+    return float(ones @ _solve(factor, responses) / (ones @ _solve(factor, ones)))
 
 
 def mle_sigma2(factor: np.ndarray, responses: np.ndarray, beta: float) -> float:
     """Maximum-likelihood process variance (1/n) res' Rinv res, floored above zero."""
     resid = responses - beta
-    rinv_r = cho_solve((factor, True), resid)
-    s2 = float(resid @ rinv_r) / responses.shape[0]
+    s2 = float(resid @ _solve(factor, resid)) / responses.shape[0]
     return max(s2, SIGMA2_FLOOR)
 
 
@@ -213,7 +225,7 @@ def likelihood_with_gradient(
     logdet = 2.0 * np.log(np.diag(factor)).sum()
     nll = 0.5 * (n * math.log(s2) + logdet + n)
 
-    kinv = cho_solve((factor, True), np.eye(n))
+    kinv = _solve(factor, np.eye(n))
     a = kinv @ (responses - beta)
     weights = (kinv - np.outer(a, a) / s2) * _corr(points, points, spec)
     sq_diff = (points[:, None, :] - points[None, :, :]) ** 2
@@ -244,19 +256,13 @@ def assemble_gp_model(
     responses = np.asarray(responses, dtype=float)
     if design.ndim != 2 or responses.shape != (design.shape[0],):
         raise ValueError("design must be n x d and responses length n")
-    if normalize:
-        x_lo = design.min(axis=0)
-        x_span = design.max(axis=0) - x_lo
-        x_span = np.where(x_span > 0, x_span, 1.0)
-    else:
-        x_lo = np.zeros(design.shape[1])
-        x_span = np.ones(design.shape[1])
+    d = design.shape[1]
+    x_lo, x_span = _unit_box(design) if normalize else (np.zeros(d), np.ones(d))
     spec = CorrelationSpec(lengths=lengths)
     pts = (design - x_lo) / x_span
     factor, used = build_correlation(pts, spec, nugget)
     beta = gls_beta(factor, responses)
     sigma2 = mle_sigma2(factor, responses, beta)
-    ones = np.ones(design.shape[0])
     return GpModel(
         design=design,
         responses=responses,
@@ -267,8 +273,8 @@ def assemble_gp_model(
         factor=factor,
         x_lo=x_lo,
         x_span=x_span,
-        resid_solve=cho_solve((factor, True), responses - beta),
-        ones_solve=cho_solve((factor, True), ones),
+        resid_solve=_solve(factor, responses - beta),
+        ones_solve=_solve(factor, np.ones(design.shape[0])),
     )
 
 
@@ -298,9 +304,7 @@ def fit_gp(design: DesignMatrix | np.ndarray, responses: np.ndarray, config: Fit
     if responses.shape != (n,):
         raise ValueError("responses must have one value per design row")
 
-    x_lo = pts_raw.min(axis=0)
-    x_span = pts_raw.max(axis=0) - x_lo
-    x_span = np.where(x_span > 0, x_span, 1.0)
+    x_lo, x_span = _unit_box(pts_raw)
     pts = (pts_raw - x_lo) / x_span
 
     log_lo, log_hi = np.log(config.length_bounds[0]), np.log(config.length_bounds[1])
@@ -352,22 +356,22 @@ def predict(model: GpModel, x0: np.ndarray) -> tuple[float, float]:
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     if x0.shape != (model.d,):
         raise ValueError(f"x0 must have {model.d} coordinates")
-    z0 = model.normalize_point(x0)
-    r = _corr(z0[None, :], model.normalized_design(), model.corr)[0]
-    mean = model.beta + r @ model.resid_solve
-    w = cho_solve((model.factor, True), r)
-    one_rinv_one = float(model.ones_solve.sum())
-    var = model.sigma2 * (1.0 - r @ w + (1.0 - model.ones_solve @ r) ** 2 / one_rinv_one)
+    r = _corr(model.normalize_point(x0)[None, :], model.normalized_design(), model.corr)[0]
+    mean = model.beta + (r * model.resid_solve).sum()
+    full = _factored(model)
+    w = _solve(full.factor, r)
+    var = model.sigma2 * (1.0 - r @ w + (1.0 - full.ones_solve @ r) ** 2 / full.ones_solve.sum())
     return float(mean), max(float(var), 0.0)
 
 
 def predict_many(model: GpModel, points: np.ndarray) -> np.ndarray:
-    """Kriging means at several points (variance omitted)."""
+    """Kriging means (no variance); each row is summed on its own, not by a matrix-vector
+    product whose order depends on m, so a point gets the same bits in any batch."""
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != model.d:
         raise ValueError(f"points must be m x {model.d}")
     r = _corr((points - model.x_lo) / model.x_span, model.normalized_design(), model.corr)
-    return model.beta + r @ model.resid_solve
+    return model.beta + (r * model.resid_solve).sum(axis=1)
 
 
 def prediction_metrics(y_true: np.ndarray, y_pred: np.ndarray) -> tuple[float, float]:
@@ -400,16 +404,24 @@ def loo_metrics(model: GpModel) -> tuple[float, float]:
     y = model.responses
     if np.ptp(y) == 0.0:
         raise DegenerateResponseError("responses have zero variance, Q2 undefined")
-    rinv = cho_solve((model.factor, True), np.eye(n))
-    rinv_1 = model.ones_solve
+    full = _factored(model)
+    rinv = _solve(full.factor, np.eye(n))
+    rinv_1 = full.ones_solve
     q = rinv - np.outer(rinv_1, rinv_1) / rinv_1.sum()
     resid = (q @ y) / np.diag(q)
     loo_pred = y - resid
     return prediction_metrics(y, loo_pred)
 
 
+def _factored(model: GpModel) -> GpModel:
+    """The model with its Cholesky factor, refactored if it was loaded without one."""
+    if model.factor is None:  # the stored nugget worked, so the same bits come back
+        model = assemble_gp_model(model.design, model.responses, model.corr.lengths, model.nugget)
+    return model
+
+
 def gp_model_to_dict(model: GpModel) -> dict:
-    """JSON-ready dictionary; the factorization is recomputed on load."""
+    """JSON-ready dictionary with the kriging weights, so loading needs no factorization."""
     return {
         "design": model.design.tolist(),
         "responses": model.responses.tolist(),
@@ -417,15 +429,19 @@ def gp_model_to_dict(model: GpModel) -> dict:
         "beta": model.beta,
         "sigma2": model.sigma2,
         "nugget": model.nugget,
+        "resid_solve": model.resid_solve.tolist(),
     }
 
 
 def gp_model_from_dict(data: dict) -> GpModel:
-    model = assemble_gp_model(
-        np.asarray(data["design"], dtype=float),
-        np.asarray(data["responses"], dtype=float),
-        np.asarray(data["lengths"], dtype=float),
-        nugget=float(data["nugget"]),
-        normalize=True,
-    )
-    return model
+    """Model saved by :func:`gp_model_to_dict`; ``factor`` and ``ones_solve`` stay unset."""
+    design, responses, weights = (np.asarray(data[k], dtype=float)
+                                  for k in ("design", "responses", "resid_solve"))
+    spec = CorrelationSpec(lengths=data["lengths"])
+    if design.ndim != 2 or spec.lengths.size != design.shape[1] \
+            or not responses.shape == weights.shape == (design.shape[0],):
+        raise ValueError("GP design must be n x d, with n responses and weights and d lengths")
+    x_lo, x_span = _unit_box(design)
+    return GpModel(design=design, responses=responses, corr=spec, beta=float(data["beta"]),
+                   sigma2=float(data["sigma2"]), nugget=float(data["nugget"]), x_lo=x_lo,
+                   x_span=x_span, resid_solve=weights)

@@ -168,6 +168,20 @@ class TestFitCommand:
                    "--surrogate-out", str(tmp_path / "s.json")) == 3
         assert "--period must be positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("times, message", [
+        (range(10), "time grid has 10 entries but curves have 11 columns"),
+        (range(1, 12), "the time grid must start at 0"),
+    ])
+    def test_bad_times_grid_names_the_file(self, tmp_path, box_file, capsys, times, message):
+        design, curves = make_dataset(tmp_path, box_file, n=6, j=11)
+        path = tmp_path / "times.csv"
+        path.write_text("".join(f"{k}\n" for k in times))
+        capsys.readouterr()
+        assert run("fit", "--design", design, "--curves", curves, "--times", str(path),
+                   "--surrogate-out", str(tmp_path / "s.json")) == 3
+        err = capsys.readouterr().err
+        assert f"error: --times {path}" in err and message in err
+
     def test_even_j_warns_and_drops(self, tmp_path, box_file, capsys):
         design, curves = make_dataset(tmp_path, box_file, j=21)
         values, times = fileio.read_curves_csv(curves)
@@ -506,6 +520,24 @@ class TestSurrogateErrors:
         assert run("predict", "--surrogate", str(path), "--points", str(points),
                    "--out", str(tmp_path / "p.csv")) == 3
         assert str(path) in capsys.readouterr().err
+
+    def test_version_1_surrogate_asks_for_a_refit(self, tmp_path, box_file, capsys):
+        design, curves = make_dataset(tmp_path, box_file)
+        path = tmp_path / "sur.json"
+        assert run("fit", "--design", design, "--curves", curves, "--gp-multistarts", "3",
+                   "--surrogate-out", str(path)) == 0
+        data = json.loads(path.read_text())
+        data["version"] = 1  # as written before the kriging weights were stored
+        for family in data["segments"][0]["families"].values():
+            family.pop("resid_solve", None)
+        path.write_text(json.dumps(data))
+        points = tmp_path / "pts.csv"
+        points.write_text("x1,x2,x3\n0.2,100,0.7\n")
+        capsys.readouterr()
+        assert run("predict", "--surrogate", str(path), "--points", str(points),
+                   "--out", str(tmp_path / "p.csv")) == 3
+        err = capsys.readouterr().err
+        assert str(path) in err and "written by an older dynshape; refit it" in err
 
     def test_linalg_error_exits_4(self, tmp_path, box_file, monkeypatch):
         design, curves = make_dataset(tmp_path, box_file, n=6, j=11)

@@ -178,6 +178,14 @@ class TestPredict:
             first = surrogate.segments[0].evaluate_params(x[None, :])
             assert single.params == {name: float(first[name][0]) for name in FAMILIES}
 
+    def test_single_point_equals_its_row_of_a_large_batch(self):
+        design, curves, _ = harness(n=20, j=55)
+        surrogate = train(design, curves, FAST, box=BOX)
+        points = scale_to_box(lhd_sample(1000, 3, seed=31), BOX).points
+        batch, _ = predict_curves(surrogate, points)
+        for x, row in zip(points, batch):
+            assert np.array_equal(predict_curve(surrogate, x).values, row)
+
     @pytest.mark.parametrize("windows", [1, 2])
     def test_predict_curves_matches_full_spectrum_oracle(self, windows):
         design, curves, _ = harness(n=12, j=41)

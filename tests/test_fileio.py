@@ -286,3 +286,10 @@ class TestSurrogateFileErrors:
             path.write_text(text)
         with pytest.raises(InputConsistencyError, match="s.json"):
             fileio.load_surrogate(str(path))
+
+    def test_version_1_asks_for_a_refit(self, tmp_path):
+        path = tmp_path / "old.json"
+        path.write_text('{"format": "dynshape-surrogate", "version": 1, "segments": []}')
+        with pytest.raises(InputConsistencyError,
+                           match="old.json: .*written by an older dynshape; refit it"):
+            fileio.load_surrogate(str(path))

@@ -22,6 +22,7 @@ from dynshape.gp import (
     mle_sigma2,
     neg_log_likelihood,
     predict,
+    predict_many,
     prediction_metrics,
 )
 
@@ -332,3 +333,45 @@ class TestSerialization:
         assert clone.sigma2 == pytest.approx(model.sigma2, rel=1e-12)
         for x0 in rng.uniform(size=(4, 3)) * [1.0, 10.0, 100.0]:
             assert predict(clone, x0) == pytest.approx(predict(model, x0), rel=1e-10)
+
+
+class TestLoadedModel:
+    """A model read back from its dictionary predicts with the in-memory model's bits."""
+
+    @staticmethod
+    def reload(model):
+        return gp_model_from_dict(json.loads(json.dumps(gp_model_to_dict(model))))
+
+    def test_predict_and_loo_equal_in_memory(self):
+        rng = np.random.default_rng(23)
+        scale = np.array([1.0, 10.0, 100.0])
+        pts = rng.uniform(size=(9, 3)) * scale
+        y = np.sin(pts @ [3.0, 0.2, 0.01]) + 0.1 * rng.normal(size=9)
+        model = fit_gp(pts, y, FitConfig(multistarts=3, seed=2))
+        clone = self.reload(model)
+        assert clone.factor is None and clone.ones_solve is None
+        assert clone.beta == model.beta and clone.sigma2 == model.sigma2
+        new = rng.uniform(size=(6, 3)) * scale
+        for x0 in new:
+            assert predict(clone, x0) == predict(model, x0)
+            assert predict(model, x0)[0] == predict_many(model, x0[None, :])[0]
+        assert np.array_equal(predict_many(clone, new), predict_many(model, new))
+        assert loo_metrics(clone) == loo_metrics(model)
+
+    def test_escalated_nugget_is_stored(self):
+        # a repeated design row makes R singular, so the nugget is escalated
+        pts = np.array([[0.0, 0.0], [0.5, 1.0], [0.5, 1.0], [1.0, 0.3], [0.2, 0.8]])
+        y = np.array([0.1, 0.7, 0.7, -0.4, 0.5])
+        model = assemble_gp_model(pts, y, lengths=np.array([0.4, 0.7]), nugget=0.0)
+        assert model.nugget > 0.0
+        clone = self.reload(model)
+        assert clone.nugget == model.nugget
+        for x0 in [[0.3, 0.3], [0.9, 0.9], [0.5, 1.0]]:
+            assert predict(clone, x0) == predict(model, x0)
+        assert loo_metrics(clone) == loo_metrics(model)
+
+    def test_malformed_dictionary(self):
+        data = gp_model_to_dict(assemble_gp_model(np.eye(3), np.arange(3.0), np.ones(3)))
+        data["resid_solve"] = data["resid_solve"][:2]
+        with pytest.raises(ValueError, match="n responses and weights"):
+            gp_model_from_dict(data)

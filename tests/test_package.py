@@ -18,13 +18,40 @@ def test_public_names_resolve(name):
     assert not missing, f"dynshape.{name}.__all__ names missing attributes: {missing}"
 
 
-def test_cli_import_leaves_optimizer_and_spatial_unloaded():
-    # predict, validate and synth never fit, so importing the CLI must not
-    # pay for scipy.optimize, nor for scipy.spatial (and with it scipy.sparse)
-    code = ("import sys, dynshape.cli; "
-            "print([m for m in ('scipy.optimize', 'scipy.spatial') if m in sys.modules])")
+SCIPY_LOADED = "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+
+
+def run_fresh(code, *args):
+    """stdout of ``code`` run in a fresh interpreter that imports this dynshape."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(dynshape.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                         check=True)
-    assert out.stdout.strip() == "[]"
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                          text=True, check=True).stdout.strip()
+
+
+def test_cli_import_leaves_optimizer_and_spatial_unloaded():
+    # design, synth, predict, validate and align never fit, so importing the
+    # CLI must not pay for any part of scipy (optimize, spatial, linalg, ...)
+    assert run_fresh("import sys, dynshape.cli; " + SCIPY_LOADED) == "[]"
+
+
+def test_load_and_predict_leave_scipy_unloaded(tmp_path):
+    from dynshape import fileio
+    from dynshape.doe import lhd_sample, scale_to_box
+    from dynshape.emulator import TrainConfig, train
+    from dynshape.gp import FitConfig
+    from dynshape.synth import co2_default_box, co2_style_spec, generate_functional_sim
+
+    box = co2_default_box()
+    design = scale_to_box(lhd_sample(8, 3, seed=1), box)
+    curves = generate_functional_sim(co2_style_spec(j=21), design)
+    path = str(tmp_path / "surrogate.json")
+    fileio.save_surrogate(path, train(design, curves, TrainConfig(gp=FitConfig(multistarts=2)),
+                                      box=box))
+    code = ("import sys, numpy as np\n"
+            "from dynshape import emulator, fileio\n"
+            "s = fileio.load_surrogate(sys.argv[1])\n"
+            "values, _ = emulator.predict_curves(s, s.box.lower + 0.5 * s.box.span * np.ones((3, 1)))\n"
+            "emulator.predict_curve(s, s.box.lower)\n"
+            "assert np.isfinite(values).all()\n" + SCIPY_LOADED)
+    assert run_fresh(code, path) == "[]"
