@@ -26,10 +26,8 @@ from .gp import (
 from .registration import (
     CurveSet,
     EstimationConfig,
-    FourierTable,
     Pattern,
     TransformParams,
-    WeightSequence,
     align_curves,
     contrast,
     estimate_params,

@@ -19,6 +19,7 @@ from . import fileio
 from .doe import DesignMatrix, lhd_sample, maximin_lhd, min_pairwise_distance, scale_to_box
 from .emulator import (
     FAMILIES,
+    MIN_TRAINING_CURVES,
     TrainConfig,
     benchmark_against_per_step,
     predict_curves,
@@ -88,10 +89,13 @@ def _read_curves(path: str, args) -> tuple:
     return curves, dropped
 
 
-def _design_and_curves(design_path: str, curves_path: str, args) -> tuple:
-    """Design rows and curves that must pair up one to one."""
+def _design_and_curves(design_path: str, curves_path: str, args, min_curves: int = 1) -> tuple:
+    """Design rows and at least ``min_curves`` curves that must pair up one to one."""
     points = fileio.read_design_csv(design_path)
     curves, dropped = _read_curves(curves_path, args)
+    if curves.n < min_curves:
+        raise InputConsistencyError(f"{curves_path} has {curves.n} curves; training needs at "
+                                    f"least {min_curves}")
     if points.shape[0] != curves.n:
         raise InputConsistencyError(
             f"{design_path} has {points.shape[0]} rows but {curves_path} has {curves.n} curves"
@@ -184,7 +188,10 @@ def cmd_synth_co2(args) -> None:
     box = fileio.read_box_csv(args.box) if args.box else co2_default_box()
     spec = co2_style_spec(j=args.j, noise_var=args.noise_var, seed=args.seed, box=box)
     points = fileio.read_design_csv(args.design)
-    curves = generate_functional_sim(spec, DesignMatrix(points=points, normalized=False))
+    try:  # raises only on the design's points: wrong column count or outside the box
+        curves = generate_functional_sim(spec, DesignMatrix(points=points, normalized=False))
+    except ValueError as err:
+        raise InputConsistencyError(f"{args.design}: {err}") from None
     fileio.write_curves_csv(_out_path(args.curves_out), curves)
     if args.truth_out:
         truth = np.column_stack([spec.alpha_fn(points), spec.theta_fn(points), spec.v_fn(points)])
@@ -193,7 +200,7 @@ def cmd_synth_co2(args) -> None:
 
 
 def cmd_fit(args) -> None:
-    design, curves, dropped = _design_and_curves(args.design, args.curves, args)
+    design, curves, dropped = _design_and_curves(args.design, args.curves, args, MIN_TRAINING_CURVES)
     config = _train_config(args)
     window0_only = [f"--{flag}" for flag in ("params-out", "pattern-out", "diagnostics-out")
                     if getattr(args, flag.replace("-", "_"))]
@@ -208,10 +215,9 @@ def cmd_fit(args) -> None:
     if args.pattern_out:
         fileio.write_pattern_csv(_out_path(args.pattern_out), curves.t_grid, surrogate.pattern.values)
     if args.diagnostics_out:
-        table = to_fourier(curves)
-        weights = make_weights(curves.j, config.estimation.beta_exponent, config.estimation.l_max)
+        delta = make_weights(curves.j, config.estimation.beta_exponent, config.estimation.l_max)
         lines = [
-            f"contrast = {fileio.fmt(contrast(surrogate.params, table, weights))}",
+            f"contrast = {fileio.fmt(contrast(surrogate.params, to_fourier(curves), delta))}",
             f"curves = {curves.n}",
             f"time_steps = {curves.j}",
             f"dropped_last_step = {int(dropped)}",
@@ -259,18 +265,21 @@ def cmd_predict(args) -> None:
     print(f"wrote {points.shape[0]} predicted curves to {args.out}")
 
 
-def _test_set(args, j: int) -> tuple:
-    """The held-out design and curves, which must share the training grid of J steps."""
+def _test_set(args, t_grid: np.ndarray) -> tuple:
+    """The held-out design and curves, which must lie on the reference time grid."""
     test_design, test_curves, _ = _design_and_curves(args.test_design, args.test_curves, args)
-    if test_curves.j != j:
-        raise InputConsistencyError(f"--test-curves {args.test_curves} has J = {test_curves.j} "
-                                    f"time steps but the surrogate has J = {j}")
+    tol = 1e-9 * max(t_grid[1], 1.0)  # what CurveSet allows a grid
+    if test_curves.j != t_grid.size or not np.allclose(test_curves.t_grid, t_grid, 0.0, tol):
+        raise InputConsistencyError(
+            f"--test-curves {args.test_curves} has J = {test_curves.j} time steps of "
+            f"{fileio.fmt(test_curves.t_grid[1])} but training used J = {t_grid.size} "
+            f"of {fileio.fmt(t_grid[1])}")
     return test_design, test_curves
 
 
 def cmd_validate(args) -> None:
     surrogate = fileio.load_surrogate(args.surrogate)
-    test_design, test_curves = _test_set(args, surrogate.j)
+    test_design, test_curves = _test_set(args, surrogate.t_grid)
     report = validate(surrogate, test_design, test_curves)
     fileio.write_report_csv(_out_path(args.report_out), report, surrogate.t_grid)
     print(f"overall rmse = {fileio.fmt(report.overall_rmse)}; "
@@ -278,8 +287,8 @@ def cmd_validate(args) -> None:
 
 
 def cmd_bench(args) -> None:
-    design, curves, _ = _design_and_curves(args.design, args.curves, args)
-    test_design, test_curves = _test_set(args, curves.j)
+    design, curves, _ = _design_and_curves(args.design, args.curves, args, MIN_TRAINING_CURVES)
+    test_design, test_curves = _test_set(args, curves.t_grid)
     config = _train_config(args)
     bench = benchmark_against_per_step(design, curves, test_design, test_curves, config)
 

@@ -21,13 +21,11 @@ from .gp import FitConfig, GpModel, fit_gp, predict_many, prediction_metrics
 from .registration import (
     CurveSet,
     EstimationConfig,
-    FourierTable,
     Pattern,
     TransformParams,
     deform,
     estimate_params_blocked,
     extract_pattern,
-    fft_int_freqs,
     inverse_fourier,
     to_fourier,
 )
@@ -47,6 +45,7 @@ __all__ = [
 ]
 
 FAMILIES = ("alpha", "theta", "v")
+MIN_TRAINING_CURVES = 4
 
 
 @dataclass(frozen=True)
@@ -201,8 +200,8 @@ def train(
     pts = design.points
     if pts.shape[0] != curves.n:
         raise ValueError("design and curve set must have the same number of rows")
-    if curves.n < 4:
-        raise ValueError("training needs at least 4 curves")
+    if curves.n < MIN_TRAINING_CURVES:
+        raise ValueError(f"training needs at least {MIN_TRAINING_CURVES} curves")
     if box is None:
         box = InputBox(lower=pts.min(axis=0), upper=pts.max(axis=0) + np.where(np.ptp(pts, axis=0) > 0, 0.0, 1.0))
 
@@ -268,9 +267,8 @@ def train(
 
 def _segment_curves(segment: SegmentModel, params: dict) -> np.ndarray:
     """Forward-transform the segment pattern for a batch of parameter values."""
-    ell = fft_int_freqs(segment.grid_stop - segment.grid_start)
-    coeffs = deform(segment.pattern.coeffs, ell, params["alpha"], params["theta"], params["v"])
-    values = inverse_fourier(FourierTable(coeffs=coeffs, ell=ell))
+    coeffs = deform(segment.pattern.coeffs, params["alpha"], params["theta"], params["v"])
+    values = inverse_fourier(coeffs)
     lo = segment.start - segment.grid_start
     return values[:, lo : lo + (segment.stop - segment.start)]
 
@@ -316,7 +314,7 @@ def _report_from_predictions(predicted: np.ndarray, truth: np.ndarray) -> Valida
     if predicted.shape[0] != truth.shape[0]:
         raise ValueError("test design and test curves must have the same number of rows")
     if predicted.shape[1] != truth.shape[1]:
-        raise ValueError("test curves must share the surrogate's time grid")
+        raise ValueError("test curves must have the surrogate's number of time steps")
     j = truth.shape[1]
     rmse = np.sqrt(((predicted - truth) ** 2).mean(axis=0))
     step_var = truth.var(axis=0)

@@ -338,6 +338,8 @@ def load_surrogate(path: str) -> FunctionalSurrogate:
             )
             for seg in data["segments"]
         )
+        if any(seg.pattern.values.shape != (seg.grid_stop - seg.grid_start,) for seg in segments):
+            raise ValueError("a segment's pattern does not span its time grid")
         return FunctionalSurrogate(
             box=box,
             t_grid=np.asarray(data["t_grid"], dtype=float),

@@ -10,7 +10,8 @@ the Fourier domain the deformation acts coefficient-wise, so the parameters
 are estimated by minimizing a weighted contrast between each curve's
 "rephased" coefficients and their cross-curve mean.  The first curve is the
 reference and is pinned to (alpha, theta, v) = (1, 0, 0) for identifiability.
-Real curves on an odd grid need only the half spectrum l = 0 ... (J-1)/2.
+Real curves on an odd grid need only the half spectrum l = 0 ... (J-1)/2: plain
+arrays of coefficients, and of weights delta_l, whose column l is frequency l.
 
 The weight at frequency zero is null, which removes the vertical shifts from
 the contrast entirely; they are recovered afterwards in closed form from the
@@ -28,14 +29,11 @@ from .errors import EstimationFailureError
 __all__ = [
     "ALPHA_FLOOR",
     "CurveSet",
-    "FourierTable",
     "TransformParams",
-    "WeightSequence",
     "Pattern",
     "EstimationConfig",
     "EstimationDiagnostics",
     "wrap_angle",
-    "fft_int_freqs",
     "identity_params",
     "to_fourier",
     "inverse_fourier",
@@ -60,11 +58,6 @@ _TWO_PI = 2.0 * np.pi
 def wrap_angle(theta):
     """Wrap angles to [-pi, pi)."""
     return (np.asarray(theta, dtype=float) + np.pi) % _TWO_PI - np.pi
-
-
-def fft_int_freqs(j: int) -> np.ndarray:
-    """Integer frequencies 0, 1, ..., (J-1)/2 of the half spectrum of a J-point grid."""
-    return np.arange(j // 2 + 1)
 
 
 @dataclass(frozen=True)
@@ -113,29 +106,6 @@ class CurveSet:
 
 
 @dataclass(frozen=True)
-class FourierTable:
-    """Per-curve 1/J-normalized Fourier coefficients, half spectrum l = 0 ... (J-1)/2."""
-
-    coeffs: np.ndarray
-    ell: np.ndarray
-
-    def __post_init__(self):
-        coeffs = np.asarray(self.coeffs, dtype=complex)
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "ell", np.asarray(self.ell, dtype=int))
-        if coeffs.ndim != 2 or self.ell.shape != (coeffs.shape[1],):
-            raise ValueError("coeffs must be n x (J+1)/2 with one integer frequency per column")
-
-    @property
-    def n(self) -> int:
-        return self.coeffs.shape[0]
-
-    @property
-    def j(self) -> int:  # the grid size J, not the column count (J+1)/2
-        return 2 * self.coeffs.shape[1] - 1
-
-
-@dataclass(frozen=True)
 class TransformParams:
     """Per-curve deformation parameters with the reference pinned to identity."""
 
@@ -167,21 +137,6 @@ def identity_params(n: int) -> TransformParams:
 
 
 @dataclass(frozen=True)
-class WeightSequence:
-    """Frequency weights delta_l = l^-beta with delta_0 = 0, on the half spectrum."""
-
-    delta: np.ndarray
-    ell: np.ndarray
-    beta_exponent: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "delta", np.asarray(self.delta, dtype=float))
-        object.__setattr__(self, "ell", np.asarray(self.ell, dtype=int))
-        if self.delta.shape != self.ell.shape:
-            raise ValueError("delta must carry one weight per frequency")
-
-
-@dataclass(frozen=True)
 class Pattern:
     """Estimated common shape: grid values plus their Fourier coefficients.
 
@@ -196,10 +151,6 @@ class Pattern:
         values = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "coeffs", np.fft.rfft(values) / values.shape[0])
-
-    @property
-    def j(self) -> int:
-        return self.values.shape[0]
 
 
 @dataclass(frozen=True)
@@ -230,98 +181,94 @@ class EstimationDiagnostics:
     starts: list = field(default_factory=list)
 
 
-def to_fourier(curves: CurveSet) -> FourierTable:
-    """Discrete Fourier coefficients d_kl = (1/J) sum_j Y_kj e^{-2 pi i j l / J}.
+def to_fourier(curves: CurveSet) -> np.ndarray:
+    """Half-spectrum coefficients d_kl = (1/J) sum_j Y_kj e^{-2 pi i j l / J}.
 
-    Real curves give d_{k,-l} = conj(d_{k,l}), so only l = 0 ... (J-1)/2 is kept.
+    Real curves give d_{k,-l} = conj(d_{k,l}), so only l = 0 ... (J-1)/2 is
+    kept: an n x (J+1)/2 complex array whose column l is frequency l.
     """
-    j = curves.j
-    if j % 2 == 0:
-        raise ValueError("Fourier analysis here requires an odd number of samples")
-    coeffs = np.fft.rfft(curves.values, axis=1) / j
-    return FourierTable(coeffs=coeffs, ell=fft_int_freqs(j))
+    return np.fft.rfft(curves.values, axis=1) / curves.j
 
 
-def inverse_fourier(table: FourierTable) -> np.ndarray:
-    """Real curve values from a coefficient table (inverse of :func:`to_fourier`)."""
-    return np.fft.irfft(table.coeffs * table.j, n=table.j, axis=1)
+def inverse_fourier(coeffs: np.ndarray) -> np.ndarray:
+    """J = 2m - 1 grid values from m half-spectrum columns (last axis); inverts to_fourier."""
+    j = 2 * coeffs.shape[-1] - 1
+    return np.fft.irfft(coeffs * j, n=j)
 
 
-def make_weights(j: int, beta_exponent: float = 1.5, l_max: int | None = None) -> WeightSequence:
-    """Weights delta_l = l^-beta on the half spectrum, zero at l = 0 and beyond an optional cap."""
+def make_weights(j: int, beta_exponent: float = 1.5, l_max: int | None = None) -> np.ndarray:
+    """delta_l = l^-beta at column l of a J-point half spectrum; 0 at l = 0 and above l_max."""
     if j < 3 or j % 2 == 0:
         raise ValueError(f"J must be odd and >= 3, got {j}")
-    ell = fft_int_freqs(j)
+    ell = np.arange(j // 2 + 1)
     with np.errstate(divide="ignore"):
         delta = np.where(ell == 0, 0.0, ell.astype(float) ** (-beta_exponent))
     if l_max is not None:
         if l_max < 1:
             raise ValueError("l_max must be >= 1")
-        delta = np.where(ell > l_max, 0.0, delta)
-    return WeightSequence(delta=delta, ell=ell, beta_exponent=beta_exponent)
+        delta[l_max + 1 :] = 0.0
+    return delta
 
 
-def deform(coeffs: np.ndarray, ell: np.ndarray, alpha: np.ndarray, theta: np.ndarray,
-           v: np.ndarray) -> np.ndarray:
+def deform(coeffs: np.ndarray, alpha: np.ndarray, theta: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Coefficients of alpha_k f(t - theta_k) + v_k, one row per parameter triple.
 
-    ``coeffs`` are the pattern's half-spectrum coefficients at frequencies
-    ``ell``; alpha, theta and v are equal-length arrays.  Inverse of :func:`undeform`.
+    ``coeffs`` is the pattern's half spectrum (column l = frequency l); alpha,
+    theta and v are equal-length arrays.  Inverse of :func:`undeform`.
     """
-    phases = _phases(-theta, ell)
+    phases = _phases(-theta, coeffs.shape[-1])
     out = alpha[:, None] * coeffs[None, :] * phases
     out[:, 0] += v
     return out
 
 
-def _phases(theta: np.ndarray, ell: np.ndarray) -> np.ndarray:
-    """e^{i theta_k l}, filled from real cos and sin (cheaper than a complex exp)."""
-    x = np.outer(theta, ell)
+def _phases(theta: np.ndarray, width: int) -> np.ndarray:
+    """e^{i theta_k l}, l = 0 ... width-1, from real cos and sin (cheaper than a complex exp)."""
+    x = np.outer(theta, np.arange(width))
     phases = np.empty(x.shape, dtype=complex)
     phases.real = np.cos(x)
     phases.imag = np.sin(x)
     return phases
 
 
-def undeform(coeffs: np.ndarray, ell: np.ndarray, alpha: np.ndarray, theta: np.ndarray,
-             v) -> np.ndarray:
+def undeform(coeffs: np.ndarray, alpha: np.ndarray, theta: np.ndarray, v) -> np.ndarray:
     """Undo each row's deformation; inverse of :func:`deform`.
 
-    ``coeffs`` is n x (J+1)/2 on the half spectrum and v is one entry per row
-    or a scalar.  The result is (1/alpha_k) e^{i l theta_k} d_kl away from
-    l = 0 and (d_k0 - v_k)/alpha_k at l = 0.
+    ``coeffs`` is n x m with column l = frequency l, and v is one entry per
+    row or a scalar.  The result is (1/alpha_k) e^{i l theta_k} d_kl away
+    from l = 0 and (d_k0 - v_k)/alpha_k at l = 0.
     """
     # keep the phase matrix named: numpy reuses a large unnamed temporary in
     # place and swaps the product's operands, which changes the last bits
-    phases = _phases(theta, ell)
+    phases = _phases(theta, coeffs.shape[-1])
     out = coeffs * phases
     out *= (1.0 / alpha)[:, None]  # same bits as dividing, without numpy's complex division
     out[:, 0] = (coeffs[:, 0] - v) / alpha
     return out
 
 
-def rephase(table: FourierTable, params: TransformParams) -> np.ndarray:
+def rephase(coeffs: np.ndarray, params: TransformParams) -> np.ndarray:
     """Undo each curve's deformation in the Fourier domain.
 
-    Returns the n x (J+1)/2 complex matrix of :func:`undeform`.  When the
-    parameters are exact, every row equals the pattern's coefficients.
+    ``coeffs`` is the half spectrum of :func:`to_fourier`; returns its n x (J+1)/2
+    :func:`undeform`.  When the parameters are exact, every row equals the pattern's.
     """
-    if params.n != table.n:
+    if params.n != coeffs.shape[0]:
         raise ValueError("parameter vectors must have one entry per curve")
     if np.any(params.alpha < ALPHA_FLOOR):
         raise ValueError(f"amplitude scales below the floor {ALPHA_FLOOR:g}")
-    return undeform(table.coeffs, table.ell, params.alpha, params.theta, params.v)
+    return undeform(coeffs, params.alpha, params.theta, params.v)
 
 
-def contrast(params: TransformParams, table: FourierTable, weights: WeightSequence) -> float:
-    """Empirical registration contrast.
+def contrast(params: TransformParams, coeffs: np.ndarray, delta: np.ndarray) -> float:
+    """Empirical registration contrast of half-spectrum ``coeffs`` under weights ``delta``.
 
     (1/n) sum_k sum_l delta_l^2 |ctilde_kl - chat_l|^2 with chat the
     cross-curve mean of the rephased coefficients.  Nonnegative; zero exactly
     when all rephased rows coincide on the support of the weights.
     """
     theta = _wrap_keep_reference(params.theta)
-    return contrast_with_gradient(params.alpha, theta, table.coeffs, table.ell, weights.delta ** 2)[0]
+    return contrast_with_gradient(params.alpha, theta, coeffs, delta ** 2)[0]
 
 
 def _wrap_keep_reference(theta: np.ndarray) -> np.ndarray:
@@ -334,7 +281,6 @@ def contrast_with_gradient(
     alpha: np.ndarray,
     theta: np.ndarray,
     coeffs: np.ndarray,
-    ell: np.ndarray,
     delta2: np.ndarray,
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Contrast and its analytic gradient in (alpha_k, theta_k), k >= 2.
@@ -345,19 +291,20 @@ def contrast_with_gradient(
         dM/dalpha_k = -(2 / n alpha_k) sum_l delta_l^2 Re(conj(u_kl) ctilde_kl)
         dM/dtheta_k = -(2 / n)         sum_l delta_l^2 l Im(conj(u_kl) ctilde_kl)
 
-    over all l.  The inputs hold l >= 0 only: the terms at -l equal those at l
-    and delta_0 = 0, so each full sum is exactly twice the half sum (hence 2
-    and -4/n), and the rephasing can skip the vertical shifts.  The reference
+    over all l.  ``coeffs`` and the squared weights ``delta2`` hold l >= 0
+    only, column l = frequency l: the terms at -l equal those at l and
+    delta_0 = 0, so each full sum is exactly twice the half sum (hence 2 and
+    -4/n), and the rephasing can skip the vertical shifts.  The reference
     curve is fixed, so its components are omitted.
     """
     n = coeffs.shape[0]
-    ct = undeform(coeffs, ell, alpha, theta, 0.0)
+    ct = undeform(coeffs, alpha, theta, 0.0)
     u = ct - ct.mean(axis=0)
     m_val = float(2.0 * (delta2 * (u.real ** 2 + u.imag ** 2)).sum() / n)
     re_uc = u.real * ct.real + u.imag * ct.imag
     im_uc = u.real * ct.imag - u.imag * ct.real
     g_alpha = -(4.0 / n) * (delta2 * re_uc).sum(axis=1) / alpha
-    g_theta = -(4.0 / n) * (delta2 * ell * im_uc).sum(axis=1)
+    g_theta = -(4.0 / n) * (delta2 * np.arange(delta2.size) * im_uc).sum(axis=1)
     return m_val, g_alpha[1:], g_theta[1:]
 
 
@@ -402,11 +349,11 @@ def estimate_params(
     if curves.n < 2:
         raise ValueError("registration needs at least 2 curves")
     t_begin = time.perf_counter()
-    table = to_fourier(curves)
-    weights = make_weights(curves.j, config.beta_exponent, config.l_max)
+    full = to_fourier(curves)
+    delta = make_weights(curves.j, config.beta_exponent, config.l_max)
     # frequencies above l_max carry zero weight: drop them once for every evaluation
     keep = slice(None if config.l_max is None else config.l_max + 1)
-    coeffs, ell, delta2 = table.coeffs[:, keep], table.ell[keep], weights.delta[keep] ** 2
+    coeffs, delta2 = full[:, keep], delta[keep] ** 2
     n = curves.n
 
     alpha0, theta0 = _coarse_start(coeffs, delta2, curves.j, config.alpha_bounds)
@@ -415,7 +362,7 @@ def estimate_params(
     def objective(x: np.ndarray) -> tuple[float, np.ndarray]:
         alpha = np.concatenate(([1.0], x[: n - 1]))
         theta = np.concatenate(([0.0], x[n - 1 :]))
-        m_val, g_a, g_t = contrast_with_gradient(alpha, theta, coeffs, ell, delta2)
+        m_val, g_a, g_t = contrast_with_gradient(alpha, theta, coeffs, delta2)
         return m_val, np.concatenate((g_a, g_t))
 
     res = minimize(
@@ -438,7 +385,7 @@ def estimate_params(
     v_hat[0] = 0.0
     params = TransformParams(alpha=alpha_hat, theta=theta_hat, v=v_hat)
     diag = EstimationDiagnostics(
-        contrast=contrast(params, table, weights),
+        contrast=contrast(params, full, delta),
         iterations=start["nit"],
         nfev=int(res.nfev),
         seconds=time.perf_counter() - t_begin,
@@ -488,10 +435,9 @@ def estimate_params_blocked(
     return TransformParams(alpha=alpha, theta=theta, v=v), diags
 
 
-def extract_pattern(table: FourierTable, params: TransformParams) -> Pattern:
-    """Common-shape estimate: mean of the rephased coefficients, inverted to the grid."""
-    chat = rephase(table, params).mean(axis=0)
-    return Pattern(values=inverse_fourier(FourierTable(coeffs=chat[None, :], ell=table.ell))[0])
+def extract_pattern(coeffs: np.ndarray, params: TransformParams) -> Pattern:
+    """Common shape from the curves' half spectrum: the rephased coefficients' mean on the grid."""
+    return Pattern(values=inverse_fourier(rephase(coeffs, params).mean(axis=0)))
 
 
 def align_curves(curves: CurveSet, params: TransformParams) -> CurveSet:
@@ -501,6 +447,5 @@ def align_curves(curves: CurveSet, params: TransformParams) -> CurveSet:
     Fourier phase rotation (exact for the trigonometric interpolant), so on
     exact parameters every row reproduces the pattern.
     """
-    reph = rephase(to_fourier(curves), params)
-    values = inverse_fourier(FourierTable(coeffs=reph, ell=fft_int_freqs(curves.j)))
+    values = inverse_fourier(rephase(to_fourier(curves), params))
     return CurveSet(values=values, t_grid=curves.t_grid, period=curves.period)

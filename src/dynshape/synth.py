@@ -13,7 +13,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .doe import DesignMatrix, InputBox
-from .registration import CurveSet, TransformParams, fft_int_freqs
+from .registration import CurveSet, TransformParams
 
 __all__ = [
     "parabola_pattern",
@@ -65,7 +65,7 @@ def _resolve_pattern(pattern: PatternLike) -> Callable[[np.ndarray], np.ndarray]
     j = samples.size
     coeffs = np.fft.rfft(samples) / j
     coeffs[1:] *= 2.0  # interpolant c_0 + 2 Re sum_{l>0} c_l e^{ilt} on the half spectrum
-    ell = fft_int_freqs(j)
+    ell = np.arange(coeffs.size)
 
     def interpolant(t):
         t = np.asarray(t, dtype=float)

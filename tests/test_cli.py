@@ -35,6 +35,16 @@ def make_dataset(tmp_path, box_file, n=14, j=21, seed=1):
     return design, curves
 
 
+def with_doubled_times(path):
+    """Copy of a curves CSV whose header times are doubled: same J, another grid."""
+    lines = open(path).read().splitlines()
+    header = ",".join(f"t={2 * float(cell[2:]):g}" for cell in lines[0].split(","))
+    out = path.replace(".csv", "_doubled.csv")
+    with open(out, "w") as handle:
+        handle.write("\n".join([header] + lines[1:]) + "\n")
+    return out
+
+
 class TestDesignCommand:
     def test_writes_design_and_prints_distance(self, tmp_path, box_file, capsys):
         out = str(tmp_path / "design.csv")
@@ -94,6 +104,19 @@ class TestSynthCommand:
         with pytest.raises(SystemExit) as exc:
             run("synth", "analytical", "--n", "10", "--j", "5")
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("rows, message", [
+        ("x1,x2,x3\n0.2,100,0.7\n0.9,100,0.7\n",
+         "design points must lie inside the simulator's input box"),
+        ("x1,x2\n0.2,100\n0.3,120\n", "design has 2 columns but the box has 3"),
+    ])
+    def test_unusable_design_names_the_file(self, tmp_path, capsys, rows, message):
+        design = tmp_path / "d.csv"
+        design.write_text(rows)
+        capsys.readouterr()
+        assert run("synth", "co2", "--design", str(design),
+                   "--curves-out", str(tmp_path / "c.csv")) == 3
+        assert f"error: {design}: {message}" in capsys.readouterr().err
 
 
 class TestFitCommand:
@@ -160,6 +183,14 @@ class TestFitCommand:
                    "--surrogate-out", str(tmp_path / "s.json")) == 3
         err = capsys.readouterr().err
         assert f"error: {narrow}: " in err and "J=1" in err
+
+    def test_too_few_curves_name_the_file(self, tmp_path, box_file, capsys):
+        design, curves = make_dataset(tmp_path, box_file, n=3, j=11)
+        capsys.readouterr()
+        assert run("fit", "--design", design, "--curves", curves,
+                   "--surrogate-out", str(tmp_path / "s.json")) == 3
+        err = capsys.readouterr().err
+        assert f"error: {curves} has 3 curves; training needs at least 4" in err
 
     def test_nonpositive_period_names_the_flag(self, tmp_path, box_file, capsys):
         design, curves = make_dataset(tmp_path, box_file, n=6, j=11)
@@ -280,6 +311,15 @@ class TestValidateCommand:
         err = capsys.readouterr().err
         assert f"--test-curves {test_curves}" in err
         assert "J = 11" in err and "J = 55" in err
+        # the same J on a grid of twice the period
+        test_design, test_curves = make_dataset(tmp_path, box_file, n=4, j=55, seed=5)
+        doubled = with_doubled_times(test_curves)
+        capsys.readouterr()
+        assert run("validate", "--surrogate", surrogate, "--test-design", test_design,
+                   "--test-curves", doubled, "--report-out", str(tmp_path / "r.csv")) == 3
+        assert f"--test-curves {doubled}" in capsys.readouterr().err
+        assert run("validate", "--surrogate", surrogate, "--test-design", test_design,
+                   "--test-curves", test_curves, "--report-out", str(tmp_path / "r.csv")) == 0
 
 
 class TestAlignCommand:
@@ -335,6 +375,26 @@ class TestBenchCommand:
         assert f"--test-curves {test_curves}" in err
         assert "J = 11" in err and "J = 55" in err
         assert not report.exists()
+        # the same J on a grid of twice the period
+        test_design, test_curves = make_dataset(tmp_path, box_file, n=4, j=55, seed=5)
+        doubled = with_doubled_times(test_curves)
+        capsys.readouterr()
+        assert run("bench", "--design", design, "--curves", curves,
+                   "--test-design", test_design, "--test-curves", doubled,
+                   "--report-out", str(report), "--timings-out", str(tmp_path / "t.csv")) == 3
+        assert f"--test-curves {doubled}" in capsys.readouterr().err
+        assert not report.exists()
+
+    def test_too_few_curves_name_the_file(self, tmp_path, box_file, capsys):
+        design, curves = make_dataset(tmp_path, box_file, n=3, j=11)
+        test_design, test_curves = make_dataset(tmp_path, box_file, n=4, j=11, seed=5)
+        capsys.readouterr()
+        assert run("bench", "--design", design, "--curves", curves,
+                   "--test-design", test_design, "--test-curves", test_curves,
+                   "--report-out", str(tmp_path / "cmp.csv"),
+                   "--timings-out", str(tmp_path / "t.csv")) == 3
+        err = capsys.readouterr().err
+        assert f"error: {curves} has 3 curves; training needs at least 4" in err
 
     def test_metric_report_deterministic(self, tmp_path, box_file):
         design, curves = make_dataset(tmp_path, box_file, n=8, j=11)
@@ -538,6 +598,25 @@ class TestSurrogateErrors:
                    "--out", str(tmp_path / "p.csv")) == 3
         err = capsys.readouterr().err
         assert str(path) in err and "written by an older dynshape; refit it" in err
+
+    @pytest.mark.parametrize("change", [-2, 1, 2])
+    def test_pattern_off_its_grid_exits_3(self, tmp_path, box_file, capsys, change):
+        design, curves = make_dataset(tmp_path, box_file, n=6, j=11)
+        path = tmp_path / "sur.json"
+        assert run("fit", "--design", design, "--curves", curves, "--gp-multistarts", "1",
+                   "--surrogate-out", str(path)) == 0
+        data = json.loads(path.read_text())
+        segment = data["segments"][0]
+        values = segment["pattern_values"]
+        segment["pattern_values"] = values[:change] if change < 0 else values + [0.0] * change
+        path.write_text(json.dumps(data))
+        points = tmp_path / "pts.csv"
+        points.write_text("x1,x2,x3\n0.2,100,0.7\n")
+        capsys.readouterr()
+        assert run("predict", "--surrogate", str(path), "--points", str(points),
+                   "--out", str(tmp_path / "p.csv")) == 3
+        err = capsys.readouterr().err
+        assert str(path) in err and "pattern does not span its time grid" in err
 
     def test_linalg_error_exits_4(self, tmp_path, box_file, monkeypatch):
         design, curves = make_dataset(tmp_path, box_file, n=6, j=11)

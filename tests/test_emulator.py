@@ -20,10 +20,8 @@ from dynshape.gp import FitConfig, GpModel, loo_metrics
 from dynshape.registration import (
     CurveSet,
     EstimationConfig,
-    FourierTable,
     Pattern,
     deform,
-    fft_int_freqs,
     inverse_fourier,
 )
 from dynshape.synth import SimSpec, co2_default_box, co2_style_spec, generate_functional_sim
@@ -115,10 +113,9 @@ class TestPredict:
         params = surrogate.params
         i = 5
         pred = predict_curve(surrogate, design.points[i])
-        ell = fft_int_freqs(surrogate.pattern.j)
-        coeffs = deform(surrogate.pattern.coeffs, ell, params.alpha[i : i + 1],
+        coeffs = deform(surrogate.pattern.coeffs, params.alpha[i : i + 1],
                         params.theta[i : i + 1], params.v[i : i + 1])
-        rebuilt = inverse_fourier(FourierTable(coeffs=coeffs, ell=ell))[0]
+        rebuilt = inverse_fourier(coeffs)[0]
         scale = np.abs(rebuilt).max()
         np.testing.assert_allclose(pred.values, rebuilt, rtol=1e-6, atol=1e-6 * scale)
 

@@ -1,3 +1,4 @@
+import hashlib
 import time
 
 import numpy as np
@@ -9,7 +10,7 @@ from dynshape import registration
 from dynshape.registration import (
     CurveSet,
     EstimationConfig,
-    FourierTable,
+    Pattern,
     TransformParams,
     _coarse_start,
     align_curves,
@@ -19,7 +20,6 @@ from dynshape.registration import (
     estimate_params,
     estimate_params_blocked,
     extract_pattern,
-    fft_int_freqs,
     identity_params,
     inverse_fourier,
     make_weights,
@@ -28,7 +28,7 @@ from dynshape.registration import (
     undeform,
     wrap_angle,
 )
-from dynshape.synth import generate_analytical
+from dynshape.synth import generate_analytical, pressure_pattern
 
 
 def wrapped_diff(a, b):
@@ -45,17 +45,17 @@ class TestFourier:
     def test_constant_curve_dc_only(self):
         curves = CurveSet(values=np.full((2, 7), 4.5), t_grid=TWO_PI * np.arange(7) / 7,
                           period=TWO_PI)
-        table = to_fourier(curves)
-        assert table.coeffs[:, 0] == pytest.approx(4.5, abs=1e-12)
-        assert np.abs(table.coeffs[:, 1:]).max() < 1e-12
+        coeffs = to_fourier(curves)
+        assert coeffs[:, 0] == pytest.approx(4.5, abs=1e-12)
+        assert np.abs(coeffs[:, 1:]).max() < 1e-12
 
     def test_cosine_j5(self):
         j = 5
         grid = TWO_PI * np.arange(j) / j
         curves = CurveSet(values=np.cos(grid)[None, :], t_grid=grid, period=TWO_PI)
-        table = to_fourier(curves)
-        assert list(table.ell) == [0, 1, 2]
-        by_ell = dict(zip(table.ell, table.coeffs[0]))
+        coeffs = to_fourier(curves)
+        assert coeffs.shape == (1, 3)
+        by_ell = dict(enumerate(coeffs[0]))
         assert by_ell[1] == pytest.approx(0.5, abs=1e-12)
         for ell in (0, 2):
             assert abs(by_ell[ell]) < 1e-12
@@ -70,12 +70,12 @@ class TestFourier:
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 10**6))
     def test_hermitian_symmetry(self, seed):
-        # the half table is the l >= 0 part of the full spectrum; the rest is its conjugate
+        # the half spectrum is the l >= 0 part of the full spectrum; the rest is its conjugate
         curves = random_curveset(seed, j=15)
-        table = to_fourier(curves)
+        coeffs = to_fourier(curves)
         full = np.fft.fft(curves.values, axis=1) / curves.j
-        assert table.coeffs.shape == (curves.n, 8) and table.j == curves.j
-        np.testing.assert_allclose(table.coeffs, full[:, :8], atol=1e-12)
+        assert coeffs.shape == (curves.n, 8) and 2 * coeffs.shape[1] - 1 == curves.j
+        np.testing.assert_allclose(coeffs, full[:, :8], atol=1e-12)
         np.testing.assert_allclose(full[:, 8:], np.conj(full[:, 7:0:-1]), atol=1e-12)
 
     def test_even_j_rejected(self):
@@ -85,17 +85,16 @@ class TestFourier:
 
 class TestWeights:
     def test_reference_values(self):
-        w = make_weights(11, beta_exponent=1.5)
-        assert list(w.ell) == [0, 1, 2, 3, 4, 5]
-        by_ell = dict(zip(w.ell, w.delta))
+        delta = make_weights(11, beta_exponent=1.5)
+        assert delta.shape == (6,)
+        by_ell = dict(enumerate(delta))
         assert by_ell[0] == 0.0
         assert by_ell[1] == 1.0
         assert by_ell[2] == pytest.approx(2.0 ** -1.5, rel=1e-12)
         assert by_ell[3] == pytest.approx(3.0 ** -1.5, rel=1e-12)
 
     def test_truncation(self):
-        w = make_weights(11, beta_exponent=1.5, l_max=2)
-        by_ell = dict(zip(w.ell, w.delta))
+        by_ell = dict(enumerate(make_weights(11, beta_exponent=1.5, l_max=2)))
         assert by_ell[3] == 0.0 and by_ell[5] == 0.0 and by_ell[2] > 0
 
     def test_even_j_rejected(self):
@@ -106,9 +105,9 @@ class TestWeights:
 class TestRephase:
     def test_identity_params_is_noop(self, small_deformed):
         curves, _ = small_deformed
-        table = to_fourier(curves)
-        out = rephase(table, identity_params(curves.n))
-        assert np.array_equal(out, table.coeffs)
+        coeffs = to_fourier(curves)
+        out = rephase(coeffs, identity_params(curves.n))
+        assert np.array_equal(out, coeffs)
 
     def test_true_params_collapse_rows(self, small_deformed):
         curves, truth = small_deformed
@@ -143,11 +142,10 @@ class TestDeformPrimitive:
         j = 2 * half + 1
         rng = np.random.default_rng(seed)
         coeffs = np.fft.rfft(rng.normal(0.0, 3.0, j)) / j
-        ell = fft_int_freqs(j)
         alpha = np.exp(rng.uniform(np.log(0.05), np.log(20.0), m))
         theta = rng.uniform(-10.0, 10.0, m)
         v = rng.uniform(-10.0, 10.0, m)
-        back = undeform(deform(coeffs, ell, alpha, theta, v), ell, alpha, theta, v)
+        back = undeform(deform(coeffs, alpha, theta, v), alpha, theta, v)
         scale = max(np.abs(coeffs).max(), (np.abs(v) / alpha).max())
         np.testing.assert_allclose(back, np.tile(coeffs, (m, 1)), rtol=0, atol=1e-12 * scale)
 
@@ -180,11 +178,11 @@ class TestHalfSpectrum:
     def test_contrast_matches_full_spectrum_oracle(self, seed, n, half):
         rng = np.random.default_rng(seed)
         curves = random_curveset(seed, n=n, j=2 * half + 1)
-        table = to_fourier(curves)
+        coeffs = to_fourier(curves)
         alpha = np.concatenate(([1.0], np.exp(rng.uniform(np.log(0.05), np.log(20.0), n - 1))))
         theta = np.concatenate(([0.0], rng.uniform(-np.pi, np.pi, n - 1)))
-        delta2 = make_weights(curves.j).delta ** 2
-        value, g_a, g_t = contrast_with_gradient(alpha, theta, table.coeffs, table.ell, delta2)
+        delta2 = make_weights(curves.j) ** 2
+        value, g_a, g_t = contrast_with_gradient(alpha, theta, coeffs, delta2)
         ref_value, ref_a, ref_t = full_spectrum_contrast(alpha, theta, curves.values)
         assert value == pytest.approx(ref_value, rel=1e-13)
         for got, ref in ((g_a, ref_a), (g_t, ref_t)):
@@ -198,9 +196,9 @@ class TestHalfSpectrum:
         alpha = np.concatenate(([1.0], rng.uniform(0.3, 2.0, 5)))
         v = np.concatenate(([0.0], rng.normal(size=5)))
         curves, _ = deformed_curves(alpha, theta, v, j=j, noise_var=0.2, seed=seed)
-        table = to_fourier(curves)
-        delta2 = make_weights(j).delta ** 2
-        alpha0, theta0 = _coarse_start(table.coeffs, delta2, j, (0.05, 20.0))
+        coeffs = to_fourier(curves)
+        delta2 = make_weights(j) ** 2
+        alpha0, theta0 = _coarse_start(coeffs, delta2, j, (0.05, 20.0))
         # the full-spectrum scan: one complex FFT of the weighted cross spectrum
         full, _, full_delta2 = full_spectrum(curves.values)
         corr = np.fft.fft(full_delta2 * np.conj(full) * full[0][None, :], axis=1).real
@@ -229,15 +227,15 @@ class TestHalfSpectrum:
 class TestContrast:
     def test_single_curve_is_zero(self):
         curves = random_curveset(1, n=1)
-        table = to_fourier(curves)
-        w = make_weights(curves.j)
-        assert contrast(identity_params(1), table, w) == 0.0
+        coeffs = to_fourier(curves)
+        delta = make_weights(curves.j)
+        assert contrast(identity_params(1), coeffs, delta) == 0.0
 
     def test_zero_at_truth_positive_nearby(self, small_deformed):
         curves, truth = small_deformed
-        table = to_fourier(curves)
-        w = make_weights(curves.j)
-        at_truth = contrast(truth, table, w)
+        coeffs = to_fourier(curves)
+        delta = make_weights(curves.j)
+        at_truth = contrast(truth, coeffs, delta)
         assert at_truth < 1e-18
         rng = np.random.default_rng(0)
         for _ in range(25):
@@ -246,7 +244,7 @@ class TestContrast:
                 theta=np.concatenate(([0.0], truth.theta[1:] + rng.uniform(-0.4, 0.4, 4))),
                 v=truth.v,
             )
-            assert contrast(perturbed, table, w) > at_truth
+            assert contrast(perturbed, coeffs, delta) > at_truth
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 10**6))
@@ -262,8 +260,8 @@ class TestContrast:
 
     def test_theta_periodicity(self, small_deformed):
         curves, truth = small_deformed
-        table = to_fourier(curves)
-        w = make_weights(curves.j)
+        coeffs = to_fourier(curves)
+        delta = make_weights(curves.j)
         params = TransformParams(
             alpha=truth.alpha,
             theta=np.concatenate(([0.0], truth.theta[1:] + 0.37)),
@@ -274,71 +272,69 @@ class TestContrast:
             theta=np.concatenate(([0.0], truth.theta[1:] + 0.37 + TWO_PI)),
             v=truth.v,
         )
-        a, b = contrast(params, table, w), contrast(shifted, table, w)
+        a, b = contrast(params, coeffs, delta), contrast(shifted, coeffs, delta)
         assert b == pytest.approx(a, rel=1e-12)
 
     def test_vertical_shift_immunity_exact(self, small_deformed):
         # delta_0 = 0 removes the DC line entirely: changing a non-reference
         # curve's DC coefficient leaves the contrast bit-identical
         curves, truth = small_deformed
-        table = to_fourier(curves)
-        w = make_weights(curves.j)
-        base = contrast(truth, table, w)
-        bumped = table.coeffs.copy()
+        coeffs = to_fourier(curves)
+        delta = make_weights(curves.j)
+        base = contrast(truth, coeffs, delta)
+        bumped = coeffs.copy()
         bumped[2, 0] += 123.456
-        from dynshape.registration import FourierTable
-
-        table2 = FourierTable(coeffs=bumped, ell=table.ell)
-        assert contrast(truth, table2, w) == base
+        assert contrast(truth, bumped, delta) == base
 
     def test_vertical_shift_immunity_time_domain(self, small_deformed):
         curves, truth = small_deformed
-        w = make_weights(curves.j)
-        base = contrast(truth, to_fourier(curves), w)
+        delta = make_weights(curves.j)
+        base = contrast(truth, to_fourier(curves), delta)
         shifted_values = curves.values.copy()
         shifted_values[3] += 7.25
         curves2 = CurveSet(values=shifted_values, t_grid=curves.t_grid, period=curves.period)
-        assert contrast(truth, to_fourier(curves2), w) == pytest.approx(base, rel=1e-11, abs=1e-18)
+        shifted = contrast(truth, to_fourier(curves2), delta)
+        assert shifted == pytest.approx(base, rel=1e-11, abs=1e-18)
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 10**6))
     def test_equals_gradient_routine_value(self, seed):
         rng = np.random.default_rng(seed)
         curves = random_curveset(seed, n=5)
-        table = to_fourier(curves)
-        w = make_weights(curves.j)
+        coeffs = to_fourier(curves)
+        delta = make_weights(curves.j)
         alpha = np.concatenate(([1.0], np.exp(rng.uniform(np.log(0.05), np.log(20.0), 4))))
         theta = np.concatenate(([0.0], rng.uniform(-10.0, 10.0, 4)))
         params = TransformParams(alpha=alpha, theta=theta,
                                  v=np.concatenate(([0.0], rng.normal(0.0, 5.0, 4))))
         wrapped = wrap_angle(theta)
         wrapped[0] = 0.0
-        value = contrast_with_gradient(alpha, wrapped, table.coeffs, table.ell, w.delta ** 2)[0]
-        assert contrast(params, table, w) == value
+        value = contrast_with_gradient(alpha, wrapped, coeffs, delta ** 2)[0]
+        assert contrast(params, coeffs, delta) == value
 
 
 class TestGradient:
     def test_matches_central_differences(self):
         curves, _ = generate_analytical(6, 31, 0.3, seed=3)
-        table = to_fourier(curves)
-        delta2 = make_weights(31).delta ** 2
+        coeffs = to_fourier(curves)
+        delta2 = make_weights(31) ** 2
         rng = np.random.default_rng(7)
         h = 1e-6
         for _ in range(10):
             alpha = np.concatenate(([1.0], rng.uniform(0.3, 2.0, 5)))
             theta = np.concatenate(([0.0], rng.uniform(-2.5, 2.5, 5)))
-            _, g_a, g_t = contrast_with_gradient(alpha, theta, table.coeffs, table.ell, delta2)
+            _, g_a, g_t = contrast_with_gradient(alpha, theta, coeffs, delta2)
             for k in range(1, 6):
                 for vec, grad in ((alpha, g_a), (theta, g_t)):
                     plus, minus = vec.copy(), vec.copy()
                     plus[k] += h
                     minus[k] -= h
                     if vec is alpha:
-                        f_p = contrast_with_gradient(plus, theta, table.coeffs, table.ell, delta2)[0]
-                        f_m = contrast_with_gradient(minus, theta, table.coeffs, table.ell, delta2)[0]
+                        f_p = contrast_with_gradient(plus, theta, coeffs, delta2)[0]
+                        f_m = contrast_with_gradient(minus, theta, coeffs, delta2)[0]
                     else:
-                        f_p = contrast_with_gradient(alpha, plus, table.coeffs, table.ell, delta2)[0]
-                        f_m = contrast_with_gradient(alpha, minus, table.coeffs, table.ell, delta2)[0]
+                        f_p = contrast_with_gradient(alpha, plus, coeffs, delta2)[0]
+                        f_m = contrast_with_gradient(alpha, minus, coeffs, delta2)[0]
                     fd = (f_p - f_m) / (2 * h)
                     assert abs(fd - grad[k - 1]) <= 1e-5 * max(abs(fd), 1e-10)
 
@@ -479,10 +475,65 @@ class TestPatternAndAlign:
     def test_align_then_forward_round_trip(self, small_deformed):
         curves, truth = small_deformed
         aligned = align_curves(curves, truth)
-        table = to_fourier(aligned)
+        half = to_fourier(aligned)
         for k in range(curves.n):
             one = slice(k, k + 1)
-            coeffs = deform(table.coeffs[k], table.ell, truth.alpha[one], truth.theta[one],
-                            truth.v[one])
-            rebuilt = inverse_fourier(FourierTable(coeffs=coeffs, ell=table.ell))[0]
+            coeffs = deform(half[k], truth.alpha[one], truth.theta[one], truth.v[one])
+            rebuilt = inverse_fourier(coeffs)[0]
             np.testing.assert_allclose(rebuilt, curves.values[k], atol=1e-8)
+
+
+def sha256_of(*arrays):
+    digest = hashlib.sha256()
+    for array in arrays:
+        digest.update(np.ascontiguousarray(array).tobytes())
+    return digest.hexdigest()
+
+
+# sha256 of the estimated (alpha, theta, v), the extracted pattern and the
+# aligned curves for generate_analytical(41, 101, 0.01, seed) registered in
+# blocks of 10, keyed by (l_max, seed); taken before the half spectrum became
+# plain arrays, so the refactor changed no bit.
+REGISTRATION_SHA256 = {
+    (None, 0): ("8449119ea050792339fb6e72f339d15395e23c923d1ea593a9da290779c76fdc",
+                "02f71d5d3f2974273024edf3b273e8f0886485ea5ca7fac3a381127a9cf415fa",
+                "f98d3887efa859a095dcc060f040f1a899839c60f524107d8a84e5e3562e4f19"),
+    (None, 1): ("87bb087a997a4c5a7c159a940f4131b50006e2e485b0d82dfcc9e844d7d49cbe",
+                "7d8bdcbb3e95a938a557a09c24a0675f1d4076d44e2b4cc8c8991fd82d0cf9ec",
+                "9b6af2acd550258a914a1bbbe990d338dcab7d1912597df821db8216bf3ec344"),
+    (None, 2): ("8bc0edaaae9ca6f588ddebc0b5c8371f542263796ff7a422042b88ab51c1dc97",
+                "0fd012b8054d3df4fc665e06e1e3005a0a5aa34fc79b2909fb33531971f79ae0",
+                "ad6cba7385dd9df039bc9d6ff3a5b9d4c0db492b7079694e10376c972ab3bd17"),
+    (7, 0): ("0b90aa87fd3cfb56673dc19eb9c8eec811bb20a7b635bf1a7e028e527ea3df87",
+             "f259c71dc6b60516c032048699db8890602b68aad044b57739d713300c7cdee7",
+             "7e56bfa94016c729d547c11b8b7622bed0922605b27225e1b00fdf3a441ec43a"),
+    (7, 1): ("2bbf0519c1a9ef0ced8084b33294eda2bfc25b00ffd5250a0743e997a76dae21",
+             "6bf42a0f791cd38ad4f62b1e5f7c0077e815851248214defc07564a9ff93ef7b",
+             "46018245fcf238cdefcac44dda6acb35f1814d070b2bb82977a6888d0ae20ac4"),
+    (7, 2): ("3e0989d3cb44574be54212b96e2013ec176b932d905526a0d91aee590c2b7488",
+             "9498e9c11ea35b8aec50761ae21213246d49ac7bfd6b13a8740187298f6c58df",
+             "f7599bd4bc47e559a74b23d0696ba0c41ebce860d844311a35968794cd191a6a"),
+}
+
+
+class TestPinnedBits:
+    @pytest.mark.parametrize("l_max, seed", list(REGISTRATION_SHA256))
+    def test_registration_pattern_and_alignment(self, l_max, seed):
+        curves, _ = generate_analytical(41, 101, 0.01, seed)
+        params, _ = estimate_params_blocked(curves, 10, EstimationConfig(l_max=l_max))
+        pattern = extract_pattern(to_fourier(curves), params)
+        aligned = align_curves(curves, params)
+        got = (sha256_of(params.alpha, params.theta, params.v), sha256_of(pattern.values),
+               sha256_of(aligned.values))
+        assert got == REGISTRATION_SHA256[(l_max, seed)]
+
+    def test_deform_and_undeform(self):
+        j = 55
+        pattern = Pattern(values=pressure_pattern(TWO_PI * np.arange(j) / j))
+        alpha, theta = np.linspace(0.5, 2.0, 7), np.linspace(-3.0, 3.0, 7)
+        v = np.linspace(-1.0, 1.0, 7)
+        coeffs = deform(pattern.coeffs, alpha, theta, v)
+        assert sha256_of(inverse_fourier(coeffs)) == (
+            "a354603584447ecd1c31820a89551c818d892f317f35661e731cd37a8d103603")
+        assert sha256_of(undeform(coeffs, alpha, theta, v)) == (
+            "5bc6be8a91edbc2420c78a7642c0596b91c4aa7a858dfd54993cf7c5cd32a043")
