@@ -20,6 +20,8 @@ __all__ = [
 ]
 
 _MAX_SWEEPS = 8
+# candidate swaps evaluated per array step of _swap_hill_climb
+_BATCH = 16
 
 
 @dataclass(frozen=True)
@@ -124,8 +126,13 @@ def _swap_hill_climb(pts: np.ndarray) -> np.ndarray:
 
     Swapping rows i and j in one column changes only distances in rows i and
     j, so it can raise the minimum only if every pair at the minimum touches
-    i or j.  For each (column, i) only those partners j are tried, all in one
-    array, and the first improving one is kept, as a loop over j would.
+    i or j.  For each column the pairs (i, j) left to try that pass this test
+    are listed in loop order and evaluated ``_BATCH`` at a time, one array
+    per batch; the first improving pair is kept, the minimum is updated, and
+    the search resumes at (i, j + 1), so the same swaps are kept as by a loop
+    over every pair.  Batches are small and fixed because every pair
+    evaluated after a column's next gain is wasted work, and a whole list
+    grows with n.
     """
     pts = pts.copy()
     n, d = pts.shape
@@ -135,38 +142,41 @@ def _swap_hill_climb(pts: np.ndarray) -> np.ndarray:
     np.fill_diagonal(d2, np.inf)
     best = d2.min()
     count = (d2 == best).sum(axis=0)  # pairs at the minimum that touch each row
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)
 
     for _ in range(_MAX_SWEEPS):
         improved = False
         for k in range(d):
-            for i in range(n - 1):
-                j = i
-                while True:
-                    # the pairs at the minimum that avoid i must all touch partner j
-                    rest = slice(j + 1, n)
-                    apart = count.sum() // 2 - count[i]
-                    js = j + 1 + np.flatnonzero(count[rest] - (d2[i, rest] == best) == apart)
-                    js = js[pts[js, k] != pts[i, k]]
-                    if not js.size:
-                        break
-                    t = np.arange(js.size)
-                    # one swapped copy of the design per partner; the rows are
+            start = 0  # flat index i * n + j of the first pair left to try
+            while True:
+                # the pairs at the minimum that avoid i must all touch partner j
+                apart = count.sum() // 2 - count
+                ok = (count - (d2 == best) == apart[:, None]) & upper
+                ok &= pts[:, k, None] != pts[:, k]
+                pairs = start + np.flatnonzero(ok.ravel()[start:])
+                for lo in range(0, pairs.size, _BATCH):
+                    ci, cj = np.divmod(pairs[lo:lo + _BATCH], n)
+                    t = np.arange(ci.size)
+                    # one swapped copy of the design per pair; the rows are
                     # summed as ((pts - pts[i]) ** 2).sum(axis=1) to keep the bits
-                    a = np.repeat(pts[None], js.size, axis=0)
-                    a[t, i, k], a[t, js, k] = pts[js, k], pts[i, k]
-                    row_i = ((a - a[:, i, None]) ** 2).sum(axis=2)
-                    row_j = ((a - a[t, js, None]) ** 2).sum(axis=2)
-                    row_i[:, i] = row_j[t, js] = np.inf
+                    a = np.repeat(pts[None], ci.size, axis=0)
+                    a[t, ci, k], a[t, cj, k] = pts[cj, k], pts[ci, k]
+                    row_i = ((a - a[t, ci, None]) ** 2).sum(axis=2)
+                    row_j = ((a - a[t, cj, None]) ** 2).sum(axis=2)
+                    row_i[t, ci] = row_j[t, cj] = np.inf
                     up = np.flatnonzero(np.minimum(row_i.min(axis=1), row_j.min(axis=1)) > best)
-                    if not up.size:
+                    if up.size:
                         break
-                    t, j = up[0], js[up[0]]
-                    pts[i, k], pts[j, k] = pts[j, k], pts[i, k]
-                    d2[i, :] = d2[:, i] = row_i[t]
-                    d2[j, :] = d2[:, j] = row_j[t]
-                    best = d2.min()
-                    count = (d2 == best).sum(axis=0)
-                    improved = True
+                else:
+                    break
+                t, i, j = up[0], ci[up[0]], cj[up[0]]
+                pts[i, k], pts[j, k] = pts[j, k], pts[i, k]
+                d2[i, :] = d2[:, i] = row_i[t]
+                d2[j, :] = d2[:, j] = row_j[t]
+                best = d2.min()
+                count = (d2 == best).sum(axis=0)
+                improved = True
+                start = i * n + j + 1
         if not improved:
             break
     return pts

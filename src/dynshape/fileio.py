@@ -63,7 +63,9 @@ def atomic_write_text(path: str, text: str) -> None:
 
 def write_table(path: str, header: str, rows) -> None:
     """A header line plus one line of comma-joined :func:`fmt` cells per row."""
-    lines = [header] + [",".join(map(fmt, row)) for row in rows]
+    rows = np.asarray(rows, dtype=float)
+    line = ",".join(["%.17g"] * rows.shape[-1])
+    lines = [header] + [line % tuple(row.tolist()) for row in rows]
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 

@@ -158,13 +158,14 @@ def _corr(a: np.ndarray, b: np.ndarray, spec: CorrelationSpec) -> np.ndarray:
 
 
 def build_correlation(
-    points: np.ndarray, spec: CorrelationSpec, nugget: float = 0.0
+    points: np.ndarray, spec: CorrelationSpec, nugget: float = 0.0, corr: np.ndarray | None = None
 ) -> tuple[np.ndarray, float]:
     """Cholesky factorization of R + nugget I with geometric nugget escalation.
 
-    Returns (lower factor, nugget actually used).  If the factorization fails
-    the nugget is escalated by factors of 10 up to ``NUGGET_MAX``; failure at
-    the maximum raises :class:`IllConditionedDesignError`.
+    Returns (lower factor, nugget actually used).  ``corr`` is R itself when
+    the caller has already built it.  If the factorization fails the nugget
+    is escalated by factors of 10 up to ``NUGGET_MAX``; failure at the
+    maximum raises :class:`IllConditionedDesignError`.
     """
     from scipy.linalg import cholesky
     points = np.asarray(points, dtype=float)
@@ -172,7 +173,8 @@ def build_correlation(
         raise ValueError("need at least 2 design points")
     if nugget < 0:
         raise ValueError("nugget must be nonnegative")
-    corr = _corr(points, points, spec)
+    if corr is None:
+        corr = _corr(points, points, spec)
     trial = nugget
     while True:
         try:
@@ -217,8 +219,17 @@ def likelihood_with_gradient(
     closed-form optima, so their own variation drops out.
     """
     points = np.asarray(points, dtype=float)
-    responses = np.asarray(responses, dtype=float)
-    factor, used = build_correlation(points, spec, nugget)
+    sq_diff = (points[:, None, :] - points[None, :, :]) ** 2
+    return _likelihood(points, np.asarray(responses, dtype=float), spec, nugget, sq_diff)
+
+
+def _likelihood(
+    points: np.ndarray, responses: np.ndarray, spec: CorrelationSpec, nugget: float,
+    sq_diff: np.ndarray,
+) -> tuple[float, np.ndarray]:
+    """:func:`likelihood_with_gradient` given the design's squared differences."""
+    corr = _corr(points, points, spec)
+    factor, _ = build_correlation(points, spec, nugget, corr)
     n = responses.shape[0]
     beta = gls_beta(factor, responses)
     s2 = mle_sigma2(factor, responses, beta)
@@ -227,8 +238,7 @@ def likelihood_with_gradient(
 
     kinv = _solve(factor, np.eye(n))
     a = kinv @ (responses - beta)
-    weights = (kinv - np.outer(a, a) / s2) * _corr(points, points, spec)
-    sq_diff = (points[:, None, :] - points[None, :, :]) ** 2
+    weights = (kinv - np.outer(a, a) / s2) * corr
     grad = 0.5 * np.einsum("ik,ikj->j", weights, sq_diff) / spec.lengths
     return nll, grad
 
@@ -309,11 +319,12 @@ def fit_gp(design: DesignMatrix | np.ndarray, responses: np.ndarray, config: Fit
 
     log_lo, log_hi = np.log(config.length_bounds[0]), np.log(config.length_bounds[1])
     bounds = [(log_lo, log_hi)] * d
+    sq_diff = (pts[:, None, :] - pts[None, :, :]) ** 2
 
     def objective(log_lengths: np.ndarray) -> tuple[float, np.ndarray]:
         spec = CorrelationSpec(lengths=np.exp(log_lengths))
         try:
-            nll, grad = likelihood_with_gradient(pts, responses, spec, config.nugget_floor)
+            nll, grad = _likelihood(pts, responses, spec, config.nugget_floor, sq_diff)
         except IllConditionedDesignError:
             return 1e25, np.zeros(d)  # stands in for +inf, which the line search dislikes
         return (nll + RIDGE_TIE * float(log_lengths @ log_lengths),

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.spatial.distance import pdist
 
+from dynshape import doe
 from dynshape.doe import (
+    _BATCH,
     _MAX_SWEEPS,
     DesignMatrix,
     InputBox,
@@ -233,6 +235,27 @@ class TestSwapHillClimb:
         for seed, digest in enumerate(CLIMB_SHA256[n, d]):
             pts = _swap_hill_climb(lhd_sample(n, d, seed).points)
             assert hashlib.sha256(pts.tobytes()).hexdigest() == digest, (n, d, seed)
+
+    def test_one_row_keeps_two_swaps_in_a_row(self):
+        # column 0 keeps (0, 1) and then (0, 3): after a kept swap the search
+        # resumes at (i, j + 1), not at the next row
+        pts = lhd_sample(4, 2, seed=1).points
+        assert _swap_hill_climb(pts).tobytes() == _reference_climb(pts).tobytes()
+
+    @pytest.mark.parametrize("batch", [1, 4, _BATCH])
+    def test_first_gain_beyond_the_first_batch(self, batch, monkeypatch):
+        # in the first sweep the first improving pair of column 2 is the 21st
+        # candidate, and some batches hold more than one improving pair
+        monkeypatch.setattr(doe, "_BATCH", batch)
+        pts = lhd_sample(12, 3, seed=0).points
+        assert _swap_hill_climb(pts).tobytes() == _reference_climb(pts).tobytes()
+
+    def test_tied_values_are_never_swapped(self):
+        # rows 0 and 2 tie in column 0; swapping them changes nothing, but the
+        # rows recomputed for it put the closest pair (0, 3) one ulp above its
+        # einsum-built distance, which a search that tried it would keep
+        pts = np.array([[0.4, 0.6, 0.0], [0.8, 0.8, 0.6], [0.4, 0.2, 0.8], [0.2, 0.0, 0.2]])
+        assert _swap_hill_climb(pts).tobytes() == _reference_climb(pts).tobytes()
 
     def test_never_lowers_the_minimum(self):
         base = lhd_sample(25, 4, seed=2).points

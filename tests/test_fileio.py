@@ -2,7 +2,7 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import deformed_curves
@@ -244,6 +244,27 @@ class TestWriteTable:
         path = tmp_path / "t.csv"
         fileio.write_table(str(path), "x1", [])
         assert path.read_text() == "x1\n"
+
+    @settings(max_examples=60, deadline=None)
+    @given(x=st.floats(allow_subnormal=True))
+    @example(x=-0.0)
+    @example(x=5e-324)
+    @example(x=-2.2250738585072e-308)
+    @example(x=1e308)
+    @example(x=-1e308)
+    def test_fmt_is_the_row_format(self, x):
+        assert fileio.fmt(x) == "%.17g" % x
+
+    @settings(max_examples=40, deadline=None)
+    @given(rows=arrays(float, st.tuples(st.integers(0, 4), st.sampled_from([2, 5])),
+                       elements=st.floats(allow_subnormal=True)
+                       | st.sampled_from([-0.0, 5e-324, 1e308, -1e308])))
+    def test_rows_equal_the_per_cell_join(self, tmp_path_factory, rows):
+        # the 2-column t,f and 5-column step,t,rmse,q2,flag shapes
+        path = tmp_path_factory.mktemp("table") / "t.csv"
+        fileio.write_table(str(path), "h", rows)
+        cells = ["h"] + [",".join(map(fileio.fmt, row)) for row in rows]
+        assert path.read_text() == "\n".join(cells) + "\n"
 
 
 class TestReaderLineNumbers:
