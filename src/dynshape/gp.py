@@ -9,11 +9,11 @@ Correlation lengths are found by minimizing the concentrated negative log likeli
 
     (1/2) [ n log sigma2_hat(theta) + log det(R(theta) + nugget I) + n ]
 
-over log-lengths with a multistart L-BFGS-B search that is given the
-likelihood's analytic gradient (see ``likelihood_with_gradient``).  Inputs are
-normalized to the design's bounding box inside fit and predict, so the length
-bounds are scale free.  Only fitting factors a matrix, so only fitting
-imports ``scipy``: a loaded model predicts its mean from stored weights.
+over log-lengths with a multistart projected L-BFGS search (``lbfgs``) that is
+given the likelihood's analytic gradient (see ``likelihood_with_gradient``).
+Inputs are normalized to the design's bounding box inside fit and predict, so
+the length bounds are scale free.  A loaded model predicts its mean from
+stored weights, without factoring a matrix.
 """
 from __future__ import annotations
 
@@ -24,6 +24,7 @@ import numpy as np
 
 from .doe import DesignMatrix, lhd_sample
 from .errors import DegenerateResponseError, FitFailureError, IllConditionedDesignError
+from .lbfgs import _minimize_box
 
 __all__ = [
     "CorrelationSpec",
@@ -92,8 +93,8 @@ class GpModel:
     ``design`` and ``responses`` are kept in original (box) coordinates;
     ``corr.lengths`` refer to inputs normalized by (x_lo, x_span).  ``factor``
     is the lower Cholesky factor of R + nugget I on the normalized design, or
-    None (with ``ones_solve``) in a loaded model until a variance or LOO needs
-    it; the kriging weights ``resid_solve`` give the mean without it.
+    None (with ``ones_solve``) in a loaded model until the first variance or LOO
+    sets both; the kriging weights ``resid_solve`` give the mean without it.
     """
 
     design: np.ndarray
@@ -141,10 +142,10 @@ def _unit_box(design: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x_lo, np.where(x_span > 0, x_span, 1.0)
 
 
-def _solve(factor: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kinv b through the lower Cholesky factor of K."""
-    from scipy.linalg import cho_solve  # imported here: a loaded model predicts its mean without it
-    return cho_solve((factor, True), b)
+def _inverse(factor: np.ndarray) -> np.ndarray:
+    """Kinv from the lower Cholesky factor L of K, as inv(L)' inv(L)."""
+    linv = np.linalg.inv(factor)
+    return linv.T @ linv
 
 
 def _corr(a: np.ndarray, b: np.ndarray, spec: CorrelationSpec) -> np.ndarray:
@@ -167,7 +168,6 @@ def build_correlation(
     is escalated by factors of 10 up to ``NUGGET_MAX``; failure at the
     maximum raises :class:`IllConditionedDesignError`.
     """
-    from scipy.linalg import cholesky
     points = np.asarray(points, dtype=float)
     if points.shape[0] < 2:
         raise ValueError("need at least 2 design points")
@@ -178,7 +178,7 @@ def build_correlation(
     trial = nugget
     while True:
         try:
-            factor = cholesky(corr + trial * np.eye(points.shape[0]), lower=True)
+            factor = np.linalg.cholesky(corr + trial * np.eye(points.shape[0]))
             return factor, trial
         except np.linalg.LinAlgError:
             if trial >= NUGGET_MAX:
@@ -194,14 +194,14 @@ def gls_beta(factor: np.ndarray, responses: np.ndarray) -> float:
 
     beta = (1' Rinv 1)^-1 1' Rinv Y, computed through the stored factorization.
     """
-    ones = np.ones(responses.shape[0])
-    return float(ones @ _solve(factor, responses) / (ones @ _solve(factor, ones)))
+    kinv_1 = _inverse(factor).sum(axis=0)
+    return float(kinv_1 @ responses / kinv_1.sum())
 
 
 def mle_sigma2(factor: np.ndarray, responses: np.ndarray, beta: float) -> float:
     """Maximum-likelihood process variance (1/n) res' Rinv res, floored above zero."""
     resid = responses - beta
-    s2 = float(resid @ _solve(factor, resid)) / responses.shape[0]
+    s2 = float(resid @ _inverse(factor) @ resid) / responses.shape[0]
     return max(s2, SIGMA2_FLOOR)
 
 
@@ -231,13 +231,14 @@ def _likelihood(
     corr = _corr(points, points, spec)
     factor, _ = build_correlation(points, spec, nugget, corr)
     n = responses.shape[0]
-    beta = gls_beta(factor, responses)
-    s2 = mle_sigma2(factor, responses, beta)
+    kinv = _inverse(factor)
+    kinv_1 = kinv.sum(axis=0)
+    beta = float(kinv_1 @ responses / kinv_1.sum())
+    a = kinv @ (responses - beta)
+    s2 = max(float((responses - beta) @ a) / n, SIGMA2_FLOOR)
     logdet = 2.0 * np.log(np.diag(factor)).sum()
     nll = 0.5 * (n * math.log(s2) + logdet + n)
 
-    kinv = _solve(factor, np.eye(n))
-    a = kinv @ (responses - beta)
     weights = (kinv - np.outer(a, a) / s2) * corr
     grad = 0.5 * np.einsum("ik,ikj->j", weights, sq_diff) / spec.lengths
     return nll, grad
@@ -273,6 +274,7 @@ def assemble_gp_model(
     factor, used = build_correlation(pts, spec, nugget)
     beta = gls_beta(factor, responses)
     sigma2 = mle_sigma2(factor, responses, beta)
+    kinv = _inverse(factor)
     return GpModel(
         design=design,
         responses=responses,
@@ -283,18 +285,19 @@ def assemble_gp_model(
         factor=factor,
         x_lo=x_lo,
         x_span=x_span,
-        resid_solve=_solve(factor, responses - beta),
-        ones_solve=_solve(factor, np.ones(design.shape[0])),
+        resid_solve=kinv @ (responses - beta),
+        ones_solve=kinv.sum(axis=1),
     )
 
 
 def fit_gp(design: DesignMatrix | np.ndarray, responses: np.ndarray, config: FitConfig | None = None) -> GpModel:
     """Fit correlation lengths by concentrated maximum likelihood.
 
-    Runs ``config.multistarts`` L-BFGS-B searches in log-length space, one per
-    start of a small Latin hypercube over the bounds, each on the analytic
-    gradient of :func:`likelihood_with_gradient`, and returns the model
-    assembled at the best lengths found.
+    Runs ``config.multistarts`` projected L-BFGS searches in log-length space
+    (:func:`dynshape.lbfgs._minimize_box` at L-BFGS-B's default tolerances,
+    gtol 1e-5 and ftol 2.2e-9), one per start of a small Latin hypercube over
+    the bounds, each on the analytic gradient of :func:`likelihood_with_gradient`,
+    and returns the model assembled at the best lengths found.
 
     The search objective carries a tiny quadratic tie-breaker in the
     log-lengths (weight ``RIDGE_TIE``), the only guard against flat ridges:
@@ -303,7 +306,6 @@ def fit_gp(design: DesignMatrix | np.ndarray, responses: np.ndarray, config: Fit
     on roundoff-level details of the input data.  The weight is far below any
     practically significant likelihood difference.
     """
-    from scipy.optimize import minimize  # imported here: prediction never needs it
     if config is None:
         config = FitConfig()
     pts_raw = design.points if isinstance(design, DesignMatrix) else np.asarray(design, dtype=float)
@@ -318,7 +320,6 @@ def fit_gp(design: DesignMatrix | np.ndarray, responses: np.ndarray, config: Fit
     pts = (pts_raw - x_lo) / x_span
 
     log_lo, log_hi = np.log(config.length_bounds[0]), np.log(config.length_bounds[1])
-    bounds = [(log_lo, log_hi)] * d
     sq_diff = (pts[:, None, :] - pts[None, :, :]) ** 2
 
     def objective(log_lengths: np.ndarray) -> tuple[float, np.ndarray]:
@@ -338,17 +339,11 @@ def fit_gp(design: DesignMatrix | np.ndarray, responses: np.ndarray, config: Fit
 
     attempts = []
     for x0 in starts:
-        res = minimize(
-            objective,
-            x0,
-            method="L-BFGS-B",
-            jac=True,
-            bounds=bounds,
-            options={"maxiter": config.max_iters},
-        )
-        usable = np.isfinite(res.fun) and res.fun < 1e24
-        attempts.append({"start": x0.copy(), "fun": float(res.fun), "x": res.x.copy(),
-                         "message": str(res.message), "usable": bool(usable)})
+        x, fun, _, _, message, _ = _minimize_box(objective, x0, log_lo, log_hi,
+                                                 config.max_iters, gtol=1e-5, ftol=2.2e-9)
+        usable = np.isfinite(fun) and fun < 1e24
+        attempts.append({"start": x0.copy(), "fun": float(fun), "x": x,
+                         "message": message, "usable": bool(usable)})
     usable = [a for a in attempts if a["usable"]]
     if not usable:
         raise FitFailureError("all likelihood-search starts failed", starts=attempts)
@@ -370,7 +365,7 @@ def predict(model: GpModel, x0: np.ndarray) -> tuple[float, float]:
     r = _corr(model.normalize_point(x0)[None, :], model.normalized_design(), model.corr)[0]
     mean = model.beta + (r * model.resid_solve).sum()
     full = _factored(model)
-    w = _solve(full.factor, r)
+    w = _inverse(full.factor) @ r
     var = model.sigma2 * (1.0 - r @ w + (1.0 - full.ones_solve @ r) ** 2 / full.ones_solve.sum())
     return float(mean), max(float(var), 0.0)
 
@@ -416,7 +411,7 @@ def loo_metrics(model: GpModel) -> tuple[float, float]:
     if np.ptp(y) == 0.0:
         raise DegenerateResponseError("responses have zero variance, Q2 undefined")
     full = _factored(model)
-    rinv = _solve(full.factor, np.eye(n))
+    rinv = _inverse(full.factor)
     rinv_1 = full.ones_solve
     q = rinv - np.outer(rinv_1, rinv_1) / rinv_1.sum()
     resid = (q @ y) / np.diag(q)
@@ -425,9 +420,11 @@ def loo_metrics(model: GpModel) -> tuple[float, float]:
 
 
 def _factored(model: GpModel) -> GpModel:
-    """The model with its Cholesky factor, refactored if it was loaded without one."""
+    """The model with its Cholesky factor; a loaded model factors once and keeps it."""
     if model.factor is None:  # the stored nugget worked, so the same bits come back
-        model = assemble_gp_model(model.design, model.responses, model.corr.lengths, model.nugget)
+        full = assemble_gp_model(model.design, model.responses, model.corr.lengths, model.nugget)
+        object.__setattr__(model, "factor", full.factor)
+        object.__setattr__(model, "ones_solve", full.ones_solve)
     return model
 
 

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EstimationFailureError
+from .lbfgs import _minimize_box
 
 __all__ = [
     "ALPHA_FLOOR",
@@ -337,13 +338,13 @@ def estimate_params(
 ) -> tuple[TransformParams, EstimationDiagnostics]:
     """Estimate the per-curve deformation parameters by contrast minimization.
 
-    One bound-constrained quasi-Newton search from a grid-scan start, with
-    analytic gradients over (alpha_k, theta_k), k >= 2; each theta_k is
-    refined inside a full period centered at its seed and reported wrapped to
-    [-pi, pi).  Vertical shifts carry no weight in the contrast and are
-    recovered afterwards as v_k = d_k0 - alpha_k * d_10.
+    One projected L-BFGS search (:func:`dynshape.lbfgs._minimize_box`, run to
+    gtol 1e-10 and ftol 1e-16) from a grid-scan start, with analytic gradients
+    over (alpha_k, theta_k), k >= 2; each theta_k is refined inside a full
+    period centered at its seed and reported wrapped to [-pi, pi).  Vertical
+    shifts carry no weight in the contrast and are recovered afterwards as
+    v_k = d_k0 - alpha_k * d_10.
     """
-    from scipy.optimize import minimize  # imported here: prediction never needs it
     if config is None:
         config = EstimationConfig()
     if curves.n < 2:
@@ -357,7 +358,8 @@ def estimate_params(
     n = curves.n
 
     alpha0, theta0 = _coarse_start(coeffs, delta2, curves.j, config.alpha_bounds)
-    bounds = [config.alpha_bounds] * (n - 1) + [(t - np.pi, t + np.pi) for t in theta0[1:]]
+    lo = np.concatenate((np.full(n - 1, config.alpha_bounds[0]), theta0[1:] - np.pi))
+    hi = np.concatenate((np.full(n - 1, config.alpha_bounds[1]), theta0[1:] + np.pi))
 
     def objective(x: np.ndarray) -> tuple[float, np.ndarray]:
         alpha = np.concatenate(([1.0], x[: n - 1]))
@@ -365,21 +367,17 @@ def estimate_params(
         m_val, g_a, g_t = contrast_with_gradient(alpha, theta, coeffs, delta2)
         return m_val, np.concatenate((g_a, g_t))
 
-    res = minimize(
-        objective,
-        np.concatenate((alpha0[1:], theta0[1:])),
-        jac=True,
-        method="L-BFGS-B",
-        bounds=bounds,
-        options={"maxiter": config.max_iters, "ftol": 1e-16, "gtol": 1e-10},
+    x, fun, nfev, nit, message, _ = _minimize_box(
+        objective, np.concatenate((alpha0[1:], theta0[1:])), lo, hi,
+        maxiter=config.max_iters, gtol=1e-10, ftol=1e-16,
     )
-    start = {"start": 0, "fun": float(res.fun), "nit": int(res.nit), "message": str(res.message)}
-    if not np.isfinite(res.fun):
+    start = {"start": 0, "fun": float(fun), "nit": nit, "message": message}
+    if not np.isfinite(fun):
         raise EstimationFailureError("the contrast minimization ended at a non-finite value",
                                      starts=[start])
 
-    alpha_hat = np.concatenate(([1.0], res.x[: n - 1]))
-    theta_hat = _wrap_keep_reference(np.concatenate(([0.0], res.x[n - 1 :])))
+    alpha_hat = np.concatenate(([1.0], x[: n - 1]))
+    theta_hat = _wrap_keep_reference(np.concatenate(([0.0], x[n - 1 :])))
     c0 = coeffs[:, 0].real
     v_hat = c0 - alpha_hat * c0[0]
     v_hat[0] = 0.0
@@ -387,7 +385,7 @@ def estimate_params(
     diag = EstimationDiagnostics(
         contrast=contrast(params, full, delta),
         iterations=start["nit"],
-        nfev=int(res.nfev),
+        nfev=nfev,
         seconds=time.perf_counter() - t_begin,
         starts=[start],
     )

@@ -370,6 +370,27 @@ class TestLoadedModel:
             assert predict(clone, x0) == predict(model, x0)
         assert loo_metrics(clone) == loo_metrics(model)
 
+    def test_variance_factors_a_loaded_model_once(self, monkeypatch):
+        import dynshape.gp as gp_module
+
+        rng = np.random.default_rng(29)
+        pts = rng.uniform(size=(8, 2))
+        model = fit_gp(pts, np.cos(3.0 * pts[:, 0]) + pts[:, 1], FitConfig(multistarts=2))
+        clone = self.reload(model)
+        x0 = rng.uniform(size=2)
+        first = predict(clone, x0)
+        assert clone.factor is not None and clone.ones_solve is not None
+        calls = []
+        original = gp_module.build_correlation
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(gp_module, "build_correlation", counted)
+        assert predict(clone, x0) == first == predict(model, x0)
+        assert calls == []
+
     def test_malformed_dictionary(self):
         data = gp_model_to_dict(assemble_gp_model(np.eye(3), np.arange(3.0), np.ones(3)))
         data["resid_solve"] = data["resid_solve"][:2]

@@ -55,3 +55,27 @@ def test_load_and_predict_leave_scipy_unloaded(tmp_path):
             "emulator.predict_curve(s, s.box.lower)\n"
             "assert np.isfinite(values).all()\n" + SCIPY_LOADED)
     assert run_fresh(code, path) == "[]"
+
+
+def test_train_and_fit_leave_scipy_unloaded(tmp_path):
+    (tmp_path / "box.csv").write_text("PORO,0.15,0.35\nKSAND,10,300\nKRSAND,0.5,1.0\n")
+    code = ("import os, sys\n"
+            "from dynshape import cli\n"
+            "from dynshape.doe import lhd_sample, scale_to_box\n"
+            "from dynshape.emulator import TrainConfig, train\n"
+            "from dynshape.gp import FitConfig\n"
+            "from dynshape.synth import co2_default_box, co2_style_spec, generate_functional_sim\n"
+            "box = co2_default_box()\n"
+            "design = scale_to_box(lhd_sample(8, 3, seed=1), box)\n"
+            "curves = generate_functional_sim(co2_style_spec(j=21), design)\n"
+            "train(design, curves, TrainConfig(gp=FitConfig(multistarts=2)), box=box)\n"
+            "os.chdir(sys.argv[1])\n"
+            "for argv in (['design', '--n', '8', '--box', 'box.csv', '--seed', '1',\n"
+            "              '--maximin-restarts', '2', '--out', 'design.csv'],\n"
+            "             ['synth', 'co2', '--design', 'design.csv', '--j', '21',\n"
+            "              '--curves-out', 'curves.csv'],\n"
+            "             ['fit', '--design', 'design.csv', '--curves', 'curves.csv',\n"
+            "              '--gp-multistarts', '2', '--surrogate-out', 'surrogate.json']):\n"
+            "    assert cli.main(argv) == 0, argv\n" + SCIPY_LOADED)
+    assert run_fresh(code, str(tmp_path)).splitlines()[-1] == "[]"
+    assert (tmp_path / "surrogate.json").exists()
