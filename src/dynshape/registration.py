@@ -19,6 +19,7 @@ DC coefficients.
 """
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -224,12 +225,19 @@ def deform(coeffs: np.ndarray, alpha: np.ndarray, theta: np.ndarray, v: np.ndarr
 
 
 def _phases(theta: np.ndarray, width: int) -> np.ndarray:
-    """e^{i theta_k l}, l = 0 ... width-1, from real cos and sin (cheaper than a complex exp)."""
-    x = np.outer(theta, np.arange(width))
-    phases = np.empty(x.shape, dtype=complex)
-    phases.real = np.cos(x)
-    phases.imag = np.sin(x)
-    return phases
+    """e^{i theta_k l}, l = 0 ... width-1, from a two-level angle-addition table.
+
+    With l = b q + r and b = isqrt(width - 1) + 1, entry l is e^{i theta_k b q}
+    e^{i theta_k r}: about 2 sqrt(width) real cos/sin per row instead of width.
+    Row theta_k = 0 and column l = 0 are exactly 1.
+    """
+    b = math.isqrt(width - 1) + 1
+    x = np.outer(theta, np.concatenate((np.arange(b), b * np.arange(-(-width // b)))))
+    cis = np.empty(x.shape, dtype=complex)
+    cis.real = np.cos(x)
+    cis.imag = np.sin(x)
+    table = cis[:, b:, None] * cis[:, None, :b]
+    return table.reshape(x.shape[0], -1)[:, :width]
 
 
 def undeform(coeffs: np.ndarray, alpha: np.ndarray, theta: np.ndarray, v) -> np.ndarray:
@@ -292,20 +300,21 @@ def contrast_with_gradient(
         dM/dalpha_k = -(2 / n alpha_k) sum_l delta_l^2 Re(conj(u_kl) ctilde_kl)
         dM/dtheta_k = -(2 / n)         sum_l delta_l^2 l Im(conj(u_kl) ctilde_kl)
 
-    over all l.  ``coeffs`` and the squared weights ``delta2`` hold l >= 0
-    only, column l = frequency l: the terms at -l equal those at l and
-    delta_0 = 0, so each full sum is exactly twice the half sum (hence 2 and
-    -4/n), and the rephasing can skip the vertical shifts.  The reference
-    curve is fixed, so its components are omitted.
+    over all l; both sums come from the one complex product w = conj(u) ctilde.
+    ``coeffs`` and the squared weights ``delta2`` hold l >= 0 only, column
+    l = frequency l: the terms at -l equal those at l and delta_0 = 0, so each
+    full sum is exactly twice the half sum (hence 2 and -4/n), and the
+    rephasing can skip the vertical shifts.  The reference curve is fixed, so
+    its components are omitted.
     """
     n = coeffs.shape[0]
     ct = undeform(coeffs, alpha, theta, 0.0)
     u = ct - ct.mean(axis=0)
     m_val = float(2.0 * (delta2 * (u.real ** 2 + u.imag ** 2)).sum() / n)
-    re_uc = u.real * ct.real + u.imag * ct.imag
-    im_uc = u.real * ct.imag - u.imag * ct.real
-    g_alpha = -(4.0 / n) * (delta2 * re_uc).sum(axis=1) / alpha
-    g_theta = -(4.0 / n) * (delta2 * np.arange(delta2.size) * im_uc).sum(axis=1)
+    w = np.conj(u)
+    w *= ct
+    g_alpha = -(4.0 / n) * (delta2 * w.real).sum(axis=1) / alpha
+    g_theta = -(4.0 / n) * (delta2 * np.arange(delta2.size) * w.imag).sum(axis=1)
     return m_val, g_alpha[1:], g_theta[1:]
 
 

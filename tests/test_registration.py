@@ -149,6 +149,20 @@ class TestDeformPrimitive:
         scale = max(np.abs(coeffs).max(), (np.abs(v) / alpha).max())
         np.testing.assert_allclose(back, np.tile(coeffs, (m, 1)), rtol=0, atol=1e-12 * scale)
 
+    @pytest.mark.parametrize("width", [1, 2, 3, 4, 25, 28, 201, 401])
+    def test_phases_match_extended_precision(self, width):
+        # perfect squares and widths whose last table block runs past the width
+        theta = np.array([0.0, 1e-3, -1e-3, np.pi, -np.pi, TWO_PI + 1.0, -(TWO_PI + 1.0)])
+        got = registration._phases(theta, width)
+        ell = np.arange(width)
+        angle = theta.astype(np.longdouble)[:, None] * ell
+        bound = 4.0 * np.finfo(float).eps * (1.0 + np.abs(theta)[:, None] * ell)
+        assert got.shape == (theta.size, width)
+        assert np.all(np.abs(got.real - np.cos(angle)) <= bound)
+        assert np.all(np.abs(got.imag - np.sin(angle)) <= bound)
+        # the reference curve (theta = 0) and the DC column stay exactly 1 + 0j
+        assert np.all(got[0] == 1.0) and np.all(got[:, 0] == 1.0)
+
 
 def full_spectrum(values):
     """Complex FFT table, integer frequencies in FFT order and squared weights (beta 1.5)."""
@@ -496,24 +510,24 @@ def sha256_of(*arrays):
 # search stops under roundoff; LBFGSB_RESULTS below holds it to the answer of
 # scipy's L-BFGS-B, which it replaced.
 REGISTRATION_SHA256 = {
-    (None, 0): ("f2f0f8d3b8992ddc361e8cef5d7954b9ac6fb944b142d7629658349310aaf291",
-                "b53951648740ac953cfae54c7a54f487a20d864c55d5f25f99976f9b0d9abc6a",
-                "a58fc4b977df1881263e8e0b35c628184fff2b89e29d72137873c2f759977541"),
-    (None, 1): ("113179ee55ef6a931475e4ce6fc57d84d4536f2ee6298bbc1361bd421d3abb2a",
-                "245a221a526df858d2a346582c08ee770599558d8cdaaf495dcff7b32026ee41",
-                "359cc42457068c1ea53c243e1a669af6c6970aab16d6e050461e70d51e74170f"),
-    (None, 2): ("2c147d9021793004fca6ef0c149f85e9d81000c4ab2b4124e026e89c0ea31eed",
-                "ce405b7296c4078834ae3d2e872cd96266d71d0fdef3fa78e1521d397b95ad39",
-                "57ecc4d180e90af1eaf006a5a1ee00f3deb418f01ff299946bd66a7f55e2662a"),
-    (7, 0): ("eec57edff3b5b4ae3bf6a8283fbeef87ae18ad64048258434625ca73c0d86114",
-             "6365ae8676d65e76c6c0f5938237cb4ed51679c0e779c3b43fa1c97a7f0db1cf",
-             "810a1a51229ce14a51dad071a2a3c9dffe9023aaa61ec1d253e306b3ad5fd8c8"),
-    (7, 1): ("66465eb336b2fc15047476c09798f3c92e22c6855f96119398391d04c745459a",
-             "b5de41f1279ae583528a4197702845fc0100c4d82b25eccd9f90db25c0f52433",
-             "37318e03589cd619037bbb5a7a090f55de0a9338cdea9e44c1b549a2707a8d28"),
-    (7, 2): ("b7350d48ee1072e8db533ac320246fc63d2e36a1ee1b3b327b9b47dfe0f672e3",
-             "0c1b3e0c934bc6a97ff38e6fa5885bd28828dc38736f7a207787d9dab029b2b0",
-             "15f69e76a8a788c71dcef3950ef5acfc3aefe848c0b70b064c2f4c3f6a198de8"),
+    (None, 0): ("3bd0ec3c449c4fe519d68433dca0a0a6f883cdf54140e3b247670b1260996feb",
+                "4763f8449596cb71129849f5784959728bf774165f2478bb654f908e73ec579b",
+                "8a6a6e717e664226892a952960405ef9dfe420a886252f6204f6385a345994e5"),
+    (None, 1): ("2745589b816c2b6349d7da58ad35f15559d89e9ac3e34202caaf4bb5a5084869",
+                "74a843009055be2bc9914474f5453023b79848be0b9b6a8bab3d6ddb16a181f7",
+                "fad5b689bc95daceb617820ec4aa8198549b931c17a77f582f9cf01f2d0ae8f3"),
+    (None, 2): ("530d11f03353bf3e5e6cbbd017a99412a8a749f302aab4f13f90c6d187d47a26",
+                "4625271c0f377e46b93ac12cf2dbfe59714e9f5d40d6943be049bfb68221c87a",
+                "24183e3284c5f51122375d346d6a066d2955a368b77afe98445791ddcec75c4d"),
+    (7, 0): ("e5d458dd05ada131551df413362786f06a42f37f00d8adbdec3d5d9f7c786bab",
+             "a1720134e1c2f9fdf70282dff23535d2548983ffbdd5479ee3c292c181a502ef",
+             "cf6fd8c3d3f24858e3d3905d4d70921cfb7adb14cefb50b067eb288c3afe29a0"),
+    (7, 1): ("90e41b1161592986a8a000361c16d3e2eb4585d653abd38577e02b0009ba2ffb",
+             "4b81c9058e079c6070427c99ae3bae8fad50e58945a9cf5a26a57dc3037acc45",
+             "f075d986e28c845bc44080766d3f0728977ebf86cb41022b32462ee2e8572201"),
+    (7, 2): ("b1954cb3e17bbe4e71532681a2eb210f6452108822bb1c5039f9702c255ff7f4",
+             "eb95774c9be25d2dfa4ac0073f73c5aee520f733850574e2a94be39ed04603b1",
+             "e40caa80531f59befe3d5cdfd11a579d3c048a3fac099630f53c53e1b09ca00f"),
 }
 
 # Where scipy's L-BFGS-B ended on the same cases: the worst block's contrast,
@@ -694,4 +708,4 @@ class TestPinnedBits:
         assert sha256_of(inverse_fourier(coeffs)) == (
             "a354603584447ecd1c31820a89551c818d892f317f35661e731cd37a8d103603")
         assert sha256_of(undeform(coeffs, alpha, theta, v)) == (
-            "5bc6be8a91edbc2420c78a7642c0596b91c4aa7a858dfd54993cf7c5cd32a043")
+            "71a63f33a1b72cf754dea630838667773d7a0e9b6aa75fe4b5eb873d240be663")
