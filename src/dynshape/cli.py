@@ -58,7 +58,6 @@ SETTINGS = {
     "gp_length_hi": (float, FitConfig),
     "gp_nugget_floor": (float, FitConfig),
     "var_fix_tol": (float, TrainConfig),
-    "time_windows": (int, TrainConfig),
 }
 
 
@@ -202,11 +201,6 @@ def cmd_synth_co2(args) -> None:
 def cmd_fit(args) -> None:
     design, curves, dropped = _design_and_curves(args.design, args.curves, args, MIN_TRAINING_CURVES)
     config = _train_config(args)
-    window0_only = [f"--{flag}" for flag in ("params-out", "pattern-out", "diagnostics-out")
-                    if getattr(args, flag.replace("-", "_"))]
-    if config.time_windows > 1 and window0_only:
-        raise ValueError(f"{', '.join(window0_only)} would describe time window 0 only; "
-                         "drop them or train with one time window")
     surrogate = train(design, curves, config)
 
     fileio.save_surrogate(_out_path(args.surrogate_out), surrogate)
@@ -224,7 +218,7 @@ def cmd_fit(args) -> None:
             f"block_size = {config.block_size}",
         ]
         for name in FAMILIES:
-            model = surrogate.segments[0].models[name]
+            model = surrogate.models[name]
             if isinstance(model, GpModel):
                 _, q2 = loo_metrics(model)
                 lines.append(f"{name}_model = gp")

@@ -32,7 +32,6 @@ from .registration import (
 
 __all__ = [
     "TrainConfig",
-    "SegmentModel",
     "FunctionalSurrogate",
     "CurvePrediction",
     "ValidationReport",
@@ -54,53 +53,26 @@ class TrainConfig:
 
     block_size: int = 10
     var_fix_tol: float = 1e-10  # families with var <= tol * max(1, scale^2) are fixed
-    time_windows: int = 1
     estimation: EstimationConfig = field(default_factory=EstimationConfig)
     gp: FitConfig = field(default_factory=FitConfig)
 
     def __post_init__(self):
         if self.block_size < 1:
             raise ValueError("block size must be >= 1")
-        if self.time_windows < 1:
-            raise ValueError("time_windows must be >= 1")
-
-
-@dataclass(frozen=True)
-class SegmentModel:
-    """Surrogate for one contiguous time window.
-
-    ``start``/``stop`` are the output column range this segment is
-    responsible for; ``grid_start``/``grid_stop`` the (possibly one step
-    wider) range it was trained on, kept odd for the Fourier machinery.
-    Each family maps to either a fitted GpModel or a fixed float.
-    """
-
-    start: int
-    stop: int
-    grid_start: int
-    grid_stop: int
-    pattern: Pattern
-    models: dict
-
-    def evaluate_params(self, points: np.ndarray) -> dict:
-        out = {}
-        for name in FAMILIES:
-            m = self.models[name]
-            if isinstance(m, GpModel):
-                out[name] = predict_many(m, points)
-            else:
-                out[name] = np.full(points.shape[0], float(m))
-        return out
 
 
 @dataclass(frozen=True)
 class FunctionalSurrogate:
-    """Trained curve surrogate: pattern(s) plus deformation-parameter models."""
+    """Trained curve surrogate: the pattern plus one model per deformation family.
+
+    Each family maps to either a fitted GpModel or a fixed float.
+    """
 
     box: InputBox
     t_grid: np.ndarray
     period: float
-    segments: tuple
+    pattern: Pattern
+    models: dict
     params: TransformParams = field(repr=False, default=None)
     train_seconds: float = 0.0
     registration_seconds: float = 0.0
@@ -114,14 +86,20 @@ class FunctionalSurrogate:
     def d(self) -> int:
         return self.box.dims
 
-    # single-window conveniences
-    @property
-    def pattern(self) -> Pattern:
-        return self.segments[0].pattern
-
     @property
     def fixed_components(self) -> dict:
-        return {name: not isinstance(self.segments[0].models[name], GpModel) for name in FAMILIES}
+        return {name: not isinstance(self.models[name], GpModel) for name in FAMILIES}
+
+    def evaluate_params(self, points: np.ndarray) -> dict:
+        """Each family's values at m points: its GP mean, or its fixed value."""
+        out = {}
+        for name in FAMILIES:
+            m = self.models[name]
+            if isinstance(m, GpModel):
+                out[name] = predict_many(m, points)
+            else:
+                out[name] = np.full(points.shape[0], float(m))
+        return out
 
 
 @dataclass(frozen=True)
@@ -157,25 +135,6 @@ class BenchmarkReport:
     test_values: np.ndarray
 
 
-def _window_ranges(j: int, windows: int) -> list[tuple[int, int, int, int]]:
-    """Output ranges plus odd-width training ranges for each time window."""
-    if windows == 1:
-        return [(0, j, 0, j)]
-    edges = np.linspace(0, j, windows + 1).astype(int)
-    out = []
-    for w in range(windows):
-        s, e = int(edges[w]), int(edges[w + 1])
-        gs, ge = s, e
-        if (ge - gs) % 2 == 0:
-            gs = gs - 1 if gs > 0 else gs  # borrow one step from the neighbour
-            if (ge - gs) % 2 == 0:
-                ge += 1
-        if ge - gs < 3:
-            raise ValueError("time windows are too narrow; use fewer windows")
-        out.append((s, e, gs, ge))
-    return out
-
-
 def _should_fix(values: np.ndarray, tol: float) -> bool:
     scale = np.abs(values).max()
     return float(np.var(values)) <= tol * max(1.0, scale * scale)
@@ -206,85 +165,59 @@ def train(
         box = InputBox(lower=pts.min(axis=0), upper=pts.max(axis=0) + np.where(np.ptp(pts, axis=0) > 0, 0.0, 1.0))
 
     t_start = time.perf_counter()
-    reg_seconds = 0.0
-    gp_seconds = 0.0
-    segments = []
-    all_params = None
-    for s, e, gs, ge in _window_ranges(curves.j, config.time_windows):
-        jw = ge - gs
-        sub = CurveSet(
-            values=curves.values[:, gs:ge],
-            t_grid=(curves.period * jw / curves.j / jw) * np.arange(jw),
-            period=curves.period * jw / curves.j,
+    try:
+        params, _ = estimate_params_blocked(curves, config.block_size, config.estimation)
+    except EstimationFailureError as err:
+        raise EstimationFailureError(f"registration stage: {err}", starts=err.starts) from err
+    reg_seconds = time.perf_counter() - t_start
+
+    theta_span = params.theta.max() - params.theta.min()
+    if theta_span > np.pi:
+        raise TrainingError(
+            f"estimated time shifts span {theta_span:.3f} rad (> pi), so they wrap around "
+            "the period; re-reference the curves to a central curve and train again"
         )
-        t0 = time.perf_counter()
+
+    pattern = extract_pattern(to_fourier(curves), params)
+    models = {}
+    t0 = time.perf_counter()
+    for name in FAMILIES:
+        values = getattr(params, name)
+        if _should_fix(values, config.var_fix_tol):
+            models[name] = float(values.mean())
+            continue
         try:
-            params, _ = estimate_params_blocked(sub, config.block_size, config.estimation)
-        except EstimationFailureError as err:
-            raise EstimationFailureError(f"registration stage: {err}", starts=err.starts) from err
-        reg_seconds += time.perf_counter() - t0
-        if all_params is None:
-            all_params = params
-
-        theta_span = params.theta.max() - params.theta.min()
-        if theta_span > np.pi:
-            raise TrainingError(
-                f"estimated time shifts span {theta_span:.3f} rad (> pi), so they wrap around "
-                "the period; re-reference the curves to a central curve and train again"
-            )
-
-        pattern = extract_pattern(to_fourier(sub), params)
-        models = {}
-        t0 = time.perf_counter()
-        for name in FAMILIES:
-            values = getattr(params, name)
-            if _should_fix(values, config.var_fix_tol):
-                models[name] = float(values.mean())
-                continue
-            try:
-                models[name] = fit_gp(design, values, config.gp)
-            except (FitFailureError, DegenerateResponseError) as err:
-                raise FitFailureError(
-                    f"parameter-model stage ({name}): {err}",
-                    starts=getattr(err, "starts", []),
-                ) from err
-        gp_seconds += time.perf_counter() - t0
-        segments.append(
-            SegmentModel(start=s, stop=e, grid_start=gs, grid_stop=ge, pattern=pattern, models=models)
-        )
+            models[name] = fit_gp(design, values, config.gp)
+        except (FitFailureError, DegenerateResponseError) as err:
+            raise FitFailureError(
+                f"parameter-model stage ({name}): {err}",
+                starts=getattr(err, "starts", []),
+            ) from err
+    gp_seconds = time.perf_counter() - t0
 
     return FunctionalSurrogate(
         box=box,
         t_grid=curves.t_grid,
         period=curves.period,
-        segments=tuple(segments),
-        params=all_params,
+        pattern=pattern,
+        models=models,
+        params=params,
         train_seconds=time.perf_counter() - t_start,
         registration_seconds=reg_seconds,
         gp_seconds=gp_seconds,
     )
 
 
-def _segment_curves(segment: SegmentModel, params: dict) -> np.ndarray:
-    """Forward-transform the segment pattern for a batch of parameter values."""
-    coeffs = deform(segment.pattern.coeffs, params["alpha"], params["theta"], params["v"])
-    values = inverse_fourier(coeffs)
-    lo = segment.start - segment.grid_start
-    return values[:, lo : lo + (segment.stop - segment.start)]
-
-
 def _predict(surrogate: FunctionalSurrogate, points: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict]:
-    """Curves, extrapolation flags and the first segment's parameter values."""
+    """Curves, extrapolation flags and the parameter values at the points."""
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != surrogate.d:
         raise ValueError(f"points must be m x {surrogate.d}")
-    out = np.empty((points.shape[0], surrogate.j))
-    seg_params = [seg.evaluate_params(points) for seg in surrogate.segments]
-    for seg, params in zip(surrogate.segments, seg_params):
-        out[:, seg.start : seg.stop] = _segment_curves(seg, params)
+    params = surrogate.evaluate_params(points)
+    coeffs = deform(surrogate.pattern.coeffs, params["alpha"], params["theta"], params["v"])
     tol = 1e-12 * np.maximum(surrogate.box.span, 1.0)
     outside = (points < surrogate.box.lower - tol) | (points > surrogate.box.upper + tol)
-    return out, outside.any(axis=1), seg_params[0]
+    return inverse_fourier(coeffs), outside.any(axis=1), params
 
 
 def predict_curves(surrogate: FunctionalSurrogate, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

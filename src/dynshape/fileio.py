@@ -15,7 +15,7 @@ import tempfile
 import numpy as np
 
 from .doe import InputBox
-from .emulator import FAMILIES, FunctionalSurrogate, SegmentModel, ValidationReport
+from .emulator import FAMILIES, FunctionalSurrogate, ValidationReport
 from .errors import InputConsistencyError
 from .gp import GpModel, gp_model_from_dict, gp_model_to_dict
 from .registration import CurveSet, Pattern, TransformParams
@@ -294,16 +294,16 @@ def save_surrogate(path: str, surrogate: FunctionalSurrogate) -> None:
         },
         "t_grid": surrogate.t_grid.tolist(),
         "period": surrogate.period,
+        # a list of fitted time ranges; this version writes and reads one, the whole grid
         "segments": [
             {
-                "start": seg.start,
-                "stop": seg.stop,
-                "grid_start": seg.grid_start,
-                "grid_stop": seg.grid_stop,
-                "pattern_values": seg.pattern.values.tolist(),
-                "families": {name: _family_to_dict(seg.models[name]) for name in FAMILIES},
+                "start": 0,
+                "stop": surrogate.j,
+                "grid_start": 0,
+                "grid_stop": surrogate.j,
+                "pattern_values": surrogate.pattern.values.tolist(),
+                "families": {name: _family_to_dict(surrogate.models[name]) for name in FAMILIES},
             }
-            for seg in surrogate.segments
         ],
     }
     atomic_write_text(path, json.dumps(data, indent=1) + "\n")
@@ -312,9 +312,10 @@ def save_surrogate(path: str, surrogate: FunctionalSurrogate) -> None:
 def load_surrogate(path: str) -> FunctionalSurrogate:
     """Surrogate saved by :func:`save_surrogate`; its GPs need no factorization.
 
-    A missing, unreadable or malformed file, or one of another format or
-    version (1 is from an older dynshape), raises
-    :class:`InputConsistencyError` naming the path.
+    A missing, unreadable or malformed file, one of another format or
+    version (1 is from an older dynshape), one that holds more than one
+    fitted time range, or one whose pattern does not span its ``t_grid``
+    raises :class:`InputConsistencyError` naming the path.
     """
     try:
         with open(path, "r") as handle:
@@ -329,24 +330,22 @@ def load_surrogate(path: str) -> FunctionalSurrogate:
             upper=np.asarray(box_data["upper"], dtype=float),
             names=tuple(box_data["names"]) if box_data.get("names") else None,
         )
-        segments = tuple(
-            SegmentModel(
-                start=int(seg["start"]),
-                stop=int(seg["stop"]),
-                grid_start=int(seg["grid_start"]),
-                grid_stop=int(seg["grid_stop"]),
-                pattern=Pattern(values=seg["pattern_values"]),
-                models={name: _family_from_dict(seg["families"][name]) for name in FAMILIES},
-            )
-            for seg in data["segments"]
-        )
-        if any(seg.pattern.values.shape != (seg.grid_stop - seg.grid_start,) for seg in segments):
-            raise ValueError("a segment's pattern does not span its time grid")
+        t_grid = np.asarray(data["t_grid"], dtype=float)
+        j = len(t_grid)
+        fits = data["segments"]
+        if len(fits) != 1:
+            raise ValueError(f"holds {len(fits)} fitted time ranges, not one; refit it")
+        fit = fits[0]
+        span = [fit[key] for key in ("start", "stop", "grid_start", "grid_stop")]
+        pattern = Pattern(values=fit["pattern_values"])
+        if span != [0, j, 0, j] or pattern.values.shape != (j,):
+            raise ValueError("the pattern does not span its time grid")
         return FunctionalSurrogate(
             box=box,
-            t_grid=np.asarray(data["t_grid"], dtype=float),
+            t_grid=t_grid,
             period=float(data["period"]),
-            segments=segments,
+            pattern=pattern,
+            models={name: _family_from_dict(fit["families"][name]) for name in FAMILIES},
         )
     except (OSError, ValueError, KeyError, TypeError, AttributeError) as err:
         raise InputConsistencyError(f"{path}: cannot load surrogate: {type(err).__name__}: {err}") from err

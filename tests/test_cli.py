@@ -449,10 +449,10 @@ class TestSettingsTable:
             "--config", str(cfg), "--seed", "3", "--block-size", "4", "--beta-exponent", "1.25",
             "--alpha-max", "9", "--l-max", "7", "--max-iters", "50",
             "--gp-multistarts", "5", "--gp-max-iters", "60", "--gp-length-lo", "0.01",
-            "--gp-nugget-floor", "1e-8", "--var-fix-tol", "1e-6", "--time-windows", "2",
+            "--gp-nugget-floor", "1e-8", "--var-fix-tol", "1e-6",
         ]
         assert config_from(argv) == TrainConfig(
-            block_size=4, var_fix_tol=1e-6, time_windows=2,
+            block_size=4, var_fix_tol=1e-6,
             estimation=EstimationConfig(alpha_bounds=(0.1, 9.0), beta_exponent=1.25, l_max=7,
                                         max_iters=50),
             gp=FitConfig(length_bounds=(0.01, 100.0), multistarts=5, max_iters=60,
@@ -599,24 +599,53 @@ class TestSurrogateErrors:
         err = capsys.readouterr().err
         assert str(path) in err and "written by an older dynshape; refit it" in err
 
-    @pytest.mark.parametrize("change", [-2, 1, 2])
-    def test_pattern_off_its_grid_exits_3(self, tmp_path, box_file, capsys, change):
+    @staticmethod
+    def predict_with_edited_file(tmp_path, box_file, capsys, edit):
+        """Exit code, path and stderr of predict from a J = 11 surrogate file after edit(data)."""
         design, curves = make_dataset(tmp_path, box_file, n=6, j=11)
         path = tmp_path / "sur.json"
         assert run("fit", "--design", design, "--curves", curves, "--gp-multistarts", "1",
                    "--surrogate-out", str(path)) == 0
         data = json.loads(path.read_text())
-        segment = data["segments"][0]
-        values = segment["pattern_values"]
-        segment["pattern_values"] = values[:change] if change < 0 else values + [0.0] * change
+        edit(data)
         path.write_text(json.dumps(data))
         points = tmp_path / "pts.csv"
         points.write_text("x1,x2,x3\n0.2,100,0.7\n")
         capsys.readouterr()
-        assert run("predict", "--surrogate", str(path), "--points", str(points),
-                   "--out", str(tmp_path / "p.csv")) == 3
-        err = capsys.readouterr().err
-        assert str(path) in err and "pattern does not span its time grid" in err
+        code = run("predict", "--surrogate", str(path), "--points", str(points),
+                   "--out", str(tmp_path / "p.csv"))
+        return code, str(path), capsys.readouterr().err
+
+    @pytest.mark.parametrize("change", [-2, 1, 2])
+    def test_pattern_off_its_grid_exits_3(self, tmp_path, box_file, capsys, change):
+        def edit(data):
+            values = data["segments"][0]["pattern_values"]
+            data["segments"][0]["pattern_values"] = (values[:change] if change < 0
+                                                     else values + [0.0] * change)
+
+        code, path, err = self.predict_with_edited_file(tmp_path, box_file, capsys, edit)
+        assert code == 3
+        assert path in err and "pattern does not span its time grid" in err
+
+    @pytest.mark.parametrize("change", [-2, 2])
+    def test_grid_off_its_pattern_exits_3(self, tmp_path, box_file, capsys, change):
+        # a longer grid once left the extra prediction columns uninitialised
+        def edit(data):
+            t = data["t_grid"]
+            step = t[1] - t[0]
+            data["t_grid"] = t[:change] if change < 0 else t + [t[-1] + step, t[-1] + 2 * step]
+
+        code, path, err = self.predict_with_edited_file(tmp_path, box_file, capsys, edit)
+        assert code == 3
+        assert path in err and "pattern does not span its time grid" in err
+
+    def test_two_fitted_time_ranges_ask_for_a_refit(self, tmp_path, box_file, capsys):
+        def edit(data):
+            data["segments"].append(dict(data["segments"][0]))
+
+        code, path, err = self.predict_with_edited_file(tmp_path, box_file, capsys, edit)
+        assert code == 3
+        assert path in err and "holds 2 fitted time ranges, not one; refit it" in err
 
     def test_linalg_error_exits_4(self, tmp_path, box_file, monkeypatch):
         design, curves = make_dataset(tmp_path, box_file, n=6, j=11)
@@ -629,23 +658,19 @@ class TestSurrogateErrors:
                    "--surrogate-out", str(tmp_path / "s.json")) == 4
 
 
-class TestTimeWindowArtifacts:
-    @pytest.mark.parametrize("flag", ["--params-out", "--pattern-out", "--diagnostics-out"])
-    def test_window_zero_only_artifacts_are_refused(self, tmp_path, box_file, capsys, flag):
+class TestTimeWindowsAreGone:
+    def test_flag_is_gone(self, tmp_path, box_file):
         design, curves = make_dataset(tmp_path, box_file, n=6, j=11)
-        surrogate = tmp_path / "s.json"
-        assert run("fit", "--design", design, "--curves", curves, "--time-windows", "2",
-                   "--surrogate-out", str(surrogate), flag, str(tmp_path / "out")) == 2
-        assert flag in capsys.readouterr().err
-        assert not surrogate.exists()
+        with pytest.raises(SystemExit) as exc:
+            run("fit", "--design", design, "--curves", curves, "--time-windows", "2",
+                "--surrogate-out", str(tmp_path / "s.json"))
+        assert exc.value.code == 2
 
-    def test_window_count_from_config_file(self, tmp_path, box_file, capsys):
+    def test_config_key_is_unknown(self, tmp_path, box_file, capsys):
         design, curves = make_dataset(tmp_path, box_file, n=6, j=11)
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("time_windows = 2\n")
+        cfg.write_text("block_size = 4\ntime_windows = 2\n")
+        capsys.readouterr()
         assert run("fit", "--design", design, "--curves", curves, "--config", str(cfg),
-                   "--surrogate-out", str(tmp_path / "s.json"),
-                   "--params-out", str(tmp_path / "p.csv"),
-                   "--pattern-out", str(tmp_path / "f.csv")) == 2
-        err = capsys.readouterr().err
-        assert "--params-out" in err and "--pattern-out" in err
+                   "--surrogate-out", str(tmp_path / "s.json")) == 3
+        assert f"{cfg}, line 2: unknown setting 'time_windows'" in capsys.readouterr().err

@@ -7,7 +7,6 @@ from dynshape.doe import DesignMatrix, InputBox, lhd_sample, scale_to_box
 from dynshape.emulator import (
     FAMILIES,
     FunctionalSurrogate,
-    SegmentModel,
     TrainConfig,
     benchmark_against_per_step,
     predict_curve,
@@ -57,7 +56,7 @@ class TestTrain:
         design, curves, _ = harness(n=20)
         surrogate = train(design, curves, FAST, box=BOX)
         for name in FAMILIES:
-            model = surrogate.segments[0].models[name]
+            model = surrogate.models[name]
             assert isinstance(model, GpModel)
             _, q2 = loo_metrics(model)
             assert q2 > 0.9, name
@@ -75,7 +74,7 @@ class TestTrain:
     def test_zero_vertical_shift_fixed(self):
         design, curves, _ = harness(n=12, v_fn=lambda pts: np.zeros(pts.shape[0]))
         surrogate = train(design, curves, FAST, box=BOX)
-        model = surrogate.segments[0].models["v"]
+        model = surrogate.models["v"]
         assert isinstance(model, float)
         assert abs(model) < 1e-6
 
@@ -123,12 +122,10 @@ class TestPredict:
         j = 21
         grid = TWO_PI * np.arange(j) / j
         values = 3.0 + np.sin(grid)
-        pattern = Pattern(values=values)
-        segment = SegmentModel(start=0, stop=j, grid_start=0, grid_stop=j, pattern=pattern,
-                               models={"alpha": 1.0, "theta": 0.0, "v": 0.0})
         box = InputBox(lower=np.zeros(2), upper=np.ones(2))
         surrogate = FunctionalSurrogate(box=box, t_grid=grid, period=TWO_PI,
-                                        segments=(segment,))
+                                        pattern=Pattern(values=values),
+                                        models={"alpha": 1.0, "theta": 0.0, "v": 0.0})
         pred = predict_curve(surrogate, np.array([0.4, 0.9]))
         np.testing.assert_allclose(pred.values, values, atol=1e-12)
         assert not pred.extrapolated
@@ -157,23 +154,21 @@ class TestPredict:
         with pytest.raises(ValueError):
             predict_curve(surrogate, np.array([0.2, 100.0]))
 
-    @pytest.mark.parametrize("windows", [1, 2])
-    def test_single_point_equals_batch_bitwise(self, windows):
+    def test_single_point_equals_batch_bitwise(self):
         design, curves, _ = harness(n=12, j=41)
         config = TrainConfig(
-            block_size=10, time_windows=windows,
+            block_size=10,
             estimation=EstimationConfig(),
             gp=FitConfig(multistarts=3, seed=0),
         )
         surrogate = train(design, curves, config, box=BOX)
-        assert len(surrogate.segments) == windows
         for x in scale_to_box(lhd_sample(4, 3, seed=21), BOX).points:
             single = predict_curve(surrogate, x)
             batch, flags = predict_curves(surrogate, x[None, :])
             assert np.array_equal(single.values, batch[0])
             assert single.extrapolated == bool(flags[0])
-            first = surrogate.segments[0].evaluate_params(x[None, :])
-            assert single.params == {name: float(first[name][0]) for name in FAMILIES}
+            params = surrogate.evaluate_params(x[None, :])
+            assert single.params == {name: float(params[name][0]) for name in FAMILIES}
 
     def test_single_point_equals_its_row_of_a_large_batch(self):
         design, curves, _ = harness(n=20, j=55)
@@ -183,29 +178,24 @@ class TestPredict:
         for x, row in zip(points, batch):
             assert np.array_equal(predict_curve(surrogate, x).values, row)
 
-    @pytest.mark.parametrize("windows", [1, 2])
-    def test_predict_curves_matches_full_spectrum_oracle(self, windows):
+    def test_predict_curves_matches_full_spectrum_oracle(self):
         design, curves, _ = harness(n=12, j=41)
         config = TrainConfig(
-            block_size=10, time_windows=windows,
+            block_size=10,
             estimation=EstimationConfig(),
             gp=FitConfig(multistarts=3, seed=0),
         )
         surrogate = train(design, curves, config, box=BOX)
         points = scale_to_box(lhd_sample(7, 3, seed=21), BOX).points
         values, _ = predict_curves(surrogate, points)
-        expected = np.empty_like(values)
-        for seg in surrogate.segments:
-            # deform every FFT frequency of the pattern and invert with a complex FFT
-            p = seg.evaluate_params(points)
-            j = seg.grid_stop - seg.grid_start
-            ell = np.rint(np.fft.fftfreq(j, d=1.0 / j))
-            coeffs = np.fft.fft(seg.pattern.values) / j
-            full = p["alpha"][:, None] * coeffs * np.exp(-1j * np.outer(p["theta"], ell))
-            full[:, 0] += p["v"]
-            segment_values = (np.fft.ifft(full, axis=1) * j).real
-            lo = seg.start - seg.grid_start
-            expected[:, seg.start : seg.stop] = segment_values[:, lo : lo + seg.stop - seg.start]
+        # deform every FFT frequency of the pattern and invert with a complex FFT
+        p = surrogate.evaluate_params(points)
+        j = surrogate.j
+        ell = np.rint(np.fft.fftfreq(j, d=1.0 / j))
+        coeffs = np.fft.fft(surrogate.pattern.values) / j
+        full = p["alpha"][:, None] * coeffs * np.exp(-1j * np.outer(p["theta"], ell))
+        full[:, 0] += p["v"]
+        expected = (np.fft.ifft(full, axis=1) * j).real
         scale = np.abs(expected).max()
         np.testing.assert_allclose(values, expected, rtol=0, atol=1e-12 * scale)
 
@@ -305,35 +295,6 @@ class TestEquivariance:
         got, _ = predict_curves(train(design, moved, FAST, box=BOX), test_points)
         want = factor * np.roll(base, shift, axis=1)
         assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
-
-
-class TestTimeWindows:
-    def test_two_windows_cover_grid(self):
-        # windowing is meant for curves whose behaviour differs between time
-        # ranges; with no time shifts each window obeys the deformation model
-        # exactly, so the windowed surrogate must reproduce training curves
-        spec = co2_style_spec(j=41)
-        shiftless = SimSpec(
-            pattern=spec.pattern,
-            alpha_fn=spec.alpha_fn,
-            theta_fn=lambda pts: np.zeros(pts.shape[0]),
-            v_fn=spec.v_fn,
-            box=spec.box,
-            j=41,
-        )
-        design = scale_to_box(lhd_sample(14, 3, seed=1), BOX)
-        curves = generate_functional_sim(shiftless, design)
-        config = TrainConfig(
-            block_size=10, time_windows=2,
-            estimation=EstimationConfig(),
-            gp=FitConfig(multistarts=3, seed=0),
-        )
-        surrogate = train(design, curves, config, box=BOX)
-        assert len(surrogate.segments) == 2
-        assert surrogate.segments[0].stop == surrogate.segments[1].start
-        pred = predict_curve(surrogate, design.points[2])
-        assert pred.values.shape == (41,)
-        np.testing.assert_allclose(pred.values, curves.values[2], rtol=0.02, atol=0.2)
 
 
 class TestBenchmark:

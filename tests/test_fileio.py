@@ -1,3 +1,4 @@
+import hashlib
 import os
 
 import numpy as np
@@ -166,12 +167,11 @@ class TestModelSerialization:
         np.testing.assert_allclose(back, base, rtol=1e-12, atol=1e-12)
         assert np.array_equal(flags_a, flags_b)
 
-    @pytest.mark.parametrize("windows", [1, 2])
-    def test_loaded_surrogate_predicts_bitwise(self, tmp_path, windows):
+    def test_loaded_surrogate_predicts_bitwise(self, tmp_path):
         box = co2_default_box()
         design = scale_to_box(lhd_sample(12, 3, seed=4), box)
         curves = generate_functional_sim(co2_style_spec(j=41, noise_var=0.01, seed=2), design)
-        config = TrainConfig(time_windows=windows, estimation=EstimationConfig(),
+        config = TrainConfig(estimation=EstimationConfig(),
                              gp=FitConfig(multistarts=3, seed=0))
         surrogate = train(design, curves, config, box=box)
         path = str(tmp_path / "surrogate.json")
@@ -187,6 +187,23 @@ class TestModelSerialization:
         with pytest.raises(InputConsistencyError):
             fileio.load_surrogate(path)
 
+
+class TestPinnedBits:
+    # sha256 of the saved surrogate text and of its predictions for one small
+    # co2 fit; any change to a bit of a saved model or a prediction shows here
+    def test_saved_surrogate_and_predictions(self, tmp_path):
+        box = co2_default_box()
+        design = scale_to_box(lhd_sample(12, 3, seed=4), box)
+        curves = generate_functional_sim(co2_style_spec(j=41, noise_var=0.01, seed=2), design)
+        config = TrainConfig(gp=FitConfig(multistarts=3, seed=0))
+        surrogate = train(design, curves, config, box=box)
+        path = tmp_path / "surrogate.json"
+        fileio.save_surrogate(str(path), surrogate)
+        values, _ = predict_curves(surrogate, scale_to_box(lhd_sample(50, 3, seed=11), box).points)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "f3ed3d746ccf0d75872b31ed300c34b6c8995dce9708bb61f719d17b5eabf9e1")
+        assert hashlib.sha256(values.tobytes()).hexdigest() == (
+            "ce8db3b43d5c0968aea6de82f82d4cadc26f5e70a999646c30aa3791643ad1e3")
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
