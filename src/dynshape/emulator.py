@@ -2,11 +2,12 @@
 
 Training registers the curves to a common pattern, then fits one GP per
 deformation-parameter family (amplitude scale, time shift, vertical shift)
-over the experimental design.  Prediction evaluates the three GP means at a
-new input and applies the forward deformation to the pattern, so a full
-output curve costs three GP evaluations and one FFT regardless of the number
-of time steps.  Families whose estimated values are numerically constant are
-held fixed at their mean instead of being GP-fitted.
+over the experimental design.  Prediction evaluates the GP families' means at
+a new input in one kernel pass over their shared design and applies the
+forward deformation to the pattern, so a full output curve costs one kernel
+pass and one inverse FFT regardless of the number of time steps.  Families
+whose estimated values are numerically constant are held fixed at their mean
+instead of being GP-fitted.
 """
 from __future__ import annotations
 
@@ -17,7 +18,8 @@ import numpy as np
 
 from .doe import DesignMatrix, InputBox
 from .errors import DegenerateResponseError, FitFailureError, EstimationFailureError, TrainingError
-from .gp import FitConfig, GpModel, fit_gp, predict_many, prediction_metrics
+from .gp import (FitConfig, GpModel, GpStack, fit_gp, predict_many, prediction_metrics,
+                 stack_models)
 from .registration import (
     CurveSet,
     EstimationConfig,
@@ -65,7 +67,10 @@ class TrainConfig:
 class FunctionalSurrogate:
     """Trained curve surrogate: the pattern plus one model per deformation family.
 
-    Each family maps to either a fitted GpModel or a fixed float.
+    Each family maps to either a fitted GpModel or a fixed float.  The GP
+    families must share one design (ValueError otherwise): construction
+    stacks them for :func:`dynshape.gp.predict_many` and fixes the
+    extrapolation bounds, so prediction rebuilds neither.
     """
 
     box: InputBox
@@ -77,6 +82,17 @@ class FunctionalSurrogate:
     train_seconds: float = 0.0
     registration_seconds: float = 0.0
     gp_seconds: float = 0.0
+    gp_families: tuple = field(init=False, repr=False)
+    kernel: GpStack | None = field(init=False, repr=False)  # stack of the gp_families
+    inside: tuple = field(init=False, repr=False)  # (lower, upper) beyond which points extrapolate
+
+    def __post_init__(self):
+        names = tuple(name for name in FAMILIES if isinstance(self.models[name], GpModel))
+        object.__setattr__(self, "gp_families", names)
+        object.__setattr__(self, "kernel",
+                           stack_models([self.models[name] for name in names]) if names else None)
+        tol = 1e-12 * np.maximum(self.box.span, 1.0)
+        object.__setattr__(self, "inside", (self.box.lower - tol, self.box.upper + tol))
 
     @property
     def j(self) -> int:
@@ -88,18 +104,14 @@ class FunctionalSurrogate:
 
     @property
     def fixed_components(self) -> dict:
-        return {name: not isinstance(self.models[name], GpModel) for name in FAMILIES}
+        return {name: name not in self.gp_families for name in FAMILIES}
 
     def evaluate_params(self, points: np.ndarray) -> dict:
         """Each family's values at m points: its GP mean, or its fixed value."""
-        out = {}
-        for name in FAMILIES:
-            m = self.models[name]
-            if isinstance(m, GpModel):
-                out[name] = predict_many(m, points)
-            else:
-                out[name] = np.full(points.shape[0], float(m))
-        return out
+        means = {} if self.kernel is None else dict(
+            zip(self.gp_families, predict_many(self.kernel, points).T))
+        return {name: means[name] if name in means
+                else np.full(points.shape[0], float(self.models[name])) for name in FAMILIES}
 
 
 @dataclass(frozen=True)
@@ -215,8 +227,8 @@ def _predict(surrogate: FunctionalSurrogate, points: np.ndarray) -> tuple[np.nda
         raise ValueError(f"points must be m x {surrogate.d}")
     params = surrogate.evaluate_params(points)
     coeffs = deform(surrogate.pattern.coeffs, params["alpha"], params["theta"], params["v"])
-    tol = 1e-12 * np.maximum(surrogate.box.span, 1.0)
-    outside = (points < surrogate.box.lower - tol) | (points > surrogate.box.upper + tol)
+    lower, upper = surrogate.inside
+    outside = (points < lower) | (points > upper)
     return inverse_fourier(coeffs), outside.any(axis=1), params
 
 

@@ -314,8 +314,9 @@ def load_surrogate(path: str) -> FunctionalSurrogate:
 
     A missing, unreadable or malformed file, one of another format or
     version (1 is from an older dynshape), one that holds more than one
-    fitted time range, or one whose pattern does not span its ``t_grid``
-    raises :class:`InputConsistencyError` naming the path.
+    fitted time range, one whose pattern does not span its ``t_grid``, or
+    one whose GP families hold different designs raises
+    :class:`InputConsistencyError` naming the path.
     """
     try:
         with open(path, "r") as handle:

@@ -30,6 +30,8 @@ __all__ = [
     "CorrelationSpec",
     "FitConfig",
     "GpModel",
+    "GpStack",
+    "stack_models",
     "corr_gaussian",
     "build_correlation",
     "gls_beta",
@@ -120,8 +122,30 @@ class GpModel:
     def normalized_design(self) -> np.ndarray:
         return (self.design - self.x_lo) / self.x_span
 
-    def normalize_point(self, x0: np.ndarray) -> np.ndarray:
-        return (np.asarray(x0, dtype=float) - self.x_lo) / self.x_span
+
+@dataclass(frozen=True)
+class GpStack:
+    """Kriging-mean inputs of k GP models on one design, shaped for one kernel pass:
+    lengths k x 1 x 1 x d, weights (each model's ``resid_solve``) k x 1 x n, betas k x 1."""
+
+    x_lo: np.ndarray
+    x_span: np.ndarray
+    design: np.ndarray  # normalized, n x d
+    lengths: np.ndarray
+    weights: np.ndarray
+    betas: np.ndarray
+
+
+def stack_models(models: list[GpModel]) -> GpStack:
+    """The models' :class:`GpStack`; raises ValueError unless they share one design."""
+    first = models[0]
+    if any(not np.array_equal(getattr(m, key), getattr(first, key))
+           for m in models[1:] for key in ("design", "x_lo", "x_span")):
+        raise ValueError("GP models fitted on different designs cannot share a kernel pass")
+    return GpStack(first.x_lo, first.x_span, first.normalized_design(),
+                   np.array([m.corr.lengths for m in models])[:, None, None, :],
+                   np.array([m.resid_solve for m in models])[:, None, :],
+                   np.array([m.beta for m in models])[:, None])
 
 
 def corr_gaussian(x: np.ndarray, y: np.ndarray, spec: CorrelationSpec) -> float:
@@ -148,14 +172,18 @@ def _inverse(factor: np.ndarray) -> np.ndarray:
     return linv.T @ linv
 
 
-def _corr(a: np.ndarray, b: np.ndarray, spec: CorrelationSpec) -> np.ndarray:
-    """Correlation matrix between the rows of a (m x d) and of b (n x d)."""
+def _sq_diff(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared coordinate differences between the rows of a (m x d) and of b (n x d), m x n x d."""
     diff = np.abs(a[:, None, :] - b[None, :, :])
     # Square with a per-dimension exponent array, never a scalar 2: numpy
     # squares a scalar or broadcast exponent by multiplication, which differs
     # in the last bit for some entries and moves the fitted lengths.
-    expo = (diff ** np.full(diff.shape[-1], 2.0)) / spec.lengths
-    return np.exp(-expo.sum(axis=2))
+    return diff ** np.full(diff.shape[-1], 2.0)
+
+
+def _corr(a: np.ndarray, b: np.ndarray, spec: CorrelationSpec) -> np.ndarray:
+    """Correlation matrix between the rows of a (m x d) and of b (n x d)."""
+    return np.exp(-(_sq_diff(a, b) / spec.lengths).sum(axis=2))
 
 
 def build_correlation(
@@ -362,7 +390,8 @@ def predict(model: GpModel, x0: np.ndarray) -> tuple[float, float]:
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     if x0.shape != (model.d,):
         raise ValueError(f"x0 must have {model.d} coordinates")
-    r = _corr(model.normalize_point(x0)[None, :], model.normalized_design(), model.corr)[0]
+    x0 = (x0 - model.x_lo) / model.x_span
+    r = _corr(x0[None, :], model.normalized_design(), model.corr)[0]
     mean = model.beta + (r * model.resid_solve).sum()
     full = _factored(model)
     w = _inverse(full.factor) @ r
@@ -370,14 +399,24 @@ def predict(model: GpModel, x0: np.ndarray) -> tuple[float, float]:
     return float(mean), max(float(var), 0.0)
 
 
-def predict_many(model: GpModel, points: np.ndarray) -> np.ndarray:
-    """Kriging means (no variance); each row is summed on its own, not by a matrix-vector
-    product whose order depends on m, so a point gets the same bits in any batch."""
+def predict_many(model: GpModel | GpStack, points: np.ndarray) -> np.ndarray:
+    """Kriging means (no variance) at the rows of an m x d points array: a length-m
+    vector for one GpModel, an m x k array for a :class:`GpStack` of k models.
+
+    A GpModel is the one-model stack.  One kernel pass squares the normalized
+    points' differences to the shared design once for every model.  d stays the
+    last axis and each mean is summed over its own kernel row, not by a
+    matrix-vector product whose order depends on m, so a mean has the same bits
+    alone or stacked, and a point the same bits in any batch.
+    """
+    stack = stack_models([model]) if isinstance(model, GpModel) else model
     points = np.asarray(points, dtype=float)
-    if points.ndim != 2 or points.shape[1] != model.d:
-        raise ValueError(f"points must be m x {model.d}")
-    r = _corr((points - model.x_lo) / model.x_span, model.normalized_design(), model.corr)
-    return model.beta + (r * model.resid_solve).sum(axis=1)
+    d = stack.design.shape[1]
+    if points.ndim != 2 or points.shape[1] != d:
+        raise ValueError(f"points must be m x {d}")
+    sq = _sq_diff((points - stack.x_lo) / stack.x_span, stack.design)
+    means = stack.betas + (np.exp(-(sq / stack.lengths).sum(axis=-1)) * stack.weights).sum(axis=-1)
+    return means[0] if stack is not model else means.T
 
 
 def prediction_metrics(y_true: np.ndarray, y_pred: np.ndarray) -> tuple[float, float]:

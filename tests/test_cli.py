@@ -599,6 +599,16 @@ class TestSurrogateErrors:
         err = capsys.readouterr().err
         assert str(path) in err and "written by an older dynshape; refit it" in err
 
+    def test_families_on_different_designs_exit_3(self, tmp_path, box_file, capsys):
+        def edit(data):
+            theta = data["segments"][0]["families"]["theta"]
+            assert theta["kind"] == "gp"
+            theta["design"][0][0] += 0.01
+
+        code, path, err = self.predict_with_edited_file(tmp_path, box_file, capsys, edit)
+        assert code == 3
+        assert path in err and "different designs" in err
+
     @staticmethod
     def predict_with_edited_file(tmp_path, box_file, capsys, edit):
         """Exit code, path and stderr of predict from a J = 11 surrogate file after edit(data)."""

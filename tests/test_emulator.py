@@ -15,7 +15,7 @@ from dynshape.emulator import (
     validate,
 )
 from dynshape.errors import TrainingError
-from dynshape.gp import FitConfig, GpModel, loo_metrics
+from dynshape.gp import FitConfig, GpModel, loo_metrics, predict_many
 from dynshape.registration import (
     CurveSet,
     EstimationConfig,
@@ -161,14 +161,25 @@ class TestPredict:
             estimation=EstimationConfig(),
             gp=FitConfig(multistarts=3, seed=0),
         )
-        surrogate = train(design, curves, config, box=BOX)
-        for x in scale_to_box(lhd_sample(4, 3, seed=21), BOX).points:
-            single = predict_curve(surrogate, x)
-            batch, flags = predict_curves(surrogate, x[None, :])
-            assert np.array_equal(single.values, batch[0])
-            assert single.extrapolated == bool(flags[0])
-            params = surrogate.evaluate_params(x[None, :])
-            assert single.params == {name: float(params[name][0]) for name in FAMILIES}
+        trained = train(design, curves, config, box=BOX)
+        assert not any(trained.fixed_components.values())
+        points = scale_to_box(lhd_sample(4, 3, seed=21), BOX).points
+        # one, two and three GP families in the shared kernel pass, the others fixed
+        for gps in (("alpha",), ("theta",), ("v",), ("alpha", "v"), ("theta", "v"), FAMILIES):
+            models = {name: trained.models[name] if name in gps
+                      else float(getattr(trained.params, name).mean()) for name in FAMILIES}
+            surrogate = FunctionalSurrogate(box=BOX, t_grid=trained.t_grid,
+                                            period=trained.period, pattern=trained.pattern,
+                                            models=models)
+            batch, flags = predict_curves(surrogate, points)
+            params = surrogate.evaluate_params(points)
+            for name in gps:
+                assert np.array_equal(params[name], predict_many(models[name], points))
+            for i, x in enumerate(points):
+                single = predict_curve(surrogate, x)
+                assert np.array_equal(single.values, batch[i])
+                assert single.extrapolated == bool(flags[i])
+                assert single.params == {name: float(params[name][i]) for name in FAMILIES}
 
     def test_single_point_equals_its_row_of_a_large_batch(self):
         design, curves, _ = harness(n=20, j=55)

@@ -24,6 +24,7 @@ from dynshape.gp import (
     predict,
     predict_many,
     prediction_metrics,
+    stack_models,
 )
 
 
@@ -283,6 +284,30 @@ class TestPredict:
     def test_dimension_mismatch(self, model):
         with pytest.raises(ValueError):
             predict(model, np.array([0.5]))
+
+    @pytest.mark.parametrize("d", range(1, 13))
+    def test_stacked_kernel_keeps_the_bits_of_one_model_at_a_time(self, d):
+        # numpy sums a last axis of 8 or more entries pairwise, so the d axis
+        # must stay last for the stacked pass to round like one model alone
+        def one_model_means(model, points):
+            a = (points - model.x_lo) / model.x_span
+            diff = np.abs(a[:, None, :] - model.normalized_design()[None, :, :])
+            r = np.exp(-((diff ** np.full(d, 2.0)) / model.corr.lengths).sum(axis=2))
+            return model.beta + (r * model.resid_solve).sum(axis=1)
+
+        rng = np.random.default_rng(d)
+        design = rng.uniform(-1.0, 3.0, size=(12, d))
+        models = [assemble_gp_model(design, rng.normal(size=12), rng.uniform(0.2, 2.0, size=d),
+                                    nugget=1e-10) for _ in range(3)]
+        for m in (1, 7, 1000):
+            points = rng.uniform(-1.5, 3.5, size=(m, d))
+            expected = [one_model_means(model, points) for model in models]
+            for k in (1, 2, 3):
+                means = predict_many(stack_models(models[:k]), points)
+                assert means.shape == (m, k)
+                for col, want in zip(means.T, expected):
+                    assert np.array_equal(col, want)
+                assert np.array_equal(predict_many(models[k - 1], points), expected[k - 1])
 
 
 class TestLooMetrics:
