@@ -9,6 +9,7 @@ failure never leaves a partially written artifact behind.
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 
@@ -309,18 +310,26 @@ def save_surrogate(path: str, surrogate: FunctionalSurrogate) -> None:
     atomic_write_text(path, json.dumps(data, indent=1) + "\n")
 
 
+def _finite_number(text: str) -> float:
+    """A JSON number or constant (NaN, Infinity) as a float; ValueError unless finite."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text}")
+    return value
+
+
 def load_surrogate(path: str) -> FunctionalSurrogate:
     """Surrogate saved by :func:`save_surrogate`; its GPs need no factorization.
 
     A missing, unreadable or malformed file, one of another format or
-    version (1 is from an older dynshape), one that holds more than one
-    fitted time range, one whose pattern does not span its ``t_grid``, or
-    one whose GP families hold different designs raises
-    :class:`InputConsistencyError` naming the path.
+    version (1 is from an older dynshape), one holding NaN, Infinity or an
+    overflowing number such as 1e999, one with more than one fitted time range
+    or a pattern off its ``t_grid``, or one whose GP families hold different
+    designs raises :class:`InputConsistencyError` naming the path.
     """
     try:
         with open(path, "r") as handle:
-            data = json.load(handle)
+            data = json.load(handle, parse_float=_finite_number, parse_constant=_finite_number)
         if (data.get("format"), data.get("version")) == ("dynshape-surrogate", 1):
             raise ValueError("written by an older dynshape; refit it")
         if (data.get("format"), data.get("version")) != ("dynshape-surrogate", 2):
@@ -348,5 +357,5 @@ def load_surrogate(path: str) -> FunctionalSurrogate:
             pattern=pattern,
             models={name: _family_from_dict(fit["families"][name]) for name in FAMILIES},
         )
-    except (OSError, ValueError, KeyError, TypeError, AttributeError) as err:
+    except (OSError, ValueError, KeyError, TypeError, AttributeError, OverflowError) as err:
         raise InputConsistencyError(f"{path}: cannot load surrogate: {type(err).__name__}: {err}") from err

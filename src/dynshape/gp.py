@@ -11,6 +11,8 @@ Correlation lengths are found by minimizing the concentrated negative log likeli
 
 over log-lengths with a multistart projected L-BFGS search (``lbfgs``) that is
 given the likelihood's analytic gradient (see ``likelihood_with_gradient``).
+One concentration step gives Kinv and the closed-form beta and sigma2 to both the
+likelihood and ``assemble_gp_model``, so a model stores the sigma2 the search saw.
 Inputs are normalized to the design's bounding box inside fit and predict, so
 the length bounds are scale free.  A loaded model predicts its mean from
 stored weights, without factoring a matrix.
@@ -37,7 +39,6 @@ __all__ = [
     "gls_beta",
     "mle_sigma2",
     "likelihood_with_gradient",
-    "neg_log_likelihood",
     "fit_gp",
     "assemble_gp_model",
     "predict",
@@ -93,10 +94,10 @@ class GpModel:
     """A fitted kriging model.
 
     ``design`` and ``responses`` are kept in original (box) coordinates;
-    ``corr.lengths`` refer to inputs normalized by (x_lo, x_span).  ``factor``
-    is the lower Cholesky factor of R + nugget I on the normalized design, or
-    None (with ``ones_solve``) in a loaded model until the first variance or LOO
-    sets both; the kriging weights ``resid_solve`` give the mean without it.
+    ``corr.lengths`` refer to inputs normalized by (x_lo, x_span).  ``kinv``
+    is the inverse of K = R + nugget I on the normalized design, or None (with
+    ``ones_solve``) in a loaded model until the first variance or LOO sets
+    both; the kriging weights ``resid_solve`` give the mean without it.
     """
 
     design: np.ndarray
@@ -105,7 +106,7 @@ class GpModel:
     beta: float
     sigma2: float
     nugget: float
-    factor: np.ndarray = field(repr=False, default=None)
+    kinv: np.ndarray = field(repr=False, default=None)
     x_lo: np.ndarray = field(repr=False, default=None)
     x_span: np.ndarray = field(repr=False, default=None)
     resid_solve: np.ndarray = field(repr=False, default=None)  # Rinv (Y - beta 1)
@@ -166,12 +167,6 @@ def _unit_box(design: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x_lo, np.where(x_span > 0, x_span, 1.0)
 
 
-def _inverse(factor: np.ndarray) -> np.ndarray:
-    """Kinv from the lower Cholesky factor L of K, as inv(L)' inv(L)."""
-    linv = np.linalg.inv(factor)
-    return linv.T @ linv
-
-
 def _sq_diff(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Squared coordinate differences between the rows of a (m x d) and of b (n x d), m x n x d."""
     diff = np.abs(a[:, None, :] - b[None, :, :])
@@ -217,28 +212,37 @@ def build_correlation(
             trial = min(trial, NUGGET_MAX)
 
 
-def gls_beta(factor: np.ndarray, responses: np.ndarray) -> float:
-    """Generalized least squares estimate of the constant mean.
-
-    beta = (1' Rinv 1)^-1 1' Rinv Y, computed through the stored factorization.
-    """
-    kinv_1 = _inverse(factor).sum(axis=0)
+def gls_beta(kinv: np.ndarray, responses: np.ndarray) -> float:
+    """Generalized least squares estimate of the constant mean, (1' Kinv 1)^-1 1' Kinv Y."""
+    kinv_1 = kinv.sum(axis=0)
     return float(kinv_1 @ responses / kinv_1.sum())
 
 
-def mle_sigma2(factor: np.ndarray, responses: np.ndarray, beta: float) -> float:
-    """Maximum-likelihood process variance (1/n) res' Rinv res, floored above zero."""
+def mle_sigma2(resid: np.ndarray, a: np.ndarray) -> float:
+    """Maximum-likelihood process variance (1/n) resid' a with a = Kinv resid, floored above zero."""
+    return max(float(resid @ a) / resid.shape[0], SIGMA2_FLOOR)
+
+
+def _concentrate(factor: np.ndarray, responses: np.ndarray) -> tuple[np.ndarray, float, np.ndarray, float]:
+    """(Kinv, beta, a = Kinv (Y - beta 1), sigma2) from the lower Cholesky factor L of K:
+    Kinv = inv(L)' inv(L), then the closed-form optima of the constant mean and
+    the process variance.  This is the one place K is inverted."""
+    linv = np.linalg.inv(factor)
+    kinv = linv.T @ linv
+    beta = gls_beta(kinv, responses)
     resid = responses - beta
-    s2 = float(resid @ _inverse(factor) @ resid) / responses.shape[0]
-    return max(s2, SIGMA2_FLOOR)
+    a = kinv @ resid
+    return kinv, beta, a, mle_sigma2(resid, a)
 
 
 def likelihood_with_gradient(
-    points: np.ndarray, responses: np.ndarray, spec: CorrelationSpec, nugget: float = 0.0
+    points: np.ndarray, responses: np.ndarray, spec: CorrelationSpec, nugget: float,
+    sq_diff: np.ndarray,
 ) -> tuple[float, np.ndarray]:
     """Concentrated negative log likelihood and its gradient in the log-lengths.
 
-    The value omits the (n/2) log 2 pi constant.  With K = R + nugget I,
+    The value omits the (n/2) log 2 pi constant; ``sq_diff`` holds the
+    design's squared coordinate differences, n x n x d.  With K = R + nugget I,
     a = Kinv (Y - beta 1) and D_j the squared differences in dimension j,
 
         d nll / d log length_j = (1/2) tr[(Kinv - a a' / sigma2) (R o D_j)] / length_j,
@@ -246,37 +250,16 @@ def likelihood_with_gradient(
     where o is the elementwise product; beta and sigma2 are at their
     closed-form optima, so their own variation drops out.
     """
-    points = np.asarray(points, dtype=float)
-    sq_diff = (points[:, None, :] - points[None, :, :]) ** 2
-    return _likelihood(points, np.asarray(responses, dtype=float), spec, nugget, sq_diff)
-
-
-def _likelihood(
-    points: np.ndarray, responses: np.ndarray, spec: CorrelationSpec, nugget: float,
-    sq_diff: np.ndarray,
-) -> tuple[float, np.ndarray]:
-    """:func:`likelihood_with_gradient` given the design's squared differences."""
     corr = _corr(points, points, spec)
     factor, _ = build_correlation(points, spec, nugget, corr)
     n = responses.shape[0]
-    kinv = _inverse(factor)
-    kinv_1 = kinv.sum(axis=0)
-    beta = float(kinv_1 @ responses / kinv_1.sum())
-    a = kinv @ (responses - beta)
-    s2 = max(float((responses - beta) @ a) / n, SIGMA2_FLOOR)
+    kinv, _, a, s2 = _concentrate(factor, responses)
     logdet = 2.0 * np.log(np.diag(factor)).sum()
     nll = 0.5 * (n * math.log(s2) + logdet + n)
 
     weights = (kinv - np.outer(a, a) / s2) * corr
     grad = 0.5 * np.einsum("ik,ikj->j", weights, sq_diff) / spec.lengths
     return nll, grad
-
-
-def neg_log_likelihood(
-    points: np.ndarray, responses: np.ndarray, spec: CorrelationSpec, nugget: float = 0.0
-) -> float:
-    """Concentrated negative log likelihood (up to the (n/2) log 2 pi constant)."""
-    return likelihood_with_gradient(points, responses, spec, nugget)[0]
 
 
 def assemble_gp_model(
@@ -300,9 +283,7 @@ def assemble_gp_model(
     spec = CorrelationSpec(lengths=lengths)
     pts = (design - x_lo) / x_span
     factor, used = build_correlation(pts, spec, nugget)
-    beta = gls_beta(factor, responses)
-    sigma2 = mle_sigma2(factor, responses, beta)
-    kinv = _inverse(factor)
+    kinv, beta, a, sigma2 = _concentrate(factor, responses)
     return GpModel(
         design=design,
         responses=responses,
@@ -310,10 +291,10 @@ def assemble_gp_model(
         beta=beta,
         sigma2=sigma2,
         nugget=used,
-        factor=factor,
+        kinv=kinv,
         x_lo=x_lo,
         x_span=x_span,
-        resid_solve=kinv @ (responses - beta),
+        resid_solve=a,
         ones_solve=kinv.sum(axis=1),
     )
 
@@ -343,6 +324,8 @@ def fit_gp(design: DesignMatrix | np.ndarray, responses: np.ndarray, config: Fit
         raise ValueError("fitting needs at least 3 design points")
     if responses.shape != (n,):
         raise ValueError("responses must have one value per design row")
+    if not (np.isfinite(pts_raw).all() and np.isfinite(responses).all()):
+        raise ValueError("design and responses must be finite")
 
     x_lo, x_span = _unit_box(pts_raw)
     pts = (pts_raw - x_lo) / x_span
@@ -353,7 +336,7 @@ def fit_gp(design: DesignMatrix | np.ndarray, responses: np.ndarray, config: Fit
     def objective(log_lengths: np.ndarray) -> tuple[float, np.ndarray]:
         spec = CorrelationSpec(lengths=np.exp(log_lengths))
         try:
-            nll, grad = _likelihood(pts, responses, spec, config.nugget_floor, sq_diff)
+            nll, grad = likelihood_with_gradient(pts, responses, spec, config.nugget_floor, sq_diff)
         except IllConditionedDesignError:
             return 1e25, np.zeros(d)  # stands in for +inf, which the line search dislikes
         return (nll + RIDGE_TIE * float(log_lengths @ log_lengths),
@@ -393,8 +376,8 @@ def predict(model: GpModel, x0: np.ndarray) -> tuple[float, float]:
     x0 = (x0 - model.x_lo) / model.x_span
     r = _corr(x0[None, :], model.normalized_design(), model.corr)[0]
     mean = model.beta + (r * model.resid_solve).sum()
-    full = _factored(model)
-    w = _inverse(full.factor) @ r
+    full = _inverted(model)
+    w = full.kinv @ r
     var = model.sigma2 * (1.0 - r @ w + (1.0 - full.ones_solve @ r) ** 2 / full.ones_solve.sum())
     return float(mean), max(float(var), 0.0)
 
@@ -449,20 +432,19 @@ def loo_metrics(model: GpModel) -> tuple[float, float]:
     y = model.responses
     if np.ptp(y) == 0.0:
         raise DegenerateResponseError("responses have zero variance, Q2 undefined")
-    full = _factored(model)
-    rinv = _inverse(full.factor)
+    full = _inverted(model)
     rinv_1 = full.ones_solve
-    q = rinv - np.outer(rinv_1, rinv_1) / rinv_1.sum()
+    q = full.kinv - np.outer(rinv_1, rinv_1) / rinv_1.sum()
     resid = (q @ y) / np.diag(q)
     loo_pred = y - resid
     return prediction_metrics(y, loo_pred)
 
 
-def _factored(model: GpModel) -> GpModel:
-    """The model with its Cholesky factor; a loaded model factors once and keeps it."""
-    if model.factor is None:  # the stored nugget worked, so the same bits come back
+def _inverted(model: GpModel) -> GpModel:
+    """The model with its Kinv; a loaded model inverts K once and keeps it."""
+    if model.kinv is None:  # the stored nugget worked, so the same bits come back
         full = assemble_gp_model(model.design, model.responses, model.corr.lengths, model.nugget)
-        object.__setattr__(model, "factor", full.factor)
+        object.__setattr__(model, "kinv", full.kinv)
         object.__setattr__(model, "ones_solve", full.ones_solve)
     return model
 
@@ -481,7 +463,7 @@ def gp_model_to_dict(model: GpModel) -> dict:
 
 
 def gp_model_from_dict(data: dict) -> GpModel:
-    """Model saved by :func:`gp_model_to_dict`; ``factor`` and ``ones_solve`` stay unset."""
+    """Model saved by :func:`gp_model_to_dict`; ``kinv`` and ``ones_solve`` stay unset."""
     design, responses, weights = (np.asarray(data[k], dtype=float)
                                   for k in ("design", "responses", "resid_solve"))
     spec = CorrelationSpec(lengths=data["lengths"])

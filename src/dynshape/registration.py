@@ -82,6 +82,8 @@ class CurveSet:
         object.__setattr__(self, "t_grid", t_grid)
         if values.ndim != 2:
             raise ValueError("curve values must form an n x J matrix")
+        if not np.isfinite(values).all():
+            raise ValueError("curve values must be finite")
         j = values.shape[1]
         if j < 3 or j % 2 == 0:
             raise ValueError(f"the time grid must have an odd number >= 3 of samples, got J={j}")

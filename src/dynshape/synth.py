@@ -8,7 +8,7 @@ maps of the input configuration over a bounded box.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 
@@ -26,8 +26,6 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * np.pi
-
-PatternLike = Union[str, Callable[[np.ndarray], np.ndarray], np.ndarray]
 
 
 def parabola_pattern(t):
@@ -50,31 +48,6 @@ def pressure_pattern(t):
     return 100.0 + 38.0 * main + 9.0 * tail
 
 
-def _resolve_pattern(pattern: PatternLike) -> Callable[[np.ndarray], np.ndarray]:
-    """Turn a named / callable / sampled pattern into an evaluator on [0, 2pi)."""
-    if callable(pattern):
-        return pattern
-    if isinstance(pattern, str):
-        named = {"parabola": parabola_pattern, "pressure": pressure_pattern}
-        if pattern not in named:
-            raise ValueError(f"unknown pattern name {pattern!r}; choose from {sorted(named)}")
-        return named[pattern]
-    samples = np.asarray(pattern, dtype=float)
-    if samples.ndim != 1 or samples.size < 3 or samples.size % 2 == 0:
-        raise ValueError("a sampled pattern needs an odd number >= 3 of grid values")
-    j = samples.size
-    coeffs = np.fft.rfft(samples) / j
-    coeffs[1:] *= 2.0  # interpolant c_0 + 2 Re sum_{l>0} c_l e^{ilt} on the half spectrum
-    ell = np.arange(coeffs.size)
-
-    def interpolant(t):
-        t = np.asarray(t, dtype=float)
-        basis = np.exp(1j * np.multiply.outer(t, ell))
-        return (basis @ coeffs).real
-
-    return interpolant
-
-
 @dataclass(frozen=True)
 class SimSpec:
     """Closed-form stand-in for a dynamic simulator.
@@ -84,7 +57,7 @@ class SimSpec:
     and alpha values must stay positive.
     """
 
-    pattern: PatternLike
+    pattern: Callable[[np.ndarray], np.ndarray]
     alpha_fn: Callable[[np.ndarray], np.ndarray]
     theta_fn: Callable[[np.ndarray], np.ndarray]
     v_fn: Callable[[np.ndarray], np.ndarray]
@@ -95,6 +68,8 @@ class SimSpec:
     seed: int = 0
 
     def __post_init__(self):
+        if not callable(self.pattern):
+            raise ValueError("pattern must be a callable of the angle in [0, 2pi)")
         if self.j < 3 or self.j % 2 == 0:
             raise ValueError(f"J must be odd and >= 3, got {self.j}")
         if self.noise_var < 0:
@@ -108,7 +83,7 @@ def generate_analytical(
     j: int,
     noise_var: float,
     seed: int,
-    pattern: PatternLike = "parabola",
+    pattern: Callable[[np.ndarray], np.ndarray] = parabola_pattern,
     alpha_range: tuple[float, float] = (0.0, 1.0),
     theta_range: tuple[float, float] = (0.0, 1.0),
     v_range: tuple[float, float] = (0.0, 1.0),
@@ -128,7 +103,8 @@ def generate_analytical(
         raise ValueError(f"J must be odd and >= 3, got {j}")
     if noise_var < 0:
         raise ValueError("noise variance must be nonnegative")
-    f = _resolve_pattern(pattern)
+    if not callable(pattern):
+        raise ValueError("pattern must be a callable of the angle in [0, 2pi)")
     rng = np.random.default_rng(seed)
 
     def draw(rng_, lo, hi):
@@ -141,7 +117,7 @@ def generate_analytical(
 
     omega = _TWO_PI * np.arange(j) / j
     shifted = np.mod(omega[None, :] - theta[:, None], _TWO_PI)
-    values = alpha[:, None] * f(shifted) + v[:, None]
+    values = alpha[:, None] * pattern(shifted) + v[:, None]
     if noise_var > 0:
         values = values + rng.normal(0.0, np.sqrt(noise_var), size=(n, j))
 
@@ -164,7 +140,6 @@ def generate_functional_sim(spec: SimSpec, design: DesignMatrix) -> CurveSet:
     if np.any(pts < spec.box.lower - tol) or np.any(pts > spec.box.upper + tol):
         raise ValueError("design points must lie inside the simulator's input box")
 
-    f = _resolve_pattern(spec.pattern)
     alpha = np.asarray(spec.alpha_fn(pts), dtype=float)
     theta = np.asarray(spec.theta_fn(pts), dtype=float)
     v = np.asarray(spec.v_fn(pts), dtype=float)
@@ -175,7 +150,7 @@ def generate_functional_sim(spec: SimSpec, design: DesignMatrix) -> CurveSet:
 
     omega = _TWO_PI * np.arange(spec.j) / spec.j
     shifted = np.mod(omega[None, :] - theta[:, None], _TWO_PI)
-    values = alpha[:, None] * f(shifted) + v[:, None]
+    values = alpha[:, None] * spec.pattern(shifted) + v[:, None]
     if spec.noise_var > 0:
         rng = np.random.default_rng(spec.seed)
         values = values + rng.normal(0.0, np.sqrt(spec.noise_var), size=values.shape)
@@ -229,7 +204,7 @@ def co2_style_spec(
         return 1.4 * (2 * u[:, 2] - 1.0) + 0.6 * np.cos(np.pi * u[:, 0]) * np.sin(np.pi * u[:, 1])
 
     return SimSpec(
-        pattern="pressure",
+        pattern=pressure_pattern,
         alpha_fn=alpha_fn,
         theta_fn=theta_fn,
         v_fn=v_fn,

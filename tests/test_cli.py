@@ -609,16 +609,39 @@ class TestSurrogateErrors:
         assert code == 3
         assert path in err and "different designs" in err
 
+    @pytest.mark.parametrize("field, token", [
+        (("families", "theta", "resid_solve", 0), "NaN"),
+        (("pattern_values", 3), "Infinity"),
+        (("pattern_values", 0), "-Infinity"),
+        (("families", "theta", "beta"), "NaN"),
+        (("families", "theta", "sigma2"), "1e999"),
+        (("families", "theta", "beta"), "1" + "0" * 400),
+    ], ids=["nan-weight", "inf-pattern", "neg-inf-pattern", "nan-beta", "1e999-sigma2",
+            "huge-int-beta"])
+    def test_non_finite_number_exits_3(self, tmp_path, box_file, capsys, field, token):
+        def edit(data):
+            *keys, last = field
+            holder = data["segments"][0]
+            for key in keys:
+                holder = holder[key]
+            holder[last] = "BAD"
+
+        code, path, err = self.predict_with_edited_file(tmp_path, box_file, capsys, edit,
+                                                        ('"BAD"', token))
+        assert code == 3
+        assert path in err and "cannot load surrogate" in err
+
     @staticmethod
-    def predict_with_edited_file(tmp_path, box_file, capsys, edit):
-        """Exit code, path and stderr of predict from a J = 11 surrogate file after edit(data)."""
+    def predict_with_edited_file(tmp_path, box_file, capsys, edit, replace=("", "")):
+        """Exit code, path and stderr of predict from a J = 11 surrogate file after
+        edit(data), with the text ``replace[0]`` then written as ``replace[1]``."""
         design, curves = make_dataset(tmp_path, box_file, n=6, j=11)
         path = tmp_path / "sur.json"
         assert run("fit", "--design", design, "--curves", curves, "--gp-multistarts", "1",
                    "--surrogate-out", str(path)) == 0
         data = json.loads(path.read_text())
         edit(data)
-        path.write_text(json.dumps(data))
+        path.write_text(json.dumps(data).replace(*replace))
         points = tmp_path / "pts.csv"
         points.write_text("x1,x2,x3\n0.2,100,0.7\n")
         capsys.readouterr()

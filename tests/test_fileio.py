@@ -201,7 +201,7 @@ class TestPinnedBits:
         fileio.save_surrogate(str(path), surrogate)
         values, _ = predict_curves(surrogate, scale_to_box(lhd_sample(50, 3, seed=11), box).points)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "f3ed3d746ccf0d75872b31ed300c34b6c8995dce9708bb61f719d17b5eabf9e1")
+            "8383e8f679730db3a8d395d6ff716098b9591ab4c3ab11742723116502d44486")
         assert hashlib.sha256(values.tobytes()).hexdigest() == (
             "ce8db3b43d5c0968aea6de82f82d4cadc26f5e70a999646c30aa3791643ad1e3")
 

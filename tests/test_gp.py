@@ -14,18 +14,20 @@ from dynshape.gp import (
     build_correlation,
     corr_gaussian,
     fit_gp,
-    gls_beta,
     gp_model_from_dict,
     gp_model_to_dict,
     likelihood_with_gradient,
     loo_metrics,
-    mle_sigma2,
-    neg_log_likelihood,
     predict,
     predict_many,
     prediction_metrics,
     stack_models,
 )
+
+
+def sq_diff(points):
+    """The design's squared coordinate differences, n x n x d, as fit_gp forms them."""
+    return (points[:, None, :] - points[None, :, :]) ** 2
 
 
 def dense_reference(points, responses, lengths, nugget=0.0):
@@ -93,34 +95,31 @@ class TestBuildCorrelation:
 
 
 class TestGlsAndSigma:
+    # beta and sigma2 as assemble_gp_model stores them; normalize=False keeps
+    # the lengths in the design's own coordinates
     def test_constant_responses(self):
         pts = np.array([[0.0], [0.4], [1.0]])
-        spec = CorrelationSpec(lengths=np.array([0.7]))
-        factor, _ = build_correlation(pts, spec, nugget=1e-12)
         y = np.full(3, 3.25)
-        beta = gls_beta(factor, y)
-        assert beta == pytest.approx(3.25, rel=1e-12)
-        assert mle_sigma2(factor, y, beta) <= 1e-20  # floor engaged
+        model = assemble_gp_model(pts, y, np.array([0.7]), nugget=1e-12, normalize=False)
+        assert model.beta == pytest.approx(3.25, rel=1e-12)
+        assert model.sigma2 <= 1e-20  # floor engaged
 
     def test_identity_correlation_reduces_to_ols(self):
         pts = np.array([[0.0], [10.0], [20.0], [30.0]])
-        spec = CorrelationSpec(lengths=np.array([1e-5]))
-        factor, _ = build_correlation(pts, spec)
         y = np.array([1.0, 2.0, 4.0, 9.0])
-        assert gls_beta(factor, y) == pytest.approx(y.mean(), rel=1e-9)
-        beta = gls_beta(factor, y)
-        assert mle_sigma2(factor, y, beta) == pytest.approx(y.var(), rel=1e-9)
+        model = assemble_gp_model(pts, y, np.array([1e-5]), normalize=False)
+        assert model.beta == pytest.approx(y.mean(), rel=1e-9)
+        assert model.sigma2 == pytest.approx(y.var(), rel=1e-9)
 
     def test_matches_dense_inverse(self):
         rng = np.random.default_rng(3)
         pts = rng.uniform(size=(4, 2))
         y = rng.normal(size=4)
         lengths = np.array([0.6, 1.1])
-        spec = CorrelationSpec(lengths=lengths)
-        factor, _ = build_correlation(pts, spec, nugget=0.0)
+        model = assemble_gp_model(pts, y, lengths, nugget=0.0, normalize=False)
         _, _, beta_ref, sigma2_ref = dense_reference(pts, y, lengths)
-        assert gls_beta(factor, y) == pytest.approx(beta_ref, abs=1e-10)
-        assert mle_sigma2(factor, y, gls_beta(factor, y)) == pytest.approx(sigma2_ref, abs=1e-10)
+        assert model.beta == pytest.approx(beta_ref, abs=1e-10)
+        assert model.sigma2 == pytest.approx(sigma2_ref, abs=1e-10)
 
 
 class TestNegLogLikelihood:
@@ -129,7 +128,8 @@ class TestNegLogLikelihood:
         pts = rng.uniform(size=(3, 1))
         y = rng.normal(size=3)
         lengths = np.array([0.9])
-        nll = neg_log_likelihood(pts, y, CorrelationSpec(lengths=lengths), nugget=0.0)
+        spec = CorrelationSpec(lengths=lengths)
+        nll = likelihood_with_gradient(pts, y, spec, 0.0, sq_diff(pts))[0]
         r_mat, rinv, beta, sigma2 = dense_reference(pts, y, lengths)
         cov = sigma2 * r_mat
         quad = (y - beta) @ np.linalg.inv(cov) @ (y - beta)
@@ -141,11 +141,11 @@ class TestNegLogLikelihood:
         pts = rng.uniform(size=(5, 2))
         y = rng.normal(size=5)
         spec = CorrelationSpec(lengths=np.array([0.4, 0.9]))
-        base = neg_log_likelihood(pts, y, spec, nugget=1e-10)
+        base = likelihood_with_gradient(pts, y, spec, 1e-10, sq_diff(pts))[0]
         perm = rng.permutation(5)
-        assert neg_log_likelihood(pts[perm], y[perm], spec, nugget=1e-10) == pytest.approx(
-            base, rel=1e-10
-        )
+        permuted = likelihood_with_gradient(pts[perm], y[perm], spec, 1e-10,
+                                            sq_diff(pts[perm]))[0]
+        assert permuted == pytest.approx(base, rel=1e-10)
 
     def test_worse_far_from_optimum(self):
         rng = np.random.default_rng(2)
@@ -154,24 +154,29 @@ class TestNegLogLikelihood:
         model = fit_gp(design, y, FitConfig(multistarts=4, seed=0))
         lengths = model.corr.lengths
         pts_norm = model.normalized_design()
-        best = neg_log_likelihood(pts_norm, y, CorrelationSpec(lengths=lengths), model.nugget)
+        spec = CorrelationSpec(lengths=lengths)
+        best = likelihood_with_gradient(pts_norm, y, spec, model.nugget, sq_diff(pts_norm))[0]
         for factor in (200.0, 1.0 / 200.0):
-            worse = neg_log_likelihood(
+            worse = likelihood_with_gradient(
                 pts_norm, y, CorrelationSpec(lengths=np.clip(lengths * factor, 1e-3, 1e3)),
-                model.nugget,
-            )
+                model.nugget, sq_diff(pts_norm),
+            )[0]
             assert worse > best
 
 
 class TestLikelihoodGradient:
     def test_value_is_neg_log_likelihood(self):
+        # (1/2) [n log sigma2 + log det K + n] at the sigma2 and factor that
+        # assemble_gp_model stores: one concentration step serves both
         rng = np.random.default_rng(4)
         pts = rng.uniform(size=(9, 3))
         y = rng.normal(size=9)
-        spec = CorrelationSpec(lengths=np.array([0.3, 0.8, 2.0]))
-        assert neg_log_likelihood(pts, y, spec, 1e-10) == likelihood_with_gradient(
-            pts, y, spec, 1e-10
-        )[0]
+        lengths = np.array([0.3, 0.8, 2.0])
+        model = assemble_gp_model(pts, y, lengths, nugget=1e-10, normalize=False)
+        spec = CorrelationSpec(lengths=lengths)
+        logdet = 2.0 * np.log(np.diag(build_correlation(pts, spec, 1e-10)[0])).sum()
+        nll = likelihood_with_gradient(pts, y, spec, 1e-10, sq_diff(pts))[0]
+        assert nll == 0.5 * (9 * math.log(model.sigma2) + logdet + 9)
 
     def test_matches_central_differences(self):
         # in the log-lengths, on designs with cond(K) < 1e6: beyond that,
@@ -189,12 +194,13 @@ class TestLikelihoodGradient:
             if np.linalg.cond(factor) ** 2 >= 1e6:
                 continue
             checked += 1
-            _, grad = likelihood_with_gradient(pts, y, spec, nugget)
+            _, grad = likelihood_with_gradient(pts, y, spec, nugget, sq_diff(pts))
             for j in range(d):
                 step = h * np.eye(d)[j]
+                up, down = (CorrelationSpec(lengths=np.exp(phi + sign * step)) for sign in (1, -1))
                 fd = (
-                    neg_log_likelihood(pts, y, CorrelationSpec(lengths=np.exp(phi + step)), nugget)
-                    - neg_log_likelihood(pts, y, CorrelationSpec(lengths=np.exp(phi - step)), nugget)
+                    likelihood_with_gradient(pts, y, up, nugget, sq_diff(pts))[0]
+                    - likelihood_with_gradient(pts, y, down, nugget, sq_diff(pts))[0]
                 ) / (2 * h)
                 worst = max(worst, abs(fd - grad[j]) / max(abs(fd), 1e-12))
         assert checked >= 20
@@ -221,6 +227,23 @@ class TestFit:
         y = np.array([1.0, 1.0, 2.0, 0.5])
         model = fit_gp(pts, y, FitConfig(multistarts=2, seed=0))
         assert model.nugget > 0
+
+    @pytest.mark.parametrize("where", ["response", "design"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_rejected_before_the_search(self, monkeypatch, where, bad):
+        design = lhd_sample(8, 2, seed=9).points.copy()
+        y = np.cos(4.0 * design[:, 0]) + design[:, 1]
+        if where == "response":
+            y[3] = bad
+        else:
+            design[2, 1] = bad
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("the likelihood search ran")
+
+        monkeypatch.setattr("dynshape.gp._minimize_box", no_search)
+        with pytest.raises(ValueError, match="must be finite"):
+            fit_gp(design, y, FitConfig(multistarts=2, seed=0))
 
 
 class TestPredict:
@@ -374,7 +397,7 @@ class TestLoadedModel:
         y = np.sin(pts @ [3.0, 0.2, 0.01]) + 0.1 * rng.normal(size=9)
         model = fit_gp(pts, y, FitConfig(multistarts=3, seed=2))
         clone = self.reload(model)
-        assert clone.factor is None and clone.ones_solve is None
+        assert clone.kinv is None and clone.ones_solve is None
         assert clone.beta == model.beta and clone.sigma2 == model.sigma2
         new = rng.uniform(size=(6, 3)) * scale
         for x0 in new:
@@ -404,7 +427,7 @@ class TestLoadedModel:
         clone = self.reload(model)
         x0 = rng.uniform(size=2)
         first = predict(clone, x0)
-        assert clone.factor is not None and clone.ones_solve is not None
+        assert clone.kinv is not None and clone.ones_solve is not None
         calls = []
         original = gp_module.build_correlation
 

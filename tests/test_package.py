@@ -1,4 +1,5 @@
 import importlib
+import importlib.util
 import os
 import pkgutil
 import subprocess
@@ -16,6 +17,20 @@ def test_public_names_resolve(name):
     module = importlib.import_module(f"dynshape.{name}")
     missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
     assert not missing, f"dynshape.{name}.__all__ names missing attributes: {missing}"
+
+
+def test_benchmark_traced_names_resolve():
+    # the benchmark's tracer looks up each (module, function) it wraps by name
+    # when it installs, so renaming or deleting one breaks every traced run
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "perfbench", "tracer.py")
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = [f"dynshape.{module}.{name}" for module, names in tracer.TARGETS.items()
+               for name in names
+               if not callable(getattr(importlib.import_module(f"dynshape.{module}"), name, None))]
+    assert not missing, f"traced names missing: {missing}"
 
 
 SCIPY_LOADED = "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"

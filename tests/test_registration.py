@@ -418,6 +418,14 @@ class TestEstimation:
         with pytest.raises(ValueError):
             estimate_params(curves)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_curve_rejected_before_the_search(self, bad):
+        # a curve set cannot hold a non-finite value, so none reaches the contrast search
+        values = random_curveset(0).values
+        values[1, 5] = bad
+        with pytest.raises(ValueError, match="curve values must be finite"):
+            CurveSet(values=values, t_grid=TWO_PI * np.arange(21) / 21, period=TWO_PI)
+
 
 class TestBlocked:
     def test_single_block_identical(self, small_deformed):

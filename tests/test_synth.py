@@ -98,7 +98,7 @@ class TestFunctionalSim:
 
     def test_constant_maps_give_identical_rows(self):
         spec = SimSpec(
-            pattern="pressure",
+            pattern=pressure_pattern,
             alpha_fn=lambda pts: np.full(pts.shape[0], 1.1),
             theta_fn=lambda pts: np.full(pts.shape[0], 0.2),
             v_fn=lambda pts: np.full(pts.shape[0], -0.5),
@@ -116,7 +116,7 @@ class TestFunctionalSim:
 
     def test_theta_out_of_range_rejected(self):
         spec = SimSpec(
-            pattern="pressure",
+            pattern=pressure_pattern,
             alpha_fn=lambda pts: np.ones(pts.shape[0]),
             theta_fn=lambda pts: np.full(pts.shape[0], 3.5),
             v_fn=lambda pts: np.zeros(pts.shape[0]),
@@ -148,22 +148,11 @@ class TestFunctionalSim:
         assert np.array_equal(a.values, b.values)
         assert not np.array_equal(a.values, c.values)
 
-    def test_sampled_pattern_matches_callable(self):
-        # a pattern given as grid samples is evaluated through its
-        # trigonometric interpolant, which is exact for band-limited shapes
-        j = 33
-        grid = TWO_PI * np.arange(j) / j
-        samples = pressure_pattern(grid)
-        design = self.make_design(5)
-        spec_fn = co2_style_spec(j=j)
-        spec_samples = SimSpec(
-            pattern=samples,
-            alpha_fn=spec_fn.alpha_fn,
-            theta_fn=spec_fn.theta_fn,
-            v_fn=spec_fn.v_fn,
-            box=spec_fn.box,
-            j=j,
-        )
-        a = generate_functional_sim(spec_fn, design)
-        b = generate_functional_sim(spec_samples, design)
-        np.testing.assert_allclose(a.values, b.values, rtol=1e-9, atol=1e-9)
+    @pytest.mark.parametrize("pattern", ["pressure", pressure_pattern(TWO_PI * np.arange(33) / 33)])
+    def test_non_callable_pattern_rejected(self, pattern):
+        spec = co2_style_spec(j=33)
+        with pytest.raises(ValueError, match="pattern must be a callable"):
+            SimSpec(pattern=pattern, alpha_fn=spec.alpha_fn, theta_fn=spec.theta_fn,
+                    v_fn=spec.v_fn, box=spec.box, j=33)
+        with pytest.raises(ValueError, match="pattern must be a callable"):
+            generate_analytical(5, 33, 0.0, seed=0, pattern=pattern)
