@@ -345,7 +345,7 @@ def _coarse_start(
 
 
 def estimate_params(
-    curves: CurveSet, config: EstimationConfig | None = None
+    curves: CurveSet | np.ndarray, config: EstimationConfig | None = None
 ) -> tuple[TransformParams, EstimationDiagnostics]:
     """Estimate the per-curve deformation parameters by contrast minimization.
 
@@ -355,20 +355,25 @@ def estimate_params(
     period centered at its seed and reported wrapped to [-pi, pi).  Vertical
     shifts carry no weight in the contrast and are recovered afterwards as
     v_k = d_k0 - alpha_k * d_10.
+
+    ``curves`` is a curve set or its half spectrum (:func:`to_fourier`), so
+    :func:`estimate_params_blocked` can hand each block its rows of one spectrum.
     """
     if config is None:
         config = EstimationConfig()
-    if curves.n < 2:
-        raise ValueError("registration needs at least 2 curves")
     t_begin = time.perf_counter()
-    full = to_fourier(curves)
-    delta = make_weights(curves.j, config.beta_exponent, config.l_max)
+    full = to_fourier(curves) if isinstance(curves, CurveSet) else np.asarray(curves)
+    n, j = full.shape[0], 2 * full.shape[-1] - 1
+    if n < 2:
+        raise ValueError("registration needs at least 2 curves")
+    if not np.isfinite(full).all():
+        raise ValueError("curve values must be finite")
+    delta = make_weights(j, config.beta_exponent, config.l_max)
     # frequencies above l_max carry zero weight: drop them once for every evaluation
     keep = slice(None if config.l_max is None else config.l_max + 1)
     coeffs, delta2 = full[:, keep], delta[keep] ** 2
-    n = curves.n
 
-    alpha0, theta0 = _coarse_start(coeffs, delta2, curves.j, config.alpha_bounds)
+    alpha0, theta0 = _coarse_start(coeffs, delta2, j, config.alpha_bounds)
     lo = np.concatenate((np.full(n - 1, config.alpha_bounds[0]), theta0[1:] - np.pi))
     hi = np.concatenate((np.full(n - 1, config.alpha_bounds[1]), theta0[1:] + np.pi))
 
@@ -428,19 +433,15 @@ def estimate_params_blocked(
         params, diag = estimate_params(curves, config)
         return params, [diag]
 
+    full = to_fourier(curves)  # rfft rows are independent: one transform serves every block
     alpha = np.ones(n)
     theta = np.zeros(n)
     v = np.zeros(n)
     diags: list[EstimationDiagnostics] = []
     for b, start in enumerate(range(1, n, block_size)):
         rows = np.arange(start, min(start + block_size, n))
-        sub = CurveSet(
-            values=curves.values[np.concatenate(([0], rows))],
-            t_grid=curves.t_grid,
-            period=curves.period,
-        )
         try:
-            sub_params, sub_diag = estimate_params(sub, config)
+            sub_params, sub_diag = estimate_params(full[np.concatenate(([0], rows))], config)
         except EstimationFailureError as err:
             raise EstimationFailureError(f"block {b}: {err}", starts=err.starts) from err
         alpha[rows] = sub_params.alpha[1:]
