@@ -293,7 +293,8 @@ def contrast_with_gradient(
     theta: np.ndarray,
     coeffs: np.ndarray,
     delta2: np.ndarray,
-) -> tuple[float, np.ndarray, np.ndarray]:
+    hessian: bool = False,
+) -> tuple:
     """Contrast and its analytic gradient in (alpha_k, theta_k), k >= 2.
 
     Because the rephased-coefficient mean is the minimizer of the quadratic
@@ -308,6 +309,17 @@ def contrast_with_gradient(
     full sum is exactly twice the half sum (hence 2 and -4/n), and the
     rephasing can skip the vertical shifts.  The reference curve is fixed, so
     its components are omitted.
+
+    With ``hessian`` the exact Hessian over (alpha_2.., theta_2..) is returned
+    as a fourth item.  With the derivative rows D^alpha_k = -ctilde_k/alpha_k
+    and D^theta_k = i l ctilde_k, and E^pq_k the derivative of D^p_k in q,
+
+        H[(p,k),(q,m)] = (4/n) sum_l delta_l^2 Re(conj(D^p_kl) D^q_ml) ([k=m] - 1/n)
+                         + [k=m] (4/n) sum_l delta_l^2 Re(conj(u_kl) E^pq_kl):
+
+    one Gram product of the weighted rows plus, on each curve's 2 x 2 block,
+    terms that reuse w: E^aa = 2 ctilde/alpha^2, E^at = -i l ctilde/alpha and
+    E^tt = -l^2 ctilde.
     """
     n = coeffs.shape[0]
     ct = undeform(coeffs, alpha, theta, 0.0)
@@ -315,9 +327,22 @@ def contrast_with_gradient(
     m_val = float(2.0 * (delta2 * (u.real ** 2 + u.imag ** 2)).sum() / n)
     w = np.conj(u)
     w *= ct
+    ell = np.arange(delta2.size)
     g_alpha = -(4.0 / n) * (delta2 * w.real).sum(axis=1) / alpha
-    g_theta = -(4.0 / n) * (delta2 * np.arange(delta2.size) * w.imag).sum(axis=1)
-    return m_val, g_alpha[1:], g_theta[1:]
+    g_theta = -(4.0 / n) * (delta2 * ell * w.imag).sum(axis=1)
+    if not hessian:
+        return m_val, g_alpha[1:], g_theta[1:]
+    m = n - 1
+    rows = np.concatenate((ct[1:] * (-1.0 / alpha[1:])[:, None], ct[1:] * (1j * ell)))
+    rows *= np.sqrt(delta2)
+    rows = np.concatenate((rows.real, rows.imag), axis=1)
+    h = (4.0 / n) * (rows @ rows.T) * (np.tile(np.eye(m), (2, 2)) - 1.0 / n)
+    k = np.arange(m)
+    h[k, k] -= 2.0 * g_alpha[1:] / alpha[1:]
+    h[k, k + m] -= g_theta[1:] / alpha[1:]
+    h[k + m, k] -= g_theta[1:] / alpha[1:]
+    h[k + m, k + m] -= (4.0 / n) * (delta2 * ell ** 2 * w.real[1:]).sum(axis=1)
+    return m_val, g_alpha[1:], g_theta[1:], h
 
 
 def _coarse_start(
@@ -377,11 +402,11 @@ def estimate_params(
     lo = np.concatenate((np.full(n - 1, config.alpha_bounds[0]), theta0[1:] - np.pi))
     hi = np.concatenate((np.full(n - 1, config.alpha_bounds[1]), theta0[1:] + np.pi))
 
-    def objective(x: np.ndarray) -> tuple[float, np.ndarray]:
+    def objective(x: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
         alpha = np.concatenate(([1.0], x[: n - 1]))
         theta = np.concatenate(([0.0], x[n - 1 :]))
-        m_val, g_a, g_t = contrast_with_gradient(alpha, theta, coeffs, delta2)
-        return m_val, np.concatenate((g_a, g_t))
+        m_val, g_a, g_t, h = contrast_with_gradient(alpha, theta, coeffs, delta2, hessian=True)
+        return m_val, np.concatenate((g_a, g_t)), h
 
     x, fun, nfev, nit, message, _ = _minimize_box(
         objective, np.concatenate((alpha0[1:], theta0[1:])), lo, hi,

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import TWO_PI
 from dynshape.doe import DesignMatrix, InputBox, lhd_sample, scale_to_box
@@ -295,6 +295,7 @@ class TestEquivariance:
     @settings(max_examples=10, deadline=None)
     @given(design_seed=st.integers(0, 2**16), shift=st.integers(0, 32),
            factor=st.floats(0.25, 4.0))
+    @example(design_seed=193, shift=0, factor=2.0)  # once lost to roundoff in registration
     def test_rotation_and_scaling_across_designs(self, design_seed, shift, factor):
         # the c10 invariants on drawn designs, rotations and scales, with the same bound
         design, curves, _ = harness(n=14, design_seed=design_seed,

@@ -353,6 +353,37 @@ class TestGradient:
                     assert abs(fd - grad[k - 1]) <= 1e-5 * max(abs(fd), 1e-10)
 
 
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10**6), n=st.integers(2, 12), half=st.integers(2, 100),
+           l_max=st.none() | st.integers(1, 20))
+    def test_hessian_matches_central_differences_of_the_gradient(self, seed, n, half, l_max):
+        rng = np.random.default_rng(seed)
+        j = 2 * half + 1
+        curves = random_curveset(seed, n=n, j=j)
+        keep = slice(None if l_max is None else l_max + 1)
+        coeffs, delta2 = to_fourier(curves)[:, keep], make_weights(j, l_max=l_max)[keep] ** 2
+        x = np.concatenate((rng.uniform(0.2, 5.0, n - 1), rng.uniform(-1.0, 1.0, n - 1)))
+
+        def evaluate(x, hessian=False):
+            alpha, theta = np.concatenate(([1.0], x[: n - 1])), np.concatenate(([0.0], x[n - 1:]))
+            return contrast_with_gradient(alpha, theta, coeffs, delta2, hessian)
+
+        *first, hess = evaluate(x, hessian=True)
+        # the Hessian rides along without moving a bit of the value or the gradient
+        assert [np.asarray(a).tobytes() for a in first] == [
+            np.asarray(a).tobytes() for a in evaluate(x)]
+        assert np.array_equal(hess, hess.T)
+        fd = np.empty_like(hess)
+        for i in range(x.size):
+            h = 1e-6 * max(1.0, abs(x[i]))
+            plus, minus = x.copy(), x.copy()
+            plus[i] += h
+            minus[i] -= h
+            diff = np.concatenate(evaluate(plus)[1:]) - np.concatenate(evaluate(minus)[1:])
+            fd[:, i] = diff / (2 * h)
+        assert np.abs(hess - fd).max() <= 1e-6 * np.abs(hess).max()
+
+
 class TestEstimation:
     def test_band_limited_exact_recovery(self, small_deformed):
         curves, truth = small_deformed
@@ -514,28 +545,28 @@ def sha256_of(*arrays):
 
 # sha256 of the estimated (alpha, theta, v), the extracted pattern and the
 # aligned curves for generate_analytical(41, 101, 0.01, seed) registered in
-# blocks of 10, keyed by (l_max, seed).  They pin where the projected L-BFGS
+# blocks of 10, keyed by (l_max, seed).  They pin where the projected Newton
 # search stops under roundoff; LBFGSB_RESULTS below holds it to the answer of
-# scipy's L-BFGS-B, which it replaced.
+# scipy's L-BFGS-B, which registration used before.
 REGISTRATION_SHA256 = {
-    (None, 0): ("3bd0ec3c449c4fe519d68433dca0a0a6f883cdf54140e3b247670b1260996feb",
-                "4763f8449596cb71129849f5784959728bf774165f2478bb654f908e73ec579b",
-                "8a6a6e717e664226892a952960405ef9dfe420a886252f6204f6385a345994e5"),
-    (None, 1): ("2745589b816c2b6349d7da58ad35f15559d89e9ac3e34202caaf4bb5a5084869",
-                "74a843009055be2bc9914474f5453023b79848be0b9b6a8bab3d6ddb16a181f7",
-                "fad5b689bc95daceb617820ec4aa8198549b931c17a77f582f9cf01f2d0ae8f3"),
-    (None, 2): ("530d11f03353bf3e5e6cbbd017a99412a8a749f302aab4f13f90c6d187d47a26",
-                "4625271c0f377e46b93ac12cf2dbfe59714e9f5d40d6943be049bfb68221c87a",
-                "24183e3284c5f51122375d346d6a066d2955a368b77afe98445791ddcec75c4d"),
-    (7, 0): ("e5d458dd05ada131551df413362786f06a42f37f00d8adbdec3d5d9f7c786bab",
-             "a1720134e1c2f9fdf70282dff23535d2548983ffbdd5479ee3c292c181a502ef",
-             "cf6fd8c3d3f24858e3d3905d4d70921cfb7adb14cefb50b067eb288c3afe29a0"),
-    (7, 1): ("90e41b1161592986a8a000361c16d3e2eb4585d653abd38577e02b0009ba2ffb",
-             "4b81c9058e079c6070427c99ae3bae8fad50e58945a9cf5a26a57dc3037acc45",
-             "f075d986e28c845bc44080766d3f0728977ebf86cb41022b32462ee2e8572201"),
-    (7, 2): ("b1954cb3e17bbe4e71532681a2eb210f6452108822bb1c5039f9702c255ff7f4",
-             "eb95774c9be25d2dfa4ac0073f73c5aee520f733850574e2a94be39ed04603b1",
-             "e40caa80531f59befe3d5cdfd11a579d3c048a3fac099630f53c53e1b09ca00f"),
+    (None, 0): ("6842d2b02f02ad7f55d06998dd957d252c5ccfa6b1a9478bf828f208d9cc1ad9",
+                "b1dc9865b92ff336b3151cb6d7fb164d1418abff30a7c3a7924a12674d090119",
+                "463aaa01666dc13ce66673c0f3c8e3575f5b30ee355b6f8ff1391c088f9820d2"),
+    (None, 1): ("aa49108e5161d2770ee3b16386e2f8ea4d6626b97d1fc0e8ce2613c538256109",
+                "1c22314dd9be6b594ff12af175fbf185055f253c2a7b55ce6431b916df685d91",
+                "f2c63b74bf3b09a0736fee5a1943d55c4a3ca6e7aa59d3018a71c52b5204b2ee"),
+    (None, 2): ("39621822b7efd17af8a25c6becb6d71c518f718fccd31d9ea813b07087470eb5",
+                "11dfc642d373ee31148c9ccaef5028ccb665ebd657203c27a9390f8794fa14e5",
+                "30982cb4f867b4ec402d46058f5ff59b23af5a7d1534d6ecadfe651afbb5dda8"),
+    (7, 0): ("3e2f41ca3c44384d6f35dc6cca9dcc53dbd0e2177913935aacd089bdb7650f9f",
+             "50346e8974c6dfdb67588ffe60a1dd2a31e646160bfefb943377598d86647d02",
+             "fca159ae1295392d047f0a5e8bfe2a2a69904353b7f8ecdce8f4486bf5ed6600"),
+    (7, 1): ("80c8e6716ae21096edfb70cbe05a142aec7bdb95d5021282ddc0f505cfceee9b",
+             "1bc9dad017fe8195b862398f74be39f9815f30331f0bc0499de78d93e1fe606a",
+             "462646b6d064646dbf4d541387e288d1a9200779112eb55179a9db70e3d39130"),
+    (7, 2): ("d6cd477a6a77f9be64d515d0dff9e64cd30a6d8d1dc38334d9f6bc8d08dbb515",
+             "e2ec0cdff36b5b59b00a7e180d8f8de379ec22e8113687cbeac8de98127eaf6b",
+             "1c67d7bd92839d98bed1a02e47e3dac29cebfd99ee87dbc559827ca4cc100f09"),
 }
 
 # Where scipy's L-BFGS-B ended on the same cases: the worst block's contrast,
@@ -697,6 +728,16 @@ class TestPinnedBits:
         got = (sha256_of(params.alpha, params.theta, params.v), sha256_of(pattern.values),
                sha256_of(aligned.values))
         assert got == REGISTRATION_SHA256[(l_max, seed)]
+
+    @pytest.mark.parametrize("l_max, seed", list(REGISTRATION_SHA256))
+    def test_newton_search_ends_within_8_evaluations(self, l_max, seed):
+        # a count, not a wall time: the Newton steps converge in a handful of evaluations
+        curves, _ = generate_analytical(41, 101, 0.01, seed)
+        _, diags = estimate_params_blocked(curves, 10, EstimationConfig(l_max=l_max))
+        for diag in diags:
+            assert diag.starts[0]["message"] in ("projected gradient <= gtol",
+                                                 "relative reduction of f <= ftol")
+            assert diag.nfev <= 8
 
     @pytest.mark.parametrize("l_max, seed", list(LBFGSB_RESULTS))
     def test_search_matches_l_bfgs_b(self, l_max, seed):
