@@ -82,8 +82,18 @@ def _read_lines(path: str) -> list[tuple[int, str]]:
 def _read_numbers(path: str, lines: list[tuple[int, str]], width: int, skip: int = 0) -> np.ndarray:
     """Rows of ``width`` cells, all but the first ``skip`` finite numbers.
 
-    Errors name the file, the line and the column.
+    Errors name the file, the line and the column.  Without label columns the
+    rows go through ``np.loadtxt`` first; a parse error, a wrong shape or a
+    non-finite value falls through to the per-cell reader, which names them.
     """
+    if skip == 0 and lines:
+        try:
+            values = np.loadtxt([line for _, line in lines], delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            pass
+        else:
+            if values.shape == (len(lines), width) and np.isfinite(values).all():
+                return values
     values = np.empty((len(lines), width - skip))
     for row, (no, line) in enumerate(lines):
         cells = line.split(",")

@@ -284,6 +284,47 @@ class TestWriteTable:
         assert path.read_text() == "\n".join(cells) + "\n"
 
 
+class TestLoadtxtPath:
+    """Without label columns the reader tries np.loadtxt before the per-cell reader."""
+
+    def test_nan_names_its_line_and_column(self, tmp_path):
+        # loadtxt accepts nan; the finite check hands the table to the per-cell reader
+        path = tmp_path / "d.csv"
+        path.write_text("x1,x2\n1,2\n3,nan\n")
+        with pytest.raises(InputConsistencyError, match=r"line 3, column 2: non-finite value nan"):
+            fileio.read_design_csv(str(path))
+
+    def test_trailing_spaces_are_read(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("x1,x2\n1.5 ,2\n3, 4.25  \n")
+        assert fileio.read_design_csv(str(path)).tolist() == [[1.5, 2.0], [3.0, 4.25]]
+
+    def test_underscores_are_read_like_float(self, tmp_path):
+        # loadtxt rejects 1_0, which float reads as 10: the per-cell reader keeps it
+        path = tmp_path / "d.csv"
+        path.write_text("x1,x2\n1_0,2\n")
+        assert fileio.read_design_csv(str(path)).tolist() == [[10.0, 2.0]]
+
+    def test_ragged_row_names_its_line(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("x1,x2\n1,2\n3,4,5\n")
+        with pytest.raises(InputConsistencyError, match=r"line 3: expected 2 columns, got 3"):
+            fileio.read_design_csv(str(path))
+
+    @settings(max_examples=40, deadline=None)
+    @given(rows=arrays(float, st.tuples(st.integers(1, 4), st.sampled_from([1, 2, 5])),
+                       elements=st.floats(allow_nan=False, allow_infinity=False,
+                                          allow_subnormal=True)
+                       | st.sampled_from([-0.0, 5e-324, 1e308, -1e308])))
+    def test_bits_equal_the_per_cell_reader(self, tmp_path_factory, rows):
+        path = str(tmp_path_factory.mktemp("table") / "t.csv")
+        fileio.write_table(path, "h", rows)
+        lines = fileio._read_lines(path)[1:]
+        per_cell = np.array([[float(c) for c in line.split(",")] for _, line in lines])
+        got = fileio._read_numbers(path, lines, rows.shape[1])
+        assert got.tobytes() == per_cell.tobytes() == rows.tobytes()
+
+
 class TestReaderLineNumbers:
     def test_blank_lines_are_counted(self, tmp_path):
         path = tmp_path / "d.csv"
