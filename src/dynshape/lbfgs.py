@@ -24,10 +24,10 @@ EPS = np.finfo(float).eps
 
 
 def _two_loop(q, s, y):
-    """The L-BFGS direction for gradient ``q`` from the pairs (rows of s, y).
+    """The two-loop recursion for gradient ``q`` over the pairs (rows of s, y).
 
     It runs on the pairs' inner products; a pair without positive curvature
-    gets no weight, and without a kept pair it is a gradient step of at most
+    gets no weight, and with none kept the step is a gradient step of at most
     unit length.
     """
     sy, yy, sq = (s @ y.T).tolist(), y @ y.T, (s @ q).tolist()
@@ -52,10 +52,9 @@ def _newton(h, q):
     h's largest diagonal entry and grows tenfold until the factorization holds.
     If it never does, the step is the gradient's, of at most unit length.
     """
-    eye = np.eye(q.size)
     shift, scale = 0.0, max(float(np.abs(np.diag(h)).max(initial=0.0)), 1.0)
     for _ in range(SHIFTS):
-        a = h + shift * eye
+        a = h + shift * np.eye(q.size)
         try:
             np.linalg.cholesky(a)
         except np.linalg.LinAlgError:

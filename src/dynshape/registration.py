@@ -374,10 +374,11 @@ def estimate_params(
 ) -> tuple[TransformParams, EstimationDiagnostics]:
     """Estimate the per-curve deformation parameters by contrast minimization.
 
-    One projected L-BFGS search (:func:`dynshape.lbfgs._minimize_box`, run to
-    gtol 1e-10 and ftol 1e-16) from a grid-scan start, with analytic gradients
-    over (alpha_k, theta_k), k >= 2; each theta_k is refined inside a full
-    period centered at its seed and reported wrapped to [-pi, pi).  Vertical
+    One projected Newton search (:func:`dynshape.lbfgs._minimize_box`, run to
+    gtol 1e-10 and ftol 1e-16) from a grid-scan start, on the contrast's
+    analytic gradient and exact Hessian over (alpha_k, theta_k), k >= 2; each
+    theta_k is refined inside a full period centered at its seed and reported
+    wrapped to [-pi, pi).  Vertical
     shifts carry no weight in the contrast and are recovered afterwards as
     v_k = d_k0 - alpha_k * d_10.
 

@@ -71,3 +71,37 @@ def test_stand_in_value_is_never_accepted():
     assert seen  # the line search had to back off from the stand-in value
     assert x[0] <= 0.5 and f < 1e-12
     np.testing.assert_allclose(x, center, atol=1e-6)
+
+
+def rosenbrock_with_hessian(x):
+    f, g = rosenbrock(x)
+    a, b = x[0], x[1]
+    h = np.array([[1200.0 * a ** 2 - 400.0 * b + 2.0, -400.0 * a], [-400.0 * a, 200.0]])
+    return f, g, h
+
+
+def test_newton_steps_end_a_quadratic_on_its_bounds():
+    center = np.array([2.0, -3.0, 0.5])
+    hess = np.diag([2.0, 8.0, 0.5])
+
+    def fun(x):
+        r = x - center
+        return float(r @ hess @ r) / 2.0, hess @ r, hess
+
+    x, f, nfev, nit, message, at_bound = _minimize_box(
+        fun, np.zeros(3), -np.ones(3), np.ones(3), maxiter=100, gtol=1e-10, ftol=0.0)
+    assert x.tolist() == [1.0, -1.0, 0.5]
+    assert at_bound.tolist() == [True, True, False]
+    assert message == "projected gradient <= gtol"
+    assert nit <= 3 and nfev == nit + 1
+
+
+def test_newton_shifts_an_indefinite_hessian():
+    # at (0, 1) the Rosenbrock Hessian is diag(-398, 200): the Cholesky test fails
+    # and the shifted system still gives a descent step
+    x0 = np.array([0.0, 1.0])
+    assert np.linalg.eigvalsh(rosenbrock_with_hessian(x0)[2]).min() < 0
+    x, f, _, nit, _, _ = _minimize_box(rosenbrock_with_hessian, x0, np.full(2, -5.0),
+                                       np.full(2, 5.0), maxiter=200, gtol=1e-10, ftol=1e-16)
+    np.testing.assert_allclose(x, [1.0, 1.0], atol=1e-8)
+    assert f <= 1e-16 and nit < 50
