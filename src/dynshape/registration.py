@@ -378,9 +378,8 @@ def estimate_params(
     gtol 1e-10 and ftol 1e-16) from a grid-scan start, on the contrast's
     analytic gradient and exact Hessian over (alpha_k, theta_k), k >= 2; each
     theta_k is refined inside a full period centered at its seed and reported
-    wrapped to [-pi, pi).  Vertical
-    shifts carry no weight in the contrast and are recovered afterwards as
-    v_k = d_k0 - alpha_k * d_10.
+    wrapped to [-pi, pi).  Vertical shifts carry no weight in the contrast and
+    are recovered afterwards as v_k = d_k0 - alpha_k * d_10.
 
     ``curves`` is a curve set or its half spectrum (:func:`to_fourier`), so
     :func:`estimate_params_blocked` can hand each block its rows of one spectrum.
