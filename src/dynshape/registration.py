@@ -424,7 +424,7 @@ def estimate_params(
     v_hat[0] = 0.0
     params = TransformParams(alpha=alpha_hat, theta=theta_hat, v=v_hat)
     diag = EstimationDiagnostics(
-        contrast=contrast(params, full, delta),
+        contrast=start["fun"],
         iterations=start["nit"],
         nfev=nfev,
         seconds=time.perf_counter() - t_begin,

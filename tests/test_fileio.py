@@ -1,5 +1,6 @@
 import hashlib
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from dynshape.emulator import TrainConfig, predict_curves, train
 from dynshape.errors import InputConsistencyError
 from dynshape.gp import FitConfig
 from dynshape.registration import CurveSet, EstimationConfig, TransformParams
-from dynshape.synth import co2_default_box, co2_style_spec, generate_functional_sim
+from dynshape.synth import co2_default_box, co2_style_spec, generate_analytical, generate_functional_sim
 
 
 class TestDesignCsv:
@@ -282,6 +283,62 @@ class TestWriteTable:
         fileio.write_table(str(path), "h", rows)
         cells = ["h"] + [",".join(map(fileio.fmt, row)) for row in rows]
         assert path.read_text() == "\n".join(cells) + "\n"
+
+
+    @staticmethod
+    def assert_per_cell(tmp_path, rows):
+        """write_table's text equals "%.17g" % x cell by cell, comma-joined, one line per row."""
+        path = tmp_path / "t.csv"
+        fileio.write_table(str(path), "h", rows)
+        lines = ["h"] + [",".join("%.17g" % x for x in row) for row in np.asarray(rows, dtype=float)]
+        assert path.read_text() == "\n".join(lines) + "\n"
+
+    def test_random_bit_patterns(self, tmp_path):
+        # every sign, exponent and mantissa, subnormals, nan and inf among them
+        bits = np.random.default_rng(18).integers(0, 2**64, size=100_000, dtype=np.uint64)
+        self.assert_per_cell(tmp_path, bits.view(np.float64).reshape(-1, 100))
+
+    def test_powers_of_two_and_ten_and_their_neighbours(self, tmp_path):
+        exact = np.array([2.0**e for e in range(-1074, 1024)] + [float(f"1e{q}") for q in range(-323, 309)])
+        cells = np.concatenate([exact, np.nextafter(exact, np.inf), np.nextafter(exact, -np.inf)])
+        self.assert_per_cell(tmp_path, np.concatenate([cells, -cells]).reshape(-1, 6))
+
+    def test_exact_ties_at_17_digits(self, tmp_path):
+        # m / 2**k is exact and its decimal digits m * 5**k end in the 18th digit, a 5:
+        # "%.17g" rounds them half to even, like 2**-25 = 2.98023223876953125e-08
+        ties = [2.0**-25]
+        for k in range(3, 26):
+            low = -(-(10**17) // 5**k) | 1
+            ties += [m / 2**k for m in range(low, low + 40, 2) if m < 2**53 and m * 5**k < 10**18]
+        ties = np.array(ties)
+        assert len(ties) > 400
+        cells = np.concatenate([ties, np.nextafter(ties, np.inf), np.nextafter(ties, -np.inf)])
+        self.assert_per_cell(tmp_path, np.concatenate([cells, -cells]).reshape(-1, 3))
+
+    def test_zeros_non_finite_cells_and_a_bool_column(self, tmp_path):
+        values = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 1e-300, -1e300, 2.0**-25])
+        flags = np.arange(values.size) % 2 == 0
+        self.assert_per_cell(tmp_path, np.column_stack([values, flags]))
+
+    @pytest.mark.parametrize("shape", [(2 * fileio._CHUNK + 3, 1), (1001, 7), (1, 1), (0, 3), (0, 1)])
+    def test_tables_cut_anywhere_by_the_chunks(self, tmp_path, shape):
+        # row counts off the chunk size, rows across chunk ends, 1-column and 0-row tables
+        rng = np.random.default_rng(shape[0])
+        self.assert_per_cell(tmp_path, rng.normal(size=shape) * 10.0 ** rng.integers(-30, 30, size=shape))
+
+    def test_peak_memory_stays_within_two_and_a_half_texts(self, tmp_path):
+        # the formatter works through the table in chunks: no whole-text copies beyond the
+        # joined text and what atomic_write_text writes from it
+        curves, _ = generate_analytical(401, 801, 0.01, seed=3)
+        path = str(tmp_path / "c.csv")
+        fileio.write_curves_csv(path, curves)
+        tracemalloc.start()
+        try:
+            fileio.write_curves_csv(path, curves)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * os.path.getsize(path)
 
 
 class TestLoadtxtPath:

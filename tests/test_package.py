@@ -44,10 +44,15 @@ def run_fresh(code, *args):
                           text=True, check=True).stdout.strip()
 
 
-def test_cli_import_leaves_optimizer_and_spatial_unloaded():
+def test_cli_import_leaves_optimizer_and_spatial_unloaded(tmp_path):
     # design, synth, predict, validate and align never fit, so importing the
     # CLI must not pay for any part of scipy (optimize, spatial, linalg, ...)
     assert run_fresh("import sys, dynshape.cli; " + SCIPY_LOADED) == "[]"
+    # nor for exact arithmetic: the CSV writer builds its powers of ten from ints
+    code = ("import sys, dynshape.cli\n"
+            "dynshape.cli.fileio.write_table(sys.argv[1], 'x', [[0.1, 1e-300]])\n"
+            "print(sorted({m.split('.')[0] for m in sys.modules} & {'fractions', 'decimal', '_decimal'}))")
+    assert run_fresh(code, str(tmp_path / "t.csv")) == "[]"
 
 
 def test_load_and_predict_leave_scipy_unloaded(tmp_path):
