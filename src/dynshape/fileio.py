@@ -98,7 +98,7 @@ class _CellFormatter:
     A finite |x| in [1e-280, 1e280] with decimal exponent k (10**k <= |x| <
     10**(k+1), decided exactly against 10**k as hi + lo) is scaled by
     10**(16-k) as a double-double product (Dekker) and rounded to its 17-digit
-    integer.  Each cell then gets a 48-byte slot, written as six uint64
+    integer.  Each cell then gets a 48-byte slot, written as six 64-bit
     words: the sign (byte 0), the "0.000" prefix (1-5), the 17 digits (6, 8,
     ..., 38) with a gap after each of the first 16 that may take the point,
     "e" (39), the exponent's sign and 3 digits (40-43) and the separator
@@ -109,13 +109,14 @@ class _CellFormatter:
     """
 
     def __init__(self):
-        v = np.arange(10000, dtype=np.uint64)
-        digits = [v // 1000 + 48, v // 100 % 10 + 48, v // 10 % 10 + 48, v % 10 + 48]
-        self.ascii = digits[0] | digits[1] << 8 | digits[2] << 16 | digits[3] << 24  # "dddd", bytes upward
-        self.spaced = digits[0] | digits[1] << 16 | digits[2] << 32 | digits[3] << 48  # every other byte
-        self.upto = np.array([0, 0xFF, 0xFF00FF, 0xFF00FF00FF, 0xFF00FF00FF00FF], np.uint64)
-        # the mask of a group's digits up to its last nonzero one
-        self.trim = self.upto[np.max([(d != 48) * (i + 1) for i, d in enumerate(digits)], axis=0)]
+        v = np.arange(10000, dtype=np.int64)
+        spaced = np.zeros((10000, 8), np.uint8)  # the 4 digits of v, every other byte
+        for place, power in enumerate((1000, 100, 10, 1)):
+            spaced[:, 2 * place] = v // power % 10 + 48
+        self.spaced = spaced.view("<i8").ravel()
+        self.upto = np.array([0, 0xFF, 0xFF00FF, 0xFF00FF00FF, 0xFF00FF00FF00FF], np.int64)
+        # the mask of v's digits up to its last nonzero one
+        self.trim = self.upto[(4 - (v % 10 == 0) - (v % 100 == 0) - (v % 1000 == 0)) * (v != 0)]
         # [g, w]: the mask of group g's digits that lie before the point when w digits do
         self.integer = self.upto[np.clip(np.arange(18) - 1 - 4 * np.arange(4)[:, None], 0, 4)]
         self.powers = {}
@@ -154,32 +155,30 @@ class _CellFormatter:
         fixed = (k >= -4) & (k <= 16)
         whole = np.where(fixed, np.maximum(k + 1, 0), 1)  # digits before the point
         slot = np.zeros((n, 48), np.uint8)
-        words = slot.view("<u8")
+        words = slot.view("<i8")  # ASCII bytes only: every word is positive
         lead = (fixed & (k < 0)) * (1 - k)  # "0." and the zeros after it
-        prefix = np.array([0, 0, 0x2E3000, 0x302E3000, 0x30302E3000, 0x3030302E3000], np.uint64)
+        prefix = np.array([0, 0, 0x2E3000, 0x302E3000, 0x30302E3000, 0x3030302E3000], np.int64)
         first = d // 10**16
-        words[:, 0] = (np.signbit(x) * np.uint64(ord("-"))) | prefix[lead] | (first + 48).astype(np.uint64) << 48
+        words[:, 0] = np.signbit(x) * ord("-") | prefix[lead] | (first + 48) << 48
         upper, lower = (d - first * 10**16) // 10**8, d % 10**8
         groups = [upper // 10**4, upper % 10**4, lower // 10**4, lower % 10**4]
         tail = np.ones(n, bool)  # every later digit is zero, so trailing zeros past the point go
         for g in (3, 2, 1, 0):
-            keep = np.where(tail, self.trim[groups[g]] | self.integer[g][whole], ~np.uint64(0))
+            keep = np.where(tail, self.trim[groups[g]] | self.integer[g][whole], -1)
             words[:, g + 1] = self.spaced[groups[g]] & keep
             tail &= groups[g] == 0
         e_form = ~fixed
-        words[:, 4] |= e_form * np.uint64(ord("e") << 56)
+        words[:, 4] |= e_form * (ord("e") << 56)
         size = np.abs(k)  # at most 281: three digits, the first dropped below 100
-        exponent = (self.ascii[size] >> 8) & np.where(size >= 100, 0xFFFFFF, 0xFFFF00).astype(np.uint64)
-        sign = np.where(k < 0, ord("-"), ord("+")).astype(np.uint64)
-        words[:, 5] = e_form * (sign | exponent << 8)
-        words[:, 5] |= np.where(line_end, ord("\n"), ord(",")).astype(np.uint64) << 32
+        exponent = (size // 100 + 48) * (size >= 100) | (size // 10 % 10 + 48) << 8 | (size % 10 + 48) << 16
+        sign = np.where(k < 0, ord("-"), ord("+"))
+        words[:, 5] = e_form * (sign | exponent << 8) | np.where(line_end, ord("\n"), ord(",")) << 32
         point = np.flatnonzero((whole > 0) & (d % 10 ** (17 - whole) != 0))  # digits after the point
         slot[point, 5 + 2 * whole[point]] = ord(".")
         for i in np.flatnonzero(slow).tolist():
             text = ("%.17g" % x[i]).encode()
-            slot[i] = 0
+            slot[i, :44] = 0
             slot[i, : len(text)] = np.frombuffer(text, np.uint8)
-            slot[i, 44] = ord("\n") if line_end[i] else ord(",")
         return slot.tobytes().translate(None, b"\0")
 
 
