@@ -75,11 +75,11 @@ def write_table(path: str, header: str, rows) -> None:
         x = cells[start : start + _CHUNK]
         pieces.append(cell_text(x, np.arange(start + 1, start + 1 + x.size) % width == 0).decode("ascii"))
     body = "".join(pieces)
-    del pieces
+    del pieces  # so that one copy of the text is alive while it is written
     atomic_write_text(path, body)
 
 
-_CHUNK = 4096  # cells per vectorised pass: bounds the temporaries at a few hundred kB
+_CHUNK = 4096  # cells per vectorised pass: bounds its temporaries at about 1 MB
 
 
 def _pow10(e: int) -> tuple[float, float, float, float]:
@@ -176,7 +176,7 @@ class _CellFormatter:
         point = np.flatnonzero((whole > 0) & (d % 10 ** (17 - whole) != 0))  # digits after the point
         slot[point, 5 + 2 * whole[point]] = ord(".")
         for i in np.flatnonzero(slow).tolist():
-            text = ("%.17g" % x[i]).encode()
+            text = fmt(x[i]).encode()
             slot[i, :44] = 0
             slot[i, : len(text)] = np.frombuffer(text, np.uint8)
         return slot.tobytes().translate(None, b"\0")
