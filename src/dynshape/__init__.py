@@ -15,7 +15,6 @@ from .doe import (
     scale_to_box,
 )
 from .gp import (
-    CorrelationSpec,
     FitConfig,
     GpModel,
     corr_gaussian,

@@ -40,7 +40,7 @@ def int_or_none(text: str) -> int | None:
     return None if text in ("none", "") else int(text)
 
 
-# Every training setting, once: key -> (type, the config classes it sets).
+# Every training setting, once: key -> (type, the config class it sets).
 # The flag is --key with "-" for "_"; the config-file key is the key itself.
 # A key names the field it sets, less any "gp_" prefix; a *_min/*_max or
 # *_lo/*_hi key that names no field sets one end of the <stem>_bounds pair.
@@ -131,15 +131,15 @@ def _config_from(given: dict) -> TrainConfig:
     """``TrainConfig`` from setting values, each default where ``given`` has none."""
     fields = {TrainConfig: {}, EstimationConfig: {}, FitConfig: {}}
     for key, value in given.items():
-        for cls in SETTINGS[key][1:]:
-            name = key.removeprefix("gp_")
-            if name in cls.__dataclass_fields__:
-                fields[cls][name] = value
-            else:
-                stem, end = name.rsplit("_", 1)
-                pair = list(fields[cls].get(f"{stem}_bounds", getattr(cls, f"{stem}_bounds")))
-                pair[end in ("max", "hi")] = value
-                fields[cls][f"{stem}_bounds"] = tuple(pair)
+        cls = SETTINGS[key][1]
+        name = key.removeprefix("gp_")
+        if name in cls.__dataclass_fields__:
+            fields[cls][name] = value
+        else:
+            stem, end = name.rsplit("_", 1)
+            pair = list(fields[cls].get(f"{stem}_bounds", getattr(cls, f"{stem}_bounds")))
+            pair[end in ("max", "hi")] = value
+            fields[cls][f"{stem}_bounds"] = tuple(pair)
     return TrainConfig(
         **fields[TrainConfig],
         estimation=EstimationConfig(**fields[EstimationConfig]),

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .doe import DesignMatrix, InputBox
-from .errors import DegenerateResponseError, FitFailureError, EstimationFailureError, TrainingError
+from .errors import FitFailureError, EstimationFailureError, TrainingError
 from .gp import (FitConfig, GpModel, GpStack, fit_gp, predict_many, prediction_metrics,
                  stack_models)
 from .registration import (
@@ -200,11 +200,9 @@ def train(
             continue
         try:
             models[name] = fit_gp(design, values, config.gp)
-        except (FitFailureError, DegenerateResponseError) as err:
-            raise FitFailureError(
-                f"parameter-model stage ({name}): {err}",
-                starts=getattr(err, "starts", []),
-            ) from err
+        except FitFailureError as err:
+            raise FitFailureError(f"parameter-model stage ({name}): {err}",
+                                  starts=err.starts) from err
     gp_seconds = time.perf_counter() - t0
 
     return FunctionalSurrogate(

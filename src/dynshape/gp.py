@@ -29,7 +29,6 @@ from .errors import DegenerateResponseError, FitFailureError, IllConditionedDesi
 from .lbfgs import _minimize_box
 
 __all__ = [
-    "CorrelationSpec",
     "FitConfig",
     "GpModel",
     "GpStack",
@@ -57,19 +56,6 @@ RIDGE_TIE = 1e-6
 
 
 @dataclass(frozen=True)
-class CorrelationSpec:
-    """Correlation lengths of the Gaussian kernel, one per dimension."""
-
-    lengths: np.ndarray
-
-    def __post_init__(self):
-        lengths = np.atleast_1d(np.asarray(self.lengths, dtype=float))
-        object.__setattr__(self, "lengths", lengths)
-        if np.any(lengths <= 0) or not np.all(np.isfinite(lengths)):
-            raise ValueError("correlation lengths must be positive and finite")
-
-
-@dataclass(frozen=True)
 class FitConfig:
     """Settings for the maximum-likelihood length search."""
 
@@ -94,15 +80,16 @@ class GpModel:
     """A fitted kriging model.
 
     ``design`` and ``responses`` are kept in original (box) coordinates;
-    ``corr.lengths`` refer to inputs normalized by (x_lo, x_span).  ``kinv``
-    is the inverse of K = R + nugget I on the normalized design, or None (with
-    ``ones_solve``) in a loaded model until the first variance or LOO sets
-    both; the kriging weights ``resid_solve`` give the mean without it.
+    ``lengths``, the Gaussian kernel's correlation lengths, refer to inputs
+    normalized by (x_lo, x_span).  ``kinv`` is the inverse of K = R + nugget I
+    on the normalized design, or None in a loaded model until the first
+    variance or LOO sets it; the kriging weights ``resid_solve`` give the mean
+    without it.
     """
 
     design: np.ndarray
     responses: np.ndarray
-    corr: CorrelationSpec
+    lengths: np.ndarray
     beta: float
     sigma2: float
     nugget: float
@@ -110,7 +97,6 @@ class GpModel:
     x_lo: np.ndarray = field(repr=False, default=None)
     x_span: np.ndarray = field(repr=False, default=None)
     resid_solve: np.ndarray = field(repr=False, default=None)  # Rinv (Y - beta 1)
-    ones_solve: np.ndarray = field(repr=False, default=None)  # Rinv 1
 
     @property
     def n(self) -> int:
@@ -144,20 +130,29 @@ def stack_models(models: list[GpModel]) -> GpStack:
            for m in models[1:] for key in ("design", "x_lo", "x_span")):
         raise ValueError("GP models fitted on different designs cannot share a kernel pass")
     return GpStack(first.x_lo, first.x_span, first.normalized_design(),
-                   np.array([m.corr.lengths for m in models])[:, None, None, :],
+                   np.array([m.lengths for m in models])[:, None, None, :],
                    np.array([m.resid_solve for m in models])[:, None, :],
                    np.array([m.beta for m in models])[:, None])
 
 
-def corr_gaussian(x: np.ndarray, y: np.ndarray, spec: CorrelationSpec) -> float:
+def _checked_lengths(lengths) -> np.ndarray:
+    """Lengths as a float array; raises ValueError unless all are positive and finite."""
+    lengths = np.atleast_1d(np.asarray(lengths, dtype=float))
+    if np.any(lengths <= 0) or not np.all(np.isfinite(lengths)):
+        raise ValueError("correlation lengths must be positive and finite")
+    return lengths
+
+
+def corr_gaussian(x: np.ndarray, y: np.ndarray, lengths: np.ndarray) -> float:
     """Gaussian correlation between two points; 1 iff x == y."""
+    lengths = _checked_lengths(lengths)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    if x.shape != y.shape or x.size != spec.lengths.size:
+    if x.shape != y.shape or x.size != lengths.size:
         raise ValueError("x and y must both have one coordinate per correlation length")
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise ValueError("inputs must be finite")
-    return float(_corr(x[None, :], y[None, :], spec)[0, 0])
+    return float(_corr(x[None, :], y[None, :], lengths)[0, 0])
 
 
 def _unit_box(design: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -176,13 +171,13 @@ def _sq_diff(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return diff ** np.full(diff.shape[-1], 2.0)
 
 
-def _corr(a: np.ndarray, b: np.ndarray, spec: CorrelationSpec) -> np.ndarray:
+def _corr(a: np.ndarray, b: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Correlation matrix between the rows of a (m x d) and of b (n x d)."""
-    return np.exp(-(_sq_diff(a, b) / spec.lengths).sum(axis=2))
+    return np.exp(-(_sq_diff(a, b) / lengths).sum(axis=2))
 
 
 def build_correlation(
-    points: np.ndarray, spec: CorrelationSpec, nugget: float = 0.0, corr: np.ndarray | None = None
+    points: np.ndarray, lengths: np.ndarray, nugget: float = 0.0, corr: np.ndarray | None = None
 ) -> tuple[np.ndarray, float]:
     """Cholesky factorization of R + nugget I with geometric nugget escalation.
 
@@ -197,7 +192,7 @@ def build_correlation(
     if nugget < 0:
         raise ValueError("nugget must be nonnegative")
     if corr is None:
-        corr = _corr(points, points, spec)
+        corr = _corr(points, points, lengths)
     trial = nugget
     while True:
         try:
@@ -236,7 +231,7 @@ def _concentrate(factor: np.ndarray, responses: np.ndarray) -> tuple[np.ndarray,
 
 
 def likelihood_with_gradient(
-    points: np.ndarray, responses: np.ndarray, spec: CorrelationSpec, nugget: float,
+    points: np.ndarray, responses: np.ndarray, lengths: np.ndarray, nugget: float,
     sq_diff: np.ndarray,
 ) -> tuple[float, np.ndarray]:
     """Concentrated negative log likelihood and its gradient in the log-lengths.
@@ -250,15 +245,15 @@ def likelihood_with_gradient(
     where o is the elementwise product; beta and sigma2 are at their
     closed-form optima, so their own variation drops out.
     """
-    corr = _corr(points, points, spec)
-    factor, _ = build_correlation(points, spec, nugget, corr)
+    corr = _corr(points, points, lengths)
+    factor, _ = build_correlation(points, lengths, nugget, corr)
     n = responses.shape[0]
     kinv, _, a, s2 = _concentrate(factor, responses)
     logdet = 2.0 * np.log(np.diag(factor)).sum()
     nll = 0.5 * (n * math.log(s2) + logdet + n)
 
     weights = (kinv - np.outer(a, a) / s2) * corr
-    grad = 0.5 * np.einsum("ik,ikj->j", weights, sq_diff) / spec.lengths
+    grad = 0.5 * np.einsum("ik,ikj->j", weights, sq_diff) / lengths
     return nll, grad
 
 
@@ -280,14 +275,14 @@ def assemble_gp_model(
         raise ValueError("design must be n x d and responses length n")
     d = design.shape[1]
     x_lo, x_span = _unit_box(design) if normalize else (np.zeros(d), np.ones(d))
-    spec = CorrelationSpec(lengths=lengths)
+    lengths = _checked_lengths(lengths)
     pts = (design - x_lo) / x_span
-    factor, used = build_correlation(pts, spec, nugget)
+    factor, used = build_correlation(pts, lengths, nugget)
     kinv, beta, a, sigma2 = _concentrate(factor, responses)
     return GpModel(
         design=design,
         responses=responses,
-        corr=spec,
+        lengths=lengths,
         beta=beta,
         sigma2=sigma2,
         nugget=used,
@@ -295,7 +290,6 @@ def assemble_gp_model(
         x_lo=x_lo,
         x_span=x_span,
         resid_solve=a,
-        ones_solve=kinv.sum(axis=1),
     )
 
 
@@ -334,9 +328,9 @@ def fit_gp(design: DesignMatrix | np.ndarray, responses: np.ndarray, config: Fit
     sq_diff = (pts[:, None, :] - pts[None, :, :]) ** 2
 
     def objective(log_lengths: np.ndarray) -> tuple[float, np.ndarray]:
-        spec = CorrelationSpec(lengths=np.exp(log_lengths))
         try:
-            nll, grad = likelihood_with_gradient(pts, responses, spec, config.nugget_floor, sq_diff)
+            nll, grad = likelihood_with_gradient(pts, responses, np.exp(log_lengths),
+                                                 config.nugget_floor, sq_diff)
         except IllConditionedDesignError:
             return 1e25, np.zeros(d)  # stands in for +inf, which the line search dislikes
         return (nll + RIDGE_TIE * float(log_lengths @ log_lengths),
@@ -374,11 +368,11 @@ def predict(model: GpModel, x0: np.ndarray) -> tuple[float, float]:
     if x0.shape != (model.d,):
         raise ValueError(f"x0 must have {model.d} coordinates")
     x0 = (x0 - model.x_lo) / model.x_span
-    r = _corr(x0[None, :], model.normalized_design(), model.corr)[0]
+    r = _corr(x0[None, :], model.normalized_design(), model.lengths)[0]
     mean = model.beta + (r * model.resid_solve).sum()
-    full = _inverted(model)
-    w = full.kinv @ r
-    var = model.sigma2 * (1.0 - r @ w + (1.0 - full.ones_solve @ r) ** 2 / full.ones_solve.sum())
+    kinv = _inverted(model).kinv
+    rinv_1 = kinv.sum(axis=1)
+    var = model.sigma2 * (1.0 - r @ (kinv @ r) + (1.0 - rinv_1 @ r) ** 2 / rinv_1.sum())
     return float(mean), max(float(var), 0.0)
 
 
@@ -432,9 +426,9 @@ def loo_metrics(model: GpModel) -> tuple[float, float]:
     y = model.responses
     if np.ptp(y) == 0.0:
         raise DegenerateResponseError("responses have zero variance, Q2 undefined")
-    full = _inverted(model)
-    rinv_1 = full.ones_solve
-    q = full.kinv - np.outer(rinv_1, rinv_1) / rinv_1.sum()
+    kinv = _inverted(model).kinv
+    rinv_1 = kinv.sum(axis=1)
+    q = kinv - np.outer(rinv_1, rinv_1) / rinv_1.sum()
     resid = (q @ y) / np.diag(q)
     loo_pred = y - resid
     return prediction_metrics(y, loo_pred)
@@ -443,9 +437,8 @@ def loo_metrics(model: GpModel) -> tuple[float, float]:
 def _inverted(model: GpModel) -> GpModel:
     """The model with its Kinv; a loaded model inverts K once and keeps it."""
     if model.kinv is None:  # the stored nugget worked, so the same bits come back
-        full = assemble_gp_model(model.design, model.responses, model.corr.lengths, model.nugget)
+        full = assemble_gp_model(model.design, model.responses, model.lengths, model.nugget)
         object.__setattr__(model, "kinv", full.kinv)
-        object.__setattr__(model, "ones_solve", full.ones_solve)
     return model
 
 
@@ -454,7 +447,7 @@ def gp_model_to_dict(model: GpModel) -> dict:
     return {
         "design": model.design.tolist(),
         "responses": model.responses.tolist(),
-        "lengths": model.corr.lengths.tolist(),
+        "lengths": model.lengths.tolist(),
         "beta": model.beta,
         "sigma2": model.sigma2,
         "nugget": model.nugget,
@@ -463,14 +456,15 @@ def gp_model_to_dict(model: GpModel) -> dict:
 
 
 def gp_model_from_dict(data: dict) -> GpModel:
-    """Model saved by :func:`gp_model_to_dict`; ``kinv`` and ``ones_solve`` stay unset."""
+    """Model saved by :func:`gp_model_to_dict`, with ``kinv`` unset; raises ValueError
+    on mismatched shapes or a correlation length that is not positive and finite."""
     design, responses, weights = (np.asarray(data[k], dtype=float)
                                   for k in ("design", "responses", "resid_solve"))
-    spec = CorrelationSpec(lengths=data["lengths"])
-    if design.ndim != 2 or spec.lengths.size != design.shape[1] \
+    lengths = _checked_lengths(data["lengths"])
+    if design.ndim != 2 or lengths.size != design.shape[1] \
             or not responses.shape == weights.shape == (design.shape[0],):
         raise ValueError("GP design must be n x d, with n responses and weights and d lengths")
     x_lo, x_span = _unit_box(design)
-    return GpModel(design=design, responses=responses, corr=spec, beta=float(data["beta"]),
+    return GpModel(design=design, responses=responses, lengths=lengths, beta=float(data["beta"]),
                    sigma2=float(data["sigma2"]), nugget=float(data["nugget"]), x_lo=x_lo,
                    x_span=x_span, resid_solve=weights)

@@ -443,7 +443,8 @@ def estimate_params_blocked(
     Curves 2..n are split into ceil((n-1)/K) blocks of at most K curves; the
     reference curve is prepended to every block, each block is solved
     independently and the per-block estimates are concatenated.  With
-    K >= n-1 this reduces to a single call of :func:`estimate_params`.
+    K >= n-1 the one block is the whole set, with the same bits as
+    :func:`estimate_params`.
 
     Blocking is also more accurate than one unblocked contrast on noisy
     curves, since each block weights the pinned reference curve by 1/(K+1):
@@ -454,10 +455,8 @@ def estimate_params_blocked(
     if block_size < 1:
         raise ValueError("block size must be >= 1")
     n = curves.n
-    if block_size >= n - 1:
-        params, diag = estimate_params(curves, config)
-        return params, [diag]
-
+    if n < 2:
+        raise ValueError("registration needs at least 2 curves")
     full = to_fourier(curves)  # rfft rows are independent: one transform serves every block
     alpha = np.ones(n)
     theta = np.zeros(n)

@@ -20,7 +20,6 @@ from dynshape.emulator import (
     validate,
 )
 from dynshape.gp import (
-    CorrelationSpec,
     FitConfig,
     assemble_gp_model,
     corr_gaussian,
@@ -184,8 +183,7 @@ def test_c06_kriging_unit_suite():
     y4 = rng.normal(size=4)
     lengths = np.array([0.5, 0.7])
     model4 = assemble_gp_model(pts4, y4, lengths=lengths, nugget=0.0, normalize=False)
-    spec = CorrelationSpec(lengths=lengths)
-    r_mat = np.array([[corr_gaussian(a, b, spec) for b in pts4] for a in pts4])
+    r_mat = np.array([[corr_gaussian(a, b, lengths) for b in pts4] for a in pts4])
     rinv = np.linalg.inv(r_mat)
     ones = np.ones(4)
     beta_ref = (ones @ rinv @ y4) / (ones @ rinv @ ones)
@@ -193,7 +191,7 @@ def test_c06_kriging_unit_suite():
     if abs(model4.beta - beta_ref) > 1e-8 or abs(model4.sigma2 - sigma2_ref) > 1e-8:
         failures.append("beta/sigma2 oracle mismatch")
     for x0 in rng.uniform(size=(5, 2)):
-        r = np.array([corr_gaussian(p, x0, spec) for p in pts4])
+        r = np.array([corr_gaussian(p, x0, lengths) for p in pts4])
         mean_ref = beta_ref + r @ rinv @ (y4 - beta_ref)
         var_ref = sigma2_ref * (
             1.0 - r @ rinv @ r + (1.0 - ones @ rinv @ r) ** 2 / (ones @ rinv @ ones)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -631,6 +632,17 @@ class TestSurrogateErrors:
         assert code == 3
         assert path in err and "cannot load surrogate" in err
 
+    @pytest.mark.parametrize("length", [0.0, -0.5])
+    def test_nonpositive_length_exits_3(self, tmp_path, box_file, capsys, length):
+        def edit(data):
+            theta = data["segments"][0]["families"]["theta"]
+            assert theta["kind"] == "gp"
+            theta["lengths"][1] = length
+
+        code, path, err = self.predict_with_edited_file(tmp_path, box_file, capsys, edit)
+        assert code == 3
+        assert path in err and "correlation lengths must be positive and finite" in err
+
     @staticmethod
     def predict_with_edited_file(tmp_path, box_file, capsys, edit, replace=("", "")):
         """Exit code, path and stderr of predict from a J = 11 surrogate file after
@@ -707,3 +719,45 @@ class TestTimeWindowsAreGone:
         assert run("fit", "--design", design, "--curves", curves, "--config", str(cfg),
                    "--surrogate-out", str(tmp_path / "s.json")) == 3
         assert f"{cfg}, line 2: unknown setting 'time_windows'" in capsys.readouterr().err
+
+
+# sha256 of each deterministic artifact of a small README quick start, run in
+# process; any changed bit of a written CSV, fit diagnostic or prediction shows here
+QUICK_START_SHA256 = {
+    "params.csv": "a68fd0a284f4e30838cfc9f626f486aad072632fc648be2a4cc46f1ef2b2b337",
+    "pattern.csv": "7d44564f571bc58ac68be818d4524a8d5158faea38f020055e0453a94a7b68f7",
+    "diagnostics.txt": "08d65b94a6c952f35002953945ddc97accc9cbd531ec90601848b97434d92190",
+    "predicted.csv": "dbe95ae513aff2a9d58629493c1da7965f687d925fefbbd845fa3c5061745cf7",
+    "report.csv": "841a14ff346c484f649405bd289154b866a991228c7e31aa666f99819623d135",
+    "comparison.csv": "484f33292ff2faac67d7a9ef27f571c793e681e4a82d738c17cf988d84ad579a",
+    "crossplot.csv": "754f280608f9b130cfd1d851015c59591cba10a4929cc1f8a58676bf9349b668",
+    "aligned.csv": "49dd65ea70731f4cfe4cda840801c1d570d57170af03ecc7ef9fa0dd2645aa33",
+}
+
+
+class TestPinnedArtifacts:
+    def test_quick_start_artifacts(self, tmp_path, box_file, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        fit = ("--design", "design.csv", "--curves", "curves.csv", "--gp-multistarts", "2")
+        test_set = ("--test-design", "test_design.csv", "--test-curves", "test_curves.csv")
+        for argv in [
+            ("design", "--n", "12", "--box", box_file, "--seed", "0", "--maximin-restarts", "5",
+             "--out", "design.csv"),
+            ("synth", "co2", "--design", "design.csv", "--j", "21", "--curves-out", "curves.csv"),
+            ("fit", *fit, "--surrogate-out", "surrogate.json", "--params-out", "params.csv",
+             "--pattern-out", "pattern.csv", "--diagnostics-out", "diagnostics.txt"),
+            ("design", "--n", "6", "--box", box_file, "--seed", "9", "--maximin-restarts", "0",
+             "--out", "test_design.csv"),
+            ("predict", "--surrogate", "surrogate.json", "--points", "test_design.csv",
+             "--out", "predicted.csv"),
+            ("synth", "co2", "--design", "test_design.csv", "--j", "21",
+             "--curves-out", "test_curves.csv"),
+            ("validate", "--surrogate", "surrogate.json", *test_set, "--report-out", "report.csv"),
+            ("bench", *fit, *test_set, "--report-out", "comparison.csv",
+             "--timings-out", "timings.csv", "--crossplot-out", "crossplot.csv"),
+            ("align", "--curves", "curves.csv", "--params", "params.csv", "--out", "aligned.csv"),
+        ]:
+            assert run(*argv) == 0, argv
+        got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in QUICK_START_SHA256}
+        assert got == QUICK_START_SHA256

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from dynshape.doe import DesignMatrix, lhd_sample
 from dynshape.errors import DegenerateResponseError
 from dynshape.gp import (
-    CorrelationSpec,
     FitConfig,
     assemble_gp_model,
     build_correlation,
@@ -35,8 +34,7 @@ def dense_reference(points, responses, lengths, nugget=0.0):
     points = np.asarray(points, dtype=float)
     y = np.asarray(responses, dtype=float)
     n = points.shape[0]
-    spec = CorrelationSpec(lengths=lengths)
-    r_mat = np.array([[corr_gaussian(a, b, spec) for b in points] for a in points])
+    r_mat = np.array([[corr_gaussian(a, b, lengths) for b in points] for a in points])
     r_mat += nugget * np.eye(n)
     rinv = np.linalg.inv(r_mat)
     ones = np.ones(n)
@@ -47,13 +45,11 @@ def dense_reference(points, responses, lengths, nugget=0.0):
 
 class TestCorrelation:
     def test_same_point_is_one(self):
-        spec = CorrelationSpec(lengths=np.array([0.3, 2.0]))
         x = np.array([0.4, -1.2])
-        assert corr_gaussian(x, x, spec) == 1.0
+        assert corr_gaussian(x, x, np.array([0.3, 2.0])) == 1.0
 
     def test_unit_distance_value(self):
-        spec = CorrelationSpec(lengths=np.array([1.0]))
-        assert corr_gaussian(np.array([0.0]), np.array([1.0]), spec) == pytest.approx(
+        assert corr_gaussian(np.array([0.0]), np.array([1.0]), np.array([1.0])) == pytest.approx(
             math.exp(-1.0), rel=1e-12
         )
 
@@ -61,36 +57,43 @@ class TestCorrelation:
     @given(seed=st.integers(0, 10**6))
     def test_symmetry(self, seed):
         rng = np.random.default_rng(seed)
-        spec = CorrelationSpec(lengths=rng.uniform(0.1, 5.0, 3))
+        lengths = rng.uniform(0.1, 5.0, 3)
         x, y = rng.normal(size=3), rng.normal(size=3)
-        assert corr_gaussian(x, y, spec) == pytest.approx(corr_gaussian(y, x, spec), rel=1e-14)
+        assert corr_gaussian(x, y, lengths) == pytest.approx(corr_gaussian(y, x, lengths),
+                                                             rel=1e-14)
 
     def test_nonpositive_length_rejected(self):
-        with pytest.raises(ValueError):
-            CorrelationSpec(lengths=np.array([1.0, 0.0]))
+        # every entry point that takes lengths from outside checks them
+        pts, y = np.array([[0.0, 0.0], [0.5, 1.0], [1.0, 0.2]]), np.array([0.0, 1.0, 2.0])
+        saved = gp_model_to_dict(assemble_gp_model(pts, y, np.array([0.5, 0.5])))
+        for bad in ([1.0, 0.0], [1.0, -2.0], [np.inf, 1.0], [1.0, np.nan]):
+            with pytest.raises(ValueError, match="positive and finite"):
+                corr_gaussian(pts[0], pts[1], np.array(bad))
+            with pytest.raises(ValueError, match="positive and finite"):
+                assemble_gp_model(pts, y, np.array(bad))
+            with pytest.raises(ValueError, match="positive and finite"):
+                gp_model_from_dict({**saved, "lengths": bad})
 
 
 class TestBuildCorrelation:
     def test_duplicate_rows_escalate(self):
         pts = np.array([[0.2, 0.2], [0.2, 0.2], [0.8, 0.5]])
-        spec = CorrelationSpec(lengths=np.array([1.0, 1.0]))
-        factor, nugget = build_correlation(pts, spec, nugget=0.0)
+        factor, nugget = build_correlation(pts, np.array([1.0, 1.0]), nugget=0.0)
         assert nugget > 0
         rebuilt = factor @ factor.T
         assert np.allclose(np.diag(rebuilt), 1.0 + nugget, rtol=1e-8)
 
     def test_well_separated_tiny_lengths(self):
         pts = np.array([[0.0], [0.5], [1.0]])
-        spec = CorrelationSpec(lengths=np.array([1e-4]))
-        factor, nugget = build_correlation(pts, spec)
+        factor, nugget = build_correlation(pts, np.array([1e-4]))
         assert np.allclose(factor, np.eye(3), atol=1e-8)
 
     def test_reconstruction(self):
         rng = np.random.default_rng(0)
         pts = rng.uniform(size=(6, 2))
-        spec = CorrelationSpec(lengths=np.array([0.5, 0.8]))
-        factor, nugget = build_correlation(pts, spec, nugget=1e-10)
-        target = np.array([[corr_gaussian(a, b, spec) for b in pts] for a in pts])
+        lengths = np.array([0.5, 0.8])
+        factor, nugget = build_correlation(pts, lengths, nugget=1e-10)
+        target = np.array([[corr_gaussian(a, b, lengths) for b in pts] for a in pts])
         assert np.allclose(factor @ factor.T, target + nugget * np.eye(6), rtol=1e-8)
 
 
@@ -128,8 +131,7 @@ class TestNegLogLikelihood:
         pts = rng.uniform(size=(3, 1))
         y = rng.normal(size=3)
         lengths = np.array([0.9])
-        spec = CorrelationSpec(lengths=lengths)
-        nll = likelihood_with_gradient(pts, y, spec, 0.0, sq_diff(pts))[0]
+        nll = likelihood_with_gradient(pts, y, lengths, 0.0, sq_diff(pts))[0]
         r_mat, rinv, beta, sigma2 = dense_reference(pts, y, lengths)
         cov = sigma2 * r_mat
         quad = (y - beta) @ np.linalg.inv(cov) @ (y - beta)
@@ -140,10 +142,10 @@ class TestNegLogLikelihood:
         rng = np.random.default_rng(8)
         pts = rng.uniform(size=(5, 2))
         y = rng.normal(size=5)
-        spec = CorrelationSpec(lengths=np.array([0.4, 0.9]))
-        base = likelihood_with_gradient(pts, y, spec, 1e-10, sq_diff(pts))[0]
+        lengths = np.array([0.4, 0.9])
+        base = likelihood_with_gradient(pts, y, lengths, 1e-10, sq_diff(pts))[0]
         perm = rng.permutation(5)
-        permuted = likelihood_with_gradient(pts[perm], y[perm], spec, 1e-10,
+        permuted = likelihood_with_gradient(pts[perm], y[perm], lengths, 1e-10,
                                             sq_diff(pts[perm]))[0]
         assert permuted == pytest.approx(base, rel=1e-10)
 
@@ -152,13 +154,12 @@ class TestNegLogLikelihood:
         design = rng.uniform(size=(12, 2))
         y = np.sin(3 * design[:, 0]) + design[:, 1] ** 2
         model = fit_gp(design, y, FitConfig(multistarts=4, seed=0))
-        lengths = model.corr.lengths
+        lengths = model.lengths
         pts_norm = model.normalized_design()
-        spec = CorrelationSpec(lengths=lengths)
-        best = likelihood_with_gradient(pts_norm, y, spec, model.nugget, sq_diff(pts_norm))[0]
+        best = likelihood_with_gradient(pts_norm, y, lengths, model.nugget, sq_diff(pts_norm))[0]
         for factor in (200.0, 1.0 / 200.0):
             worse = likelihood_with_gradient(
-                pts_norm, y, CorrelationSpec(lengths=np.clip(lengths * factor, 1e-3, 1e3)),
+                pts_norm, y, np.clip(lengths * factor, 1e-3, 1e3),
                 model.nugget, sq_diff(pts_norm),
             )[0]
             assert worse > best
@@ -173,9 +174,8 @@ class TestLikelihoodGradient:
         y = rng.normal(size=9)
         lengths = np.array([0.3, 0.8, 2.0])
         model = assemble_gp_model(pts, y, lengths, nugget=1e-10, normalize=False)
-        spec = CorrelationSpec(lengths=lengths)
-        logdet = 2.0 * np.log(np.diag(build_correlation(pts, spec, 1e-10)[0])).sum()
-        nll = likelihood_with_gradient(pts, y, spec, 1e-10, sq_diff(pts))[0]
+        logdet = 2.0 * np.log(np.diag(build_correlation(pts, lengths, 1e-10)[0])).sum()
+        nll = likelihood_with_gradient(pts, y, lengths, 1e-10, sq_diff(pts))[0]
         assert nll == 0.5 * (9 * math.log(model.sigma2) + logdet + 9)
 
     def test_matches_central_differences(self):
@@ -189,15 +189,14 @@ class TestLikelihoodGradient:
             pts = rng.uniform(size=(n, d))
             y = rng.normal(size=n)
             phi = rng.uniform(math.log(0.02), math.log(2.0), d)
-            spec = CorrelationSpec(lengths=np.exp(phi))
-            factor, nugget = build_correlation(pts, spec, 1e-10)
+            factor, nugget = build_correlation(pts, np.exp(phi), 1e-10)
             if np.linalg.cond(factor) ** 2 >= 1e6:
                 continue
             checked += 1
-            _, grad = likelihood_with_gradient(pts, y, spec, nugget, sq_diff(pts))
+            _, grad = likelihood_with_gradient(pts, y, np.exp(phi), nugget, sq_diff(pts))
             for j in range(d):
                 step = h * np.eye(d)[j]
-                up, down = (CorrelationSpec(lengths=np.exp(phi + sign * step)) for sign in (1, -1))
+                up, down = (np.exp(phi + sign * step) for sign in (1, -1))
                 fd = (
                     likelihood_with_gradient(pts, y, up, nugget, sq_diff(pts))[0]
                     - likelihood_with_gradient(pts, y, down, nugget, sq_diff(pts))[0]
@@ -220,7 +219,7 @@ class TestFit:
         y = np.cos(4.0 * design.points[:, 0]) + design.points[:, 1]
         config = FitConfig(length_bounds=(1e-2, 1e2), multistarts=4, seed=1)
         model = fit_gp(design, y, config)
-        assert np.all(model.corr.lengths >= 1e-2) and np.all(model.corr.lengths <= 1e2)
+        assert np.all(model.lengths >= 1e-2) and np.all(model.lengths <= 1e2)
 
     def test_duplicate_rows_succeed(self):
         pts = np.array([[0.1, 0.1], [0.1, 0.1], [0.6, 0.3], [0.9, 0.8]])
@@ -264,7 +263,7 @@ class TestPredict:
         mean, var = predict(model, np.array([60.0, -70.0]))
         assert mean == pytest.approx(model.beta, rel=1e-9)
         # estimated-mean correction leaves sigma2 (1 + 1/(1' Rinv 1))
-        assert var == pytest.approx(model.sigma2 * (1.0 + 1.0 / model.ones_solve.sum()), rel=1e-6)
+        assert var == pytest.approx(model.sigma2 * (1.0 + 1.0 / model.kinv.sum()), rel=1e-6)
 
     def test_matches_dense_inverse(self):
         rng = np.random.default_rng(7)
@@ -273,10 +272,9 @@ class TestPredict:
         lengths = np.array([0.5, 0.7])
         model = assemble_gp_model(pts, y, lengths=lengths, nugget=0.0, normalize=False)
         _, rinv, beta, sigma2 = dense_reference(pts, y, lengths)
-        spec = CorrelationSpec(lengths=lengths)
         ones = np.ones(4)
         for x0 in rng.uniform(size=(5, 2)):
-            r = np.array([corr_gaussian(p, x0, spec) for p in pts])
+            r = np.array([corr_gaussian(p, x0, lengths) for p in pts])
             mean_ref = beta + r @ rinv @ (y - beta)
             var_ref = sigma2 * (
                 1.0 - r @ rinv @ r + (1.0 - ones @ rinv @ r) ** 2 / (ones @ rinv @ ones)
@@ -288,7 +286,7 @@ class TestPredict:
     def test_linear_in_responses(self, model):
         a, b = 2.5, -4.0
         scaled = assemble_gp_model(
-            model.design, a * model.responses + b, lengths=model.corr.lengths, nugget=0.0
+            model.design, a * model.responses + b, lengths=model.lengths, nugget=0.0
         )
         for x0 in np.random.default_rng(11).uniform(size=(4, 2)):
             assert predict(scaled, x0)[0] == pytest.approx(
@@ -299,7 +297,7 @@ class TestPredict:
         rng = np.random.default_rng(13)
         perm = rng.permutation(model.n)
         permuted = assemble_gp_model(
-            model.design[perm], model.responses[perm], lengths=model.corr.lengths, nugget=0.0
+            model.design[perm], model.responses[perm], lengths=model.lengths, nugget=0.0
         )
         for x0 in rng.uniform(size=(5, 2)):
             assert predict(permuted, x0)[0] == pytest.approx(predict(model, x0)[0], abs=1e-10)
@@ -315,7 +313,7 @@ class TestPredict:
         def one_model_means(model, points):
             a = (points - model.x_lo) / model.x_span
             diff = np.abs(a[:, None, :] - model.normalized_design()[None, :, :])
-            r = np.exp(-((diff ** np.full(d, 2.0)) / model.corr.lengths).sum(axis=2))
+            r = np.exp(-((diff ** np.full(d, 2.0)) / model.lengths).sum(axis=2))
             return model.beta + (r * model.resid_solve).sum(axis=1)
 
         rng = np.random.default_rng(d)
@@ -397,7 +395,7 @@ class TestLoadedModel:
         y = np.sin(pts @ [3.0, 0.2, 0.01]) + 0.1 * rng.normal(size=9)
         model = fit_gp(pts, y, FitConfig(multistarts=3, seed=2))
         clone = self.reload(model)
-        assert clone.kinv is None and clone.ones_solve is None
+        assert clone.kinv is None
         assert clone.beta == model.beta and clone.sigma2 == model.sigma2
         new = rng.uniform(size=(6, 3)) * scale
         for x0 in new:
@@ -427,7 +425,7 @@ class TestLoadedModel:
         clone = self.reload(model)
         x0 = rng.uniform(size=2)
         first = predict(clone, x0)
-        assert clone.kinv is not None and clone.ones_solve is not None
+        assert clone.kinv is not None
         calls = []
         original = gp_module.build_correlation
 

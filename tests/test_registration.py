@@ -463,11 +463,18 @@ class TestBlocked:
         curves, _ = small_deformed
         cfg = EstimationConfig()
         solo, _ = estimate_params(curves, cfg)
-        blocked, diags = estimate_params_blocked(curves, block_size=curves.n - 1, config=cfg)
-        assert np.array_equal(solo.alpha, blocked.alpha)
-        assert np.array_equal(solo.theta, blocked.theta)
-        assert np.array_equal(solo.v, blocked.v)
-        assert len(diags) == 1
+        for block_size in (curves.n - 1, curves.n + 5):  # one block holds every curve
+            blocked, diags = estimate_params_blocked(curves, block_size=block_size, config=cfg)
+            assert np.array_equal(solo.alpha, blocked.alpha)
+            assert np.array_equal(solo.theta, blocked.theta)
+            assert np.array_equal(solo.v, blocked.v)
+            assert len(diags) == 1
+
+    def test_one_curve_is_rejected(self, small_deformed):
+        curves, _ = small_deformed
+        one = CurveSet(values=curves.values[:1], t_grid=curves.t_grid, period=curves.period)
+        with pytest.raises(ValueError, match="at least 2 curves"):
+            estimate_params_blocked(one, block_size=10)
 
     def test_blocked_recovery_any_k(self, small_deformed):
         curves, truth = small_deformed
