@@ -295,11 +295,12 @@ def cmd_bench(args) -> None:
                          step.per_step_rmse, step.per_step_q2, step.flags]),
     )
 
+    surrogate = bench.surrogate
     timing_lines = [
         "stage,seconds",
-        f"sim_registration,{fileio.fmt(bench.sim_registration_seconds)}",
-        f"sim_parameter_models,{fileio.fmt(bench.sim_gp_seconds)}",
-        f"sim_total,{fileio.fmt(bench.sim_train_seconds)}",
+        f"sim_registration,{fileio.fmt(surrogate.registration_seconds)}",
+        f"sim_parameter_models,{fileio.fmt(surrogate.gp_seconds)}",
+        f"sim_total,{fileio.fmt(surrogate.train_seconds)}",
         f"per_step_gp_total,{fileio.fmt(bench.step_train_seconds)}",
     ]
     fileio.atomic_write_text(_out_path(args.timings_out), "\n".join(timing_lines) + "\n")
@@ -307,10 +308,10 @@ def cmd_bench(args) -> None:
     if args.crossplot_out:
         fileio.write_crossplot_csv(
             _out_path(args.crossplot_out),
-            [("sim", bench.test_values, bench.sim_predicted),
-             ("per_step_gp", bench.test_values, bench.step_predicted)],
+            [("sim", test_curves.values, bench.sim_predicted),
+             ("per_step_gp", test_curves.values, bench.step_predicted)],
         )
-    print(f"sim train {bench.sim_train_seconds:.2f}s vs per-step {bench.step_train_seconds:.2f}s; "
+    print(f"sim train {surrogate.train_seconds:.2f}s vs per-step {bench.step_train_seconds:.2f}s; "
           f"mean q2 sim = {fileio.fmt(bench.sim_report.mean_q2_unflagged)}, "
           f"per-step = {fileio.fmt(bench.step_report.mean_q2_unflagged)}")
 

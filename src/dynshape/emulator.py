@@ -102,10 +102,6 @@ class FunctionalSurrogate:
     def d(self) -> int:
         return self.box.dims
 
-    @property
-    def fixed_components(self) -> dict:
-        return {name: name not in self.gp_families for name in FAMILIES}
-
     def evaluate_params(self, points: np.ndarray) -> dict:
         """Each family's values at m points: its GP mean, or its fixed value."""
         means = {} if self.kernel is None else dict(
@@ -136,15 +132,14 @@ class ValidationReport:
 
 @dataclass
 class BenchmarkReport:
+    """Both methods' reports and predictions; the surrogate keeps its own stage times."""
+
+    surrogate: FunctionalSurrogate
     sim_report: ValidationReport
     step_report: ValidationReport
-    sim_train_seconds: float
-    sim_registration_seconds: float
-    sim_gp_seconds: float
     step_train_seconds: float
     sim_predicted: np.ndarray
     step_predicted: np.ndarray
-    test_values: np.ndarray
 
 
 def _should_fix(values: np.ndarray, tol: float) -> bool:
@@ -292,8 +287,9 @@ def benchmark_against_per_step(
 
     Both approaches share the GP settings from ``config``; the baseline fits
     an independent kriging model on the raw responses of every time step and
-    predicts steps one by one.  Reports per-step metrics, wall times and the
-    raw predictions (crossplot data) for both methods.
+    predicts steps one by one.  Reports per-step metrics and the raw
+    predictions (crossplot data) for both methods, the trained surrogate and
+    the baseline's wall time.
     """
     if config is None:
         config = TrainConfig()
@@ -306,18 +302,15 @@ def benchmark_against_per_step(
     step_pred = np.empty((test_curves.n, curves.j))
     for col in range(curves.j):
         model = fit_gp(design, curves.values[:, col], config.gp)
-        step_pred[:, col] = predict_many(model, test_design.points)
+        step_pred[:, col] = predict_many(stack_models([model]), test_design.points)[:, 0]
     step_seconds = time.perf_counter() - t0
     step_report = _report_from_predictions(step_pred, test_curves.values)
 
     return BenchmarkReport(
+        surrogate=surrogate,
         sim_report=sim_report,
         step_report=step_report,
-        sim_train_seconds=surrogate.train_seconds,
-        sim_registration_seconds=surrogate.registration_seconds,
-        sim_gp_seconds=surrogate.gp_seconds,
         step_train_seconds=step_seconds,
         sim_predicted=sim_pred,
         step_predicted=step_pred,
-        test_values=test_curves.values,
     )

@@ -10,6 +10,7 @@ failure never leaves a partially written artifact behind.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -69,7 +70,7 @@ def write_table(path: str, header: str, rows) -> None:
     """A header line plus one line of comma-joined :func:`fmt` cells per row."""
     rows = np.asarray(rows, dtype=float)
     cells, width = rows.ravel(), rows.shape[-1]
-    cell_text = _CellFormatter()
+    cell_text = _cell_formatter()
     pieces = [header + "\n"]
     for start in range(0, cells.size, _CHUNK):
         x = cells[start : start + _CHUNK]
@@ -92,6 +93,11 @@ def _pow10(e: int) -> tuple[float, float, float, float]:
     return hi, (num * b - a * den) / (den * b), top, hi - top
 
 
+@functools.cache
+def _cell_formatter() -> "_CellFormatter":
+    return _CellFormatter()
+
+
 class _CellFormatter:
     """``"%.17g" % x`` for whole arrays of cells, byte for byte.
 
@@ -104,8 +110,10 @@ class _CellFormatter:
     "e" (39), the exponent's sign and 3 digits (40-43) and the separator
     (44).  Bytes a cell does not use stay zero and are deleted at the end.
     Zeros take the same path; non-finite cells, cells outside that range and
-    cells within 1e-6 of a rounding tie are formatted one by one.  The powers
-    of ten are built for the exponents a table holds, once per table.
+    cells within 1e-6 of a rounding tie are formatted one by one.  One
+    formatter serves a process (:func:`_cell_formatter`): the digit tables are
+    built for the first table written, and each power of ten the first time a
+    table holds its exponent.
     """
 
     def __init__(self):

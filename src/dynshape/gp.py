@@ -77,14 +77,17 @@ class FitConfig:
 
 @dataclass(frozen=True)
 class GpModel:
-    """A fitted kriging model.
+    """A kriging model at fixed correlation lengths.
 
     ``design`` and ``responses`` are kept in original (box) coordinates;
     ``lengths``, the Gaussian kernel's correlation lengths, refer to inputs
-    normalized by (x_lo, x_span).  ``kinv`` is the inverse of K = R + nugget I
-    on the normalized design, or None in a loaded model until the first
-    variance or LOO sets it; the kriging weights ``resid_solve`` give the mean
-    without it.
+    normalized by the design's bounding box (x_lo, x_span), which the model
+    derives from its own design, so a saved model normalizes as the in-memory
+    one did.  Construction raises ValueError unless the design is n x d with n
+    responses, n kriging weights ``resid_solve`` (Kinv (Y - beta 1)) and d
+    positive, finite lengths.  ``kinv`` is the inverse of K = R + nugget I on
+    the normalized design, or None in a loaded model until the first variance
+    or LOO sets it; the weights give the mean without it.
     """
 
     design: np.ndarray
@@ -93,10 +96,21 @@ class GpModel:
     beta: float
     sigma2: float
     nugget: float
+    resid_solve: np.ndarray = field(repr=False)
     kinv: np.ndarray = field(repr=False, default=None)
-    x_lo: np.ndarray = field(repr=False, default=None)
-    x_span: np.ndarray = field(repr=False, default=None)
-    resid_solve: np.ndarray = field(repr=False, default=None)  # Rinv (Y - beta 1)
+    x_lo: np.ndarray = field(init=False, repr=False)
+    x_span: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        for key in ("design", "responses", "resid_solve"):
+            object.__setattr__(self, key, np.asarray(getattr(self, key), dtype=float))
+        object.__setattr__(self, "lengths", _checked_lengths(self.lengths))
+        design = self.design
+        if design.ndim != 2 or self.lengths.size != design.shape[1] \
+                or not self.responses.shape == self.resid_solve.shape == (design.shape[0],):
+            raise ValueError("GP design must be n x d, with n responses and weights and d lengths")
+        for key, value in zip(("x_lo", "x_span"), _unit_box(design)):
+            object.__setattr__(self, key, value)
 
     @property
     def n(self) -> int:
@@ -126,8 +140,7 @@ class GpStack:
 def stack_models(models: list[GpModel]) -> GpStack:
     """The models' :class:`GpStack`; raises ValueError unless they share one design."""
     first = models[0]
-    if any(not np.array_equal(getattr(m, key), getattr(first, key))
-           for m in models[1:] for key in ("design", "x_lo", "x_span")):
+    if any(not np.array_equal(m.design, first.design) for m in models[1:]):
         raise ValueError("GP models fitted on different designs cannot share a kernel pass")
     return GpStack(first.x_lo, first.x_span, first.normalized_design(),
                    np.array([m.lengths for m in models])[:, None, None, :],
@@ -172,8 +185,10 @@ def _sq_diff(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _corr(a: np.ndarray, b: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Correlation matrix between the rows of a (m x d) and of b (n x d)."""
-    return np.exp(-(_sq_diff(a, b) / lengths).sum(axis=2))
+    """Correlations between the rows of a (m x d) and of b (n x d), m x n; lengths of
+    shape k x 1 x 1 x d give k such matrices at once.  The sum runs over the last
+    (d) axis, so one model's correlations have the same bits alone or stacked."""
+    return np.exp(-(_sq_diff(a, b) / lengths).sum(axis=-1))
 
 
 def build_correlation(
@@ -262,35 +277,24 @@ def assemble_gp_model(
     responses: np.ndarray,
     lengths: np.ndarray,
     nugget: float = 0.0,
-    normalize: bool = True,
 ) -> GpModel:
     """Build a GpModel at fixed hyperparameters (no likelihood search).
 
-    With ``normalize=False`` the lengths refer to the raw design coordinates,
-    which is the convenient form for small hand-built test cases.
+    The lengths refer to the design normalized by its bounding box, as in every
+    GpModel; a design whose columns span exactly [0, 1] normalizes to itself.
+    Mismatched shapes and lengths that are not positive and finite raise
+    ValueError before K is factored.
     """
     design = np.asarray(design, dtype=float)
     responses = np.asarray(responses, dtype=float)
     if design.ndim != 2 or responses.shape != (design.shape[0],):
         raise ValueError("design must be n x d and responses length n")
-    d = design.shape[1]
-    x_lo, x_span = _unit_box(design) if normalize else (np.zeros(d), np.ones(d))
     lengths = _checked_lengths(lengths)
-    pts = (design - x_lo) / x_span
-    factor, used = build_correlation(pts, lengths, nugget)
+    x_lo, x_span = _unit_box(design)
+    factor, used = build_correlation((design - x_lo) / x_span, lengths, nugget)
     kinv, beta, a, sigma2 = _concentrate(factor, responses)
-    return GpModel(
-        design=design,
-        responses=responses,
-        lengths=lengths,
-        beta=beta,
-        sigma2=sigma2,
-        nugget=used,
-        kinv=kinv,
-        x_lo=x_lo,
-        x_span=x_span,
-        resid_solve=a,
-    )
+    return GpModel(design=design, responses=responses, lengths=lengths, beta=beta,
+                   sigma2=sigma2, nugget=used, resid_solve=a, kinv=kinv)
 
 
 def fit_gp(design: DesignMatrix | np.ndarray, responses: np.ndarray, config: FitConfig | None = None) -> GpModel:
@@ -354,8 +358,7 @@ def fit_gp(design: DesignMatrix | np.ndarray, responses: np.ndarray, config: Fit
         raise FitFailureError("all likelihood-search starts failed", starts=attempts)
     best = min(usable, key=lambda a: a["fun"])
 
-    return assemble_gp_model(pts_raw, responses, np.exp(best["x"]), config.nugget_floor,
-                             normalize=True)
+    return assemble_gp_model(pts_raw, responses, np.exp(best["x"]), config.nugget_floor)
 
 
 def predict(model: GpModel, x0: np.ndarray) -> tuple[float, float]:
@@ -376,24 +379,22 @@ def predict(model: GpModel, x0: np.ndarray) -> tuple[float, float]:
     return float(mean), max(float(var), 0.0)
 
 
-def predict_many(model: GpModel | GpStack, points: np.ndarray) -> np.ndarray:
-    """Kriging means (no variance) at the rows of an m x d points array: a length-m
-    vector for one GpModel, an m x k array for a :class:`GpStack` of k models.
+def predict_many(stack: GpStack, points: np.ndarray) -> np.ndarray:
+    """Kriging means (no variance) of the k models of a :class:`GpStack` at the rows
+    of an m x d points array, as an m x k array (one model: ``stack_models([model])``).
 
-    A GpModel is the one-model stack.  One kernel pass squares the normalized
-    points' differences to the shared design once for every model.  d stays the
-    last axis and each mean is summed over its own kernel row, not by a
-    matrix-vector product whose order depends on m, so a mean has the same bits
-    alone or stacked, and a point the same bits in any batch.
+    One kernel pass squares the normalized points' differences to the shared
+    design once for every model.  d stays the last axis and each mean is summed
+    over its own kernel row, not by a matrix-vector product whose order depends
+    on m, so a mean has the same bits alone or stacked, and a point the same
+    bits in any batch.
     """
-    stack = stack_models([model]) if isinstance(model, GpModel) else model
     points = np.asarray(points, dtype=float)
     d = stack.design.shape[1]
     if points.ndim != 2 or points.shape[1] != d:
         raise ValueError(f"points must be m x {d}")
-    sq = _sq_diff((points - stack.x_lo) / stack.x_span, stack.design)
-    means = stack.betas + (np.exp(-(sq / stack.lengths).sum(axis=-1)) * stack.weights).sum(axis=-1)
-    return means[0] if stack is not model else means.T
+    r = _corr((points - stack.x_lo) / stack.x_span, stack.design, stack.lengths)
+    return (stack.betas + (r * stack.weights).sum(axis=-1)).T
 
 
 def prediction_metrics(y_true: np.ndarray, y_pred: np.ndarray) -> tuple[float, float]:
@@ -457,14 +458,7 @@ def gp_model_to_dict(model: GpModel) -> dict:
 
 def gp_model_from_dict(data: dict) -> GpModel:
     """Model saved by :func:`gp_model_to_dict`, with ``kinv`` unset; raises ValueError
-    on mismatched shapes or a correlation length that is not positive and finite."""
-    design, responses, weights = (np.asarray(data[k], dtype=float)
-                                  for k in ("design", "responses", "resid_solve"))
-    lengths = _checked_lengths(data["lengths"])
-    if design.ndim != 2 or lengths.size != design.shape[1] \
-            or not responses.shape == weights.shape == (design.shape[0],):
-        raise ValueError("GP design must be n x d, with n responses and weights and d lengths")
-    x_lo, x_span = _unit_box(design)
-    return GpModel(design=design, responses=responses, lengths=lengths, beta=float(data["beta"]),
-                   sigma2=float(data["sigma2"]), nugget=float(data["nugget"]), x_lo=x_lo,
-                   x_span=x_span, resid_solve=weights)
+    as :class:`GpModel` does on mismatched shapes or a length that is not positive and finite."""
+    return GpModel(**{key: data[key] for key in ("design", "responses", "lengths", "resid_solve")},
+                   beta=float(data["beta"]), sigma2=float(data["sigma2"]),
+                   nugget=float(data["nugget"]))

@@ -20,7 +20,6 @@ DC coefficients.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -181,7 +180,6 @@ class EstimationDiagnostics:
     contrast: float
     iterations: int
     nfev: int
-    seconds: float = 0.0
     starts: list = field(default_factory=list)
 
 
@@ -386,7 +384,6 @@ def estimate_params(
     """
     if config is None:
         config = EstimationConfig()
-    t_begin = time.perf_counter()
     full = to_fourier(curves) if isinstance(curves, CurveSet) else np.asarray(curves)
     n, j = full.shape[0], 2 * full.shape[-1] - 1
     if n < 2:
@@ -427,7 +424,6 @@ def estimate_params(
         contrast=start["fun"],
         iterations=start["nit"],
         nfev=nfev,
-        seconds=time.perf_counter() - t_begin,
         starts=[start],
     )
     return params, diag

@@ -78,6 +78,17 @@ class SimSpec:
             raise ValueError("horizon must be positive")
 
 
+def _deformed(pattern, alpha, theta, v, j, noise_var, rng) -> np.ndarray:
+    """Rows alpha_k f(omega - theta_k) + v_k on the J-point grid omega of [0, 2pi),
+    with the shifted times wrapped into one period, plus iid N(0, noise_var) noise
+    drawn from ``rng`` when the variance is positive."""
+    omega = _TWO_PI * np.arange(j) / j
+    values = alpha[:, None] * pattern(np.mod(omega[None, :] - theta[:, None], _TWO_PI)) + v[:, None]
+    if noise_var > 0:
+        values = values + rng.normal(0.0, np.sqrt(noise_var), size=values.shape)
+    return values
+
+
 def generate_analytical(
     n: int,
     j: int,
@@ -115,13 +126,8 @@ def generate_analytical(
     v = draw(rng, *v_range)
     alpha[0], theta[0], v[0] = 1.0, 0.0, 0.0
 
-    omega = _TWO_PI * np.arange(j) / j
-    shifted = np.mod(omega[None, :] - theta[:, None], _TWO_PI)
-    values = alpha[:, None] * pattern(shifted) + v[:, None]
-    if noise_var > 0:
-        values = values + rng.normal(0.0, np.sqrt(noise_var), size=(n, j))
-
-    curves = CurveSet(values=values, t_grid=omega, period=_TWO_PI)
+    values = _deformed(pattern, alpha, theta, v, j, noise_var, rng)
+    curves = CurveSet(values=values, t_grid=_TWO_PI * np.arange(j) / j, period=_TWO_PI)
     return curves, TransformParams(alpha=alpha, theta=theta, v=v)
 
 
@@ -148,13 +154,8 @@ def generate_functional_sim(spec: SimSpec, design: DesignMatrix) -> CurveSet:
     if np.any(alpha <= 0):
         raise ValueError("alpha map must stay positive")
 
-    omega = _TWO_PI * np.arange(spec.j) / spec.j
-    shifted = np.mod(omega[None, :] - theta[:, None], _TWO_PI)
-    values = alpha[:, None] * spec.pattern(shifted) + v[:, None]
-    if spec.noise_var > 0:
-        rng = np.random.default_rng(spec.seed)
-        values = values + rng.normal(0.0, np.sqrt(spec.noise_var), size=values.shape)
-
+    values = _deformed(spec.pattern, alpha, theta, v, spec.j, spec.noise_var,
+                       np.random.default_rng(spec.seed))
     t_grid = (spec.horizon / spec.j) * np.arange(spec.j)
     return CurveSet(values=values, t_grid=t_grid, period=spec.horizon)
 

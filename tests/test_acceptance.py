@@ -180,9 +180,10 @@ def test_c06_kriging_unit_suite():
     # n=4 dense-inverse oracle for beta, sigma2 and prediction
     rng = np.random.default_rng(7)
     pts4 = rng.uniform(size=(4, 2))
+    pts4 = (pts4 - pts4.min(axis=0)) / np.ptp(pts4, axis=0)  # spans [0, 1]: normalizes to itself
     y4 = rng.normal(size=4)
     lengths = np.array([0.5, 0.7])
-    model4 = assemble_gp_model(pts4, y4, lengths=lengths, nugget=0.0, normalize=False)
+    model4 = assemble_gp_model(pts4, y4, lengths=lengths, nugget=0.0)
     r_mat = np.array([[corr_gaussian(a, b, lengths) for b in pts4] for a in pts4])
     rinv = np.linalg.inv(r_mat)
     ones = np.ones(4)
@@ -204,14 +205,16 @@ def test_c06_kriging_unit_suite():
     # virtual LOO equals explicit refit on n=6
     rng = np.random.default_rng(21)
     pts6 = rng.uniform(size=(6, 2))
+    # the unit square's corners put each column's minimum and maximum on two
+    # rows, so every fold keeps the box and the lengths mean the same
+    pts6[:4] = [[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]]
     y6 = np.sin(3.0 * pts6[:, 0]) + pts6[:, 1]
     lengths6 = np.array([0.3, 0.6])
-    model6 = assemble_gp_model(pts6, y6, lengths=lengths6, nugget=1e-10, normalize=False)
+    model6 = assemble_gp_model(pts6, y6, lengths=lengths6, nugget=1e-10)
     loo_pred = np.empty(6)
     for i in range(6):
         keep = np.arange(6) != i
-        sub = assemble_gp_model(pts6[keep], y6[keep], lengths=lengths6, nugget=1e-10,
-                                normalize=False)
+        sub = assemble_gp_model(pts6[keep], y6[keep], lengths=lengths6, nugget=1e-10)
         loo_pred[i] = predict(sub, pts6[i])[0]
     rmse_ref, q2_ref = prediction_metrics(y6, loo_pred)
     rmse, q2 = loo_metrics(model6)

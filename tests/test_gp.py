@@ -9,6 +9,7 @@ from dynshape.doe import DesignMatrix, lhd_sample
 from dynshape.errors import DegenerateResponseError
 from dynshape.gp import (
     FitConfig,
+    GpModel,
     assemble_gp_model,
     build_correlation,
     corr_gaussian,
@@ -27,6 +28,13 @@ from dynshape.gp import (
 def sq_diff(points):
     """The design's squared coordinate differences, n x n x d, as fit_gp forms them."""
     return (points[:, None, :] - points[None, :, :]) ** 2
+
+
+def unit_columns(points):
+    """The points with every column rescaled to span exactly [0, 1]: a model's
+    bounding-box normalization is then the identity, bit for bit."""
+    lo = points.min(axis=0)
+    return (points - lo) / (points.max(axis=0) - lo)
 
 
 def dense_reference(points, responses, lengths, nugget=0.0):
@@ -73,6 +81,8 @@ class TestCorrelation:
                 assemble_gp_model(pts, y, np.array(bad))
             with pytest.raises(ValueError, match="positive and finite"):
                 gp_model_from_dict({**saved, "lengths": bad})
+            with pytest.raises(ValueError, match="positive and finite"):
+                GpModel(**{**saved, "lengths": np.array(bad)})
 
 
 class TestBuildCorrelation:
@@ -98,28 +108,28 @@ class TestBuildCorrelation:
 
 
 class TestGlsAndSigma:
-    # beta and sigma2 as assemble_gp_model stores them; normalize=False keeps
-    # the lengths in the design's own coordinates
+    # beta and sigma2 as assemble_gp_model stores them, on designs that span
+    # exactly [0, 1], so the lengths are in the design's own coordinates
     def test_constant_responses(self):
         pts = np.array([[0.0], [0.4], [1.0]])
         y = np.full(3, 3.25)
-        model = assemble_gp_model(pts, y, np.array([0.7]), nugget=1e-12, normalize=False)
+        model = assemble_gp_model(pts, y, np.array([0.7]), nugget=1e-12)
         assert model.beta == pytest.approx(3.25, rel=1e-12)
         assert model.sigma2 <= 1e-20  # floor engaged
 
     def test_identity_correlation_reduces_to_ols(self):
-        pts = np.array([[0.0], [10.0], [20.0], [30.0]])
+        pts = np.array([[0.0], [10.0], [20.0], [30.0]]) / 30.0
         y = np.array([1.0, 2.0, 4.0, 9.0])
-        model = assemble_gp_model(pts, y, np.array([1e-5]), normalize=False)
+        model = assemble_gp_model(pts, y, np.array([1e-5]))
         assert model.beta == pytest.approx(y.mean(), rel=1e-9)
         assert model.sigma2 == pytest.approx(y.var(), rel=1e-9)
 
     def test_matches_dense_inverse(self):
         rng = np.random.default_rng(3)
-        pts = rng.uniform(size=(4, 2))
+        pts = unit_columns(rng.uniform(size=(4, 2)))
         y = rng.normal(size=4)
         lengths = np.array([0.6, 1.1])
-        model = assemble_gp_model(pts, y, lengths, nugget=0.0, normalize=False)
+        model = assemble_gp_model(pts, y, lengths, nugget=0.0)
         _, _, beta_ref, sigma2_ref = dense_reference(pts, y, lengths)
         assert model.beta == pytest.approx(beta_ref, abs=1e-10)
         assert model.sigma2 == pytest.approx(sigma2_ref, abs=1e-10)
@@ -170,10 +180,10 @@ class TestLikelihoodGradient:
         # (1/2) [n log sigma2 + log det K + n] at the sigma2 and factor that
         # assemble_gp_model stores: one concentration step serves both
         rng = np.random.default_rng(4)
-        pts = rng.uniform(size=(9, 3))
+        pts = unit_columns(rng.uniform(size=(9, 3)))
         y = rng.normal(size=9)
         lengths = np.array([0.3, 0.8, 2.0])
-        model = assemble_gp_model(pts, y, lengths, nugget=1e-10, normalize=False)
+        model = assemble_gp_model(pts, y, lengths, nugget=1e-10)
         logdet = 2.0 * np.log(np.diag(build_correlation(pts, lengths, 1e-10)[0])).sum()
         nll = likelihood_with_gradient(pts, y, lengths, 1e-10, sq_diff(pts))[0]
         assert nll == 0.5 * (9 * math.log(model.sigma2) + logdet + 9)
@@ -267,10 +277,10 @@ class TestPredict:
 
     def test_matches_dense_inverse(self):
         rng = np.random.default_rng(7)
-        pts = rng.uniform(size=(4, 2))
+        pts = unit_columns(rng.uniform(size=(4, 2)))
         y = rng.normal(size=4)
         lengths = np.array([0.5, 0.7])
-        model = assemble_gp_model(pts, y, lengths=lengths, nugget=0.0, normalize=False)
+        model = assemble_gp_model(pts, y, lengths=lengths, nugget=0.0)
         _, rinv, beta, sigma2 = dense_reference(pts, y, lengths)
         ones = np.ones(4)
         for x0 in rng.uniform(size=(5, 2)):
@@ -328,7 +338,8 @@ class TestPredict:
                 assert means.shape == (m, k)
                 for col, want in zip(means.T, expected):
                     assert np.array_equal(col, want)
-                assert np.array_equal(predict_many(models[k - 1], points), expected[k - 1])
+                alone = predict_many(stack_models([models[k - 1]]), points)
+                assert np.array_equal(alone[:, 0], expected[k - 1])
 
 
 class TestLooMetrics:
@@ -345,15 +356,17 @@ class TestLooMetrics:
     def test_virtual_equals_explicit_refit(self):
         rng = np.random.default_rng(21)
         pts = rng.uniform(size=(6, 2))
+        # the unit square's corners put each column's minimum and maximum on two
+        # rows, so every fold keeps the box and the lengths mean the same
+        pts[:4] = [[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]]
         y = np.sin(3.0 * pts[:, 0]) + pts[:, 1]
         lengths = np.array([0.3, 0.6])
         nugget = 1e-10
-        model = assemble_gp_model(pts, y, lengths=lengths, nugget=nugget, normalize=False)
+        model = assemble_gp_model(pts, y, lengths=lengths, nugget=nugget)
         loo_pred = np.empty(6)
         for i in range(6):
             keep = np.arange(6) != i
-            sub = assemble_gp_model(pts[keep], y[keep], lengths=lengths, nugget=nugget,
-                                    normalize=False)
+            sub = assemble_gp_model(pts[keep], y[keep], lengths=lengths, nugget=nugget)
             loo_pred[i] = predict(sub, pts[i])[0]
         rmse_ref, q2_ref = prediction_metrics(y, loo_pred)
         rmse, q2 = loo_metrics(model)
@@ -400,8 +413,9 @@ class TestLoadedModel:
         new = rng.uniform(size=(6, 3)) * scale
         for x0 in new:
             assert predict(clone, x0) == predict(model, x0)
-            assert predict(model, x0)[0] == predict_many(model, x0[None, :])[0]
-        assert np.array_equal(predict_many(clone, new), predict_many(model, new))
+            assert predict(model, x0)[0] == predict_many(stack_models([model]), x0[None, :])[0, 0]
+        assert np.array_equal(predict_many(stack_models([clone]), new),
+                              predict_many(stack_models([model]), new))
         assert loo_metrics(clone) == loo_metrics(model)
 
     def test_escalated_nugget_is_stored(self):
@@ -438,7 +452,12 @@ class TestLoadedModel:
         assert calls == []
 
     def test_malformed_dictionary(self):
+        # the saved fields are GpModel's own, and the model checks them itself
         data = gp_model_to_dict(assemble_gp_model(np.eye(3), np.arange(3.0), np.ones(3)))
-        data["resid_solve"] = data["resid_solve"][:2]
-        with pytest.raises(ValueError, match="n responses and weights"):
-            gp_model_from_dict(data)
+        GpModel(**data)
+        for key, bad in [("resid_solve", data["resid_solve"][:2]), ("responses", [0.0, 1.0]),
+                         ("design", [1.0, 2.0, 3.0]), ("design", np.ones((3, 2)).tolist()),
+                         ("lengths", [1.0, 1.0])]:
+            for build in (gp_model_from_dict, lambda fields: GpModel(**fields)):
+                with pytest.raises(ValueError, match="n responses and weights"):
+                    build({**data, key: bad})

@@ -4,7 +4,9 @@ import os
 import pkgutil
 import subprocess
 import sys
+from collections import Counter
 
+import numpy as np
 import pytest
 
 import dynshape
@@ -19,18 +21,58 @@ def test_public_names_resolve(name):
     assert not missing, f"dynshape.{name}.__all__ names missing attributes: {missing}"
 
 
-def test_benchmark_traced_names_resolve():
-    # the benchmark's tracer looks up each (module, function) it wraps by name
-    # when it installs, so renaming or deleting one breaks every traced run
+def load_tracer():
+    """The benchmark's ``perfbench/tracer.py``, loaded from this checkout."""
     path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                         "perfbench", "tracer.py")
     spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_benchmark_traced_names_resolve():
+    # the benchmark's tracer looks up each (module, function) it wraps by name
+    # when it installs, so renaming or deleting one breaks every traced run
+    tracer = load_tracer()
     missing = [f"dynshape.{module}.{name}" for module, names in tracer.TARGETS.items()
                for name in names
                if not callable(getattr(importlib.import_module(f"dynshape.{module}"), name, None))]
     assert not missing, f"traced names missing: {missing}"
+
+
+def test_benchmark_counters_read_real_results(tmp_path):
+    # each counter the tracer takes from a call's arguments or result, fed the
+    # real call, so a change to a field or argument it reads fails here
+    from dynshape import fileio, gp, registration
+    from dynshape.synth import generate_analytical
+
+    tracer = load_tracer()
+    curves, _ = generate_analytical(4, 21, 0.0, seed=3)
+    duplicated = np.array([[0.2, 0.2], [0.2, 0.2], [0.8, 0.5]])
+    # two models, so that an m x k result and its transpose differ in length
+    stack = gp.stack_models([gp.assemble_gp_model(duplicated[1:], np.array([1.0, y]), np.ones(2))
+                             for y in (2.0, 3.0)])
+    text = "x\n0.5\n"
+    calls = {  # name: (function, positional arguments)
+        "registration.estimate_params": (registration.estimate_params, (curves,)),
+        "gp.build_correlation": (gp.build_correlation, (duplicated, np.ones(2), 0.0)),
+        "fileio.atomic_write_text": (fileio.atomic_write_text, (str(tmp_path / "t.csv"), text)),
+        "gp.predict_many": (gp.predict_many, (stack, np.zeros((5, 2)))),
+    }
+    assert set(calls) == set(tracer._AFTER)
+    counts = Counter()
+    results = {}
+    for name, (fn, args) in calls.items():
+        results[name] = fn(*args)
+        tracer._AFTER[name](counts, args, {}, results[name])
+    diag = results["registration.estimate_params"][1]
+    assert counts["registration.nfev"] == diag.nfev > 0
+    assert counts["registration.nit"] == diag.iterations > 0
+    assert counts["registration.starts"] == counts["registration.starts_usable"] == 1
+    assert counts["gp.nugget_escalations"] == 1  # the repeated row needs a nugget above 0
+    assert counts["fileio.bytes_written"] == (tmp_path / "t.csv").stat().st_size == len(text)
+    assert counts["gp.predict_many.points"] == 5
 
 
 SCIPY_LOADED = "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"

@@ -1,5 +1,4 @@
 import hashlib
-import time
 
 import numpy as np
 import pytest
@@ -484,17 +483,6 @@ class TestBlocked:
             assert np.abs(est.alpha - truth.alpha).max() < 1e-7
             assert wrapped_diff(est.theta, truth.theta).max() < 1e-7
             assert np.abs(est.v - truth.v).max() < 1e-7
-
-    def test_wall_time_linear_in_blocks(self):
-        curves, _ = generate_analytical(101, 101, 0.0, seed=12)
-        cfg = EstimationConfig(alpha_bounds=(1e-3, 20.0), max_iters=2000)
-        t0 = time.perf_counter()
-        _, diags = estimate_params_blocked(curves, 10, cfg)
-        total = time.perf_counter() - t0
-        assert len(diags) == 10
-        block_sum = sum(d.seconds for d in diags)
-        # total wall time is the sum of the per-block solves plus small overhead
-        assert block_sum <= total <= 1.5 * block_sum + 0.2
 
 
 class TestPatternAndAlign:
