@@ -237,7 +237,10 @@ def cmd_align(args) -> None:
         raise InputConsistencyError(
             f"parameter file has {params.n} rows but the curve file has {curves.n}"
         )
-    aligned = align_curves(curves, params)
+    try:
+        aligned = align_curves(curves, params)
+    except ValueError as err:  # an amplitude scale below the floor
+        raise InputConsistencyError(f"{args.params}: {err}") from None
     fileio.write_curves_csv(_out_path(args.out), aligned)
     print(f"wrote {aligned.n} aligned curves to {args.out}")
 
@@ -246,10 +249,6 @@ def cmd_predict(args) -> None:
     surrogate = fileio.load_surrogate(args.surrogate)
     points = fileio.read_design_csv(args.points)
     header = ",".join(f"t={fileio.fmt(t)}" for t in surrogate.t_grid) + ",extrapolated"
-    if points.shape[0] == 0:
-        fileio.write_table(_out_path(args.out), header, [])
-        print("no prediction points; wrote header only")
-        return
     if points.shape[1] != surrogate.d:
         raise InputConsistencyError(
             f"points have {points.shape[1]} columns but the surrogate expects {surrogate.d}"

@@ -21,7 +21,7 @@ import numpy as np
 from .doe import InputBox
 from .emulator import FAMILIES, FunctionalSurrogate, ValidationReport
 from .errors import InputConsistencyError
-from .gp import GpModel, gp_model_from_dict, gp_model_to_dict
+from .gp import GpModel
 from .registration import CurveSet, Pattern, TransformParams
 
 __all__ = [
@@ -52,18 +52,22 @@ def fmt(x: float) -> str:
 
 
 def atomic_write_text(path: str, text: str) -> None:
-    """Write via a temporary file in the same directory plus rename."""
+    """Write via a temporary file in the same directory plus rename; an OSError (a
+    missing directory, a path that is a directory) raises InputConsistencyError."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
-        with os.fdopen(fd, "w") as handle:
-            for start in range(0, len(text), 1 << 20):  # encodes 1 MB at a time, not a copy of all
-                handle.write(text[start : start + (1 << 20)])
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+        try:
+            with os.fdopen(fd, "w") as handle:
+                for start in range(0, len(text), 1 << 20):  # encodes 1 MB at a time, not a copy of all
+                    handle.write(text[start : start + (1 << 20)])
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as err:
+        raise InputConsistencyError(f"cannot write {path}: {err.strerror or err}") from err
 
 
 def write_table(path: str, header: str, rows) -> None:
@@ -191,12 +195,21 @@ class _CellFormatter:
 
 
 def _read_lines(path: str) -> list[tuple[int, str]]:
-    """(1-based line number, text) for every non-blank line of the file."""
+    """(1-based line number, text) for every non-blank line of the file; text that
+    is not UTF-8 raises :class:`InputConsistencyError` naming the file and line."""
     try:
-        with open(path, "r") as handle:
+        with open(path, "r", encoding="utf-8") as handle:
             return [(no, line.rstrip("\n")) for no, line in enumerate(handle, start=1) if line.strip()]
     except OSError as err:
         raise InputConsistencyError(f"cannot read {path}: {err}") from err
+    except UnicodeDecodeError:
+        with open(path, "rb") as handle:  # bytes.splitlines splits lines where text mode does
+            for no, line in enumerate(handle.read().splitlines(), start=1):
+                try:
+                    line.decode("utf-8")
+                except UnicodeDecodeError as err:
+                    raise InputConsistencyError(f"{path}, line {no}: not UTF-8 at byte {err.start + 1}") from None
+        raise
 
 
 def _read_numbers(path: str, lines: list[tuple[int, str]], width: int, skip: int = 0) -> np.ndarray:
@@ -335,8 +348,16 @@ def read_params_csv(path: str) -> TransformParams:
         raise InputConsistencyError(
             f"{path}, line {lines[1 + misplaced[0]][0]}: curve indices must be 1-based and ordered"
         )
+    if not table.size:
+        raise InputConsistencyError(f"{path}: no parameter rows found")
     alpha, theta, v = table[:, 1:].T.copy()
-    return TransformParams(alpha=alpha, theta=theta, v=v)
+    bad = np.flatnonzero(alpha <= 0.0)
+    if bad.size:
+        raise InputConsistencyError(f"{path}, line {lines[1 + bad[0]][0]}: alpha must be positive")
+    try:
+        return TransformParams(alpha=alpha, theta=theta, v=v)
+    except ValueError as err:  # the reference row is not (1, 0, 0)
+        raise InputConsistencyError(f"{path}, line {lines[1][0]}: {err}") from None
 
 
 def write_pattern_csv(path: str, t_grid: np.ndarray, values: np.ndarray) -> None:
@@ -402,15 +423,19 @@ def read_config(path: str, known_keys: set[str]) -> dict:
 # ---------------------------------------------------------------- JSON models
 
 
+# a GP family's keys: GpModel's init fields but kinv, so loading needs no factorization
+_GP_KEYS = ("design", "responses", "lengths", "beta", "sigma2", "nugget", "resid_solve")
+
+
 def _family_to_dict(entry) -> dict:
     if isinstance(entry, GpModel):
-        return {"kind": "gp", **gp_model_to_dict(entry)}
+        return {"kind": "gp", **{key: np.asarray(getattr(entry, key)).tolist() for key in _GP_KEYS}}
     return {"kind": "fixed", "value": float(entry)}
 
 
 def _family_from_dict(data: dict):
     if data["kind"] == "gp":
-        return gp_model_from_dict(data)
+        return GpModel(**{key: data[key] for key in _GP_KEYS})
     return float(data["value"])
 
 
@@ -487,5 +512,5 @@ def load_surrogate(path: str) -> FunctionalSurrogate:
             pattern=pattern,
             models={name: _family_from_dict(fit["families"][name]) for name in FAMILIES},
         )
-    except (OSError, ValueError, KeyError, TypeError, AttributeError, OverflowError) as err:
+    except (OSError, ValueError, KeyError, TypeError, AttributeError, OverflowError, RecursionError) as err:
         raise InputConsistencyError(f"{path}: cannot load surrogate: {type(err).__name__}: {err}") from err

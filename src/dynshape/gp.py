@@ -44,8 +44,6 @@ __all__ = [
     "predict_many",
     "loo_metrics",
     "prediction_metrics",
-    "gp_model_to_dict",
-    "gp_model_from_dict",
 ]
 
 NUGGET_BASE = 1e-10
@@ -83,11 +81,11 @@ class GpModel:
     ``lengths``, the Gaussian kernel's correlation lengths, refer to inputs
     normalized by the design's bounding box (x_lo, x_span), which the model
     derives from its own design, so a saved model normalizes as the in-memory
-    one did.  Construction raises ValueError unless the design is n x d with n
-    responses, n kriging weights ``resid_solve`` (Kinv (Y - beta 1)) and d
-    positive, finite lengths.  ``kinv`` is the inverse of K = R + nugget I on
-    the normalized design, or None in a loaded model until the first variance
-    or LOO sets it; the weights give the mean without it.
+    one did.  Construction makes beta, sigma2 and nugget floats and raises ValueError
+    unless the design is n x d with n responses, n kriging weights ``resid_solve``
+    (Kinv (Y - beta 1)) and d positive, finite lengths.  ``kinv`` is the inverse of
+    K = R + nugget I on the normalized design, or None in a loaded model until the
+    first variance or LOO sets it; the weights give the mean without it.
     """
 
     design: np.ndarray
@@ -104,6 +102,8 @@ class GpModel:
     def __post_init__(self):
         for key in ("design", "responses", "resid_solve"):
             object.__setattr__(self, key, np.asarray(getattr(self, key), dtype=float))
+        for key in ("beta", "sigma2", "nugget"):
+            object.__setattr__(self, key, float(getattr(self, key)))
         object.__setattr__(self, "lengths", _checked_lengths(self.lengths))
         design = self.design
         if design.ndim != 2 or self.lengths.size != design.shape[1] \
@@ -442,23 +442,3 @@ def _inverted(model: GpModel) -> GpModel:
         object.__setattr__(model, "kinv", full.kinv)
     return model
 
-
-def gp_model_to_dict(model: GpModel) -> dict:
-    """JSON-ready dictionary with the kriging weights, so loading needs no factorization."""
-    return {
-        "design": model.design.tolist(),
-        "responses": model.responses.tolist(),
-        "lengths": model.lengths.tolist(),
-        "beta": model.beta,
-        "sigma2": model.sigma2,
-        "nugget": model.nugget,
-        "resid_solve": model.resid_solve.tolist(),
-    }
-
-
-def gp_model_from_dict(data: dict) -> GpModel:
-    """Model saved by :func:`gp_model_to_dict`, with ``kinv`` unset; raises ValueError
-    as :class:`GpModel` does on mismatched shapes or a length that is not positive and finite."""
-    return GpModel(**{key: data[key] for key in ("design", "responses", "lengths", "resid_solve")},
-                   beta=float(data["beta"]), sigma2=float(data["sigma2"]),
-                   nugget=float(data["nugget"]))

@@ -35,7 +35,6 @@ __all__ = [
     "EstimationConfig",
     "EstimationDiagnostics",
     "wrap_angle",
-    "identity_params",
     "to_fourier",
     "inverse_fourier",
     "make_weights",
@@ -133,10 +132,6 @@ class TransformParams:
     @property
     def n(self) -> int:
         return self.alpha.size
-
-
-def identity_params(n: int) -> TransformParams:
-    return TransformParams(alpha=np.ones(n), theta=np.zeros(n), v=np.zeros(n))
 
 
 @dataclass(frozen=True)
@@ -237,7 +232,7 @@ def _phases(theta: np.ndarray, width: int) -> np.ndarray:
     cis.real = np.cos(x)
     cis.imag = np.sin(x)
     table = cis[:, b:, None] * cis[:, None, :b]
-    return table.reshape(x.shape[0], -1)[:, :width]
+    return table.reshape(x.shape[0], b * (x.shape[1] - b))[:, :width]
 
 
 def undeform(coeffs: np.ndarray, alpha: np.ndarray, theta: np.ndarray, v) -> np.ndarray:

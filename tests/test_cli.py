@@ -632,6 +632,17 @@ class TestSurrogateErrors:
         assert code == 3
         assert path in err and "cannot load surrogate" in err
 
+    @pytest.mark.parametrize("token", ['"text"', "[1.0]", "null"])
+    def test_beta_not_a_number_exits_3(self, tmp_path, box_file, capsys, token):
+        # GpModel itself makes beta a float, so the loader needs no conversion of its own
+        def edit(data):
+            data["segments"][0]["families"]["theta"]["beta"] = "BAD"
+
+        code, path, err = self.predict_with_edited_file(tmp_path, box_file, capsys, edit,
+                                                        ('"BAD"', token))
+        assert code == 3
+        assert f"{path}: cannot load surrogate" in err
+
     @pytest.mark.parametrize("length", [0.0, -0.5])
     def test_nonpositive_length_exits_3(self, tmp_path, box_file, capsys, length):
         def edit(data):
@@ -703,6 +714,79 @@ class TestSurrogateErrors:
                    "--surrogate-out", str(tmp_path / "s.json")) == 4
 
 
+class TestBadFilesExit3:
+    """Each case exits 3 with no traceback, and the message names the file."""
+
+    @pytest.mark.parametrize("rows, where", [
+        ("1,1,0,0\n2,-0.5,0.1,0\n", "line 3: alpha must be positive"),
+        ("1,1,0,0\n2,1e-7,0.1,0\n", "below the floor"),
+        ("1,1,0.2,0\n2,1,0.1,0\n", "line 2: reference curve"),
+        ("", "no parameter rows"),
+    ], ids=["negative-alpha", "alpha-below-floor", "reference-row", "header-only"])
+    def test_params_values(self, tmp_path, box_file, capsys, rows, where):
+        _, curves = make_dataset(tmp_path, box_file, n=2, j=11)
+        params = tmp_path / "p.csv"
+        params.write_text("curve,alpha,theta,v\n" + rows)
+        capsys.readouterr()
+        assert run("align", "--curves", curves, "--params", str(params),
+                   "--out", str(tmp_path / "a.csv")) == 3
+        err = capsys.readouterr().err
+        assert str(params) in err and where in err
+
+    def test_curves_not_utf8(self, tmp_path, box_file, capsys):
+        design, curves = make_dataset(tmp_path, box_file, n=6, j=11)
+        with open(curves, "rb") as handle:
+            lines = handle.read().splitlines(keepends=True)
+        lines[3] = lines[3].replace(b",", b",\xff", 1)
+        with open(curves, "wb") as handle:
+            handle.write(b"".join(lines))
+        capsys.readouterr()
+        assert run("fit", "--design", design, "--curves", curves,
+                   "--surrogate-out", str(tmp_path / "s.json")) == 3
+        assert f"{curves}, line 4: not UTF-8 at byte " in capsys.readouterr().err
+
+    def test_config_comment_not_utf8(self, tmp_path, box_file, capsys):
+        design, curves = make_dataset(tmp_path, box_file, n=6, j=11)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"block_size = 4\r\n# caf\xe9\r\nseed = 2\r\n")
+        capsys.readouterr()
+        assert run("fit", "--design", design, "--curves", curves, "--config", str(cfg),
+                   "--surrogate-out", str(tmp_path / "s.json")) == 3
+        assert f"{cfg}, line 2: not UTF-8 at byte 6" in capsys.readouterr().err
+
+    def test_crlf_files_are_read(self, tmp_path, box_file):
+        design, curves = make_dataset(tmp_path, box_file, n=6, j=11)
+        for path in (design, curves):
+            with open(path, "rb") as handle:
+                data = handle.read()
+            with open(path, "wb") as handle:
+                handle.write(data.replace(b"\n", b"\r\n"))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"block_size = 4\r\n# comment\r\n")
+        assert run("fit", "--design", design, "--curves", curves, "--config", str(cfg),
+                   "--gp-multistarts", "1", "--surrogate-out", str(tmp_path / "s.json")) == 0
+
+    @pytest.mark.parametrize("out", ["nodir/x.csv", "taken"])
+    def test_output_path(self, tmp_path, box_file, capsys, monkeypatch, out):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "taken").mkdir()
+        capsys.readouterr()
+        assert run("design", "--n", "4", "--box", box_file, "--out", out) == 3
+        assert f"cannot write {out}: " in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["box.csv", "taken"]
+        assert os.listdir(tmp_path / "taken") == []
+
+    def test_deeply_nested_surrogate(self, tmp_path, capsys):
+        path = tmp_path / "sur.json"
+        path.write_text("[" * 100_000)
+        points = tmp_path / "pts.csv"
+        points.write_text("x1,x2,x3\n0.2,100,0.7\n")
+        capsys.readouterr()
+        assert run("predict", "--surrogate", str(path), "--points", str(points),
+                   "--out", str(tmp_path / "p.csv")) == 3
+        assert f"{path}: cannot load surrogate: RecursionError" in capsys.readouterr().err
+
+
 class TestTimeWindowsAreGone:
     def test_flag_is_gone(self, tmp_path, box_file):
         design, curves = make_dataset(tmp_path, box_file, n=6, j=11)
@@ -722,7 +806,8 @@ class TestTimeWindowsAreGone:
 
 
 # sha256 of each deterministic artifact of a small README quick start, run in
-# process; any changed bit of a written CSV, fit diagnostic or prediction shows here
+# process; any changed bit of a written CSV, fit diagnostic, saved surrogate or
+# prediction shows here
 QUICK_START_SHA256 = {
     "params.csv": "a68fd0a284f4e30838cfc9f626f486aad072632fc648be2a4cc46f1ef2b2b337",
     "pattern.csv": "7d44564f571bc58ac68be818d4524a8d5158faea38f020055e0453a94a7b68f7",
@@ -732,6 +817,7 @@ QUICK_START_SHA256 = {
     "comparison.csv": "484f33292ff2faac67d7a9ef27f571c793e681e4a82d738c17cf988d84ad579a",
     "crossplot.csv": "754f280608f9b130cfd1d851015c59591cba10a4929cc1f8a58676bf9349b668",
     "aligned.csv": "49dd65ea70731f4cfe4cda840801c1d570d57170af03ecc7ef9fa0dd2645aa33",
+    "surrogate.json": "f9542b674ea4a5cc9042bc2a323dcc5a7c9186f79152118501df942e14ff3bb6",
 }
 
 

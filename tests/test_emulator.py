@@ -154,6 +154,14 @@ class TestPredict:
         with pytest.raises(ValueError):
             predict_curve(surrogate, np.array([0.2, 100.0]))
 
+    def test_zero_points(self):
+        design, curves, _ = harness(n=10)
+        surrogate = train(design, curves, FAST, box=BOX)
+        none = np.empty((0, 3))
+        values, flags = predict_curves(surrogate, none)
+        assert values.shape == (0, curves.j) and flags.shape == (0,)
+        assert predict_many(surrogate.kernel, none).shape == (0, len(surrogate.gp_families))
+
     def test_single_point_equals_batch_bitwise(self):
         design, curves, _ = harness(n=12, j=41)
         config = TrainConfig(

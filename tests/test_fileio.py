@@ -146,7 +146,7 @@ class TestAtomicWrite:
 
     def test_missing_directory_leaves_nothing(self, tmp_path):
         missing = tmp_path / "nowhere" / "out.txt"
-        with pytest.raises(OSError):
+        with pytest.raises(InputConsistencyError, match=f"cannot write {missing}: "):
             fileio.atomic_write_text(str(missing), "data")
         assert not (tmp_path / "nowhere").exists()
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dynshape import fileio
 from dynshape.doe import DesignMatrix, lhd_sample
 from dynshape.errors import DegenerateResponseError
 from dynshape.gp import (
@@ -14,8 +16,6 @@ from dynshape.gp import (
     build_correlation,
     corr_gaussian,
     fit_gp,
-    gp_model_from_dict,
-    gp_model_to_dict,
     likelihood_with_gradient,
     loo_metrics,
     predict,
@@ -23,6 +23,18 @@ from dynshape.gp import (
     prediction_metrics,
     stack_models,
 )
+
+
+def saved_fields(model):
+    """The model's fields as a surrogate file stores them."""
+    data = fileio._family_to_dict(model)
+    del data["kind"]
+    return data
+
+
+def from_saved(fields):
+    """The model a surrogate file holding ``fields`` loads to."""
+    return fileio._family_from_dict({"kind": "gp", **fields})
 
 
 def sq_diff(points):
@@ -73,14 +85,14 @@ class TestCorrelation:
     def test_nonpositive_length_rejected(self):
         # every entry point that takes lengths from outside checks them
         pts, y = np.array([[0.0, 0.0], [0.5, 1.0], [1.0, 0.2]]), np.array([0.0, 1.0, 2.0])
-        saved = gp_model_to_dict(assemble_gp_model(pts, y, np.array([0.5, 0.5])))
+        saved = saved_fields(assemble_gp_model(pts, y, np.array([0.5, 0.5])))
         for bad in ([1.0, 0.0], [1.0, -2.0], [np.inf, 1.0], [1.0, np.nan]):
             with pytest.raises(ValueError, match="positive and finite"):
                 corr_gaussian(pts[0], pts[1], np.array(bad))
             with pytest.raises(ValueError, match="positive and finite"):
                 assemble_gp_model(pts, y, np.array(bad))
             with pytest.raises(ValueError, match="positive and finite"):
-                gp_model_from_dict({**saved, "lengths": bad})
+                from_saved({**saved, "lengths": bad})
             with pytest.raises(ValueError, match="positive and finite"):
                 GpModel(**{**saved, "lengths": np.array(bad)})
 
@@ -386,12 +398,19 @@ class TestSerialization:
         pts = rng.uniform(size=(7, 3)) * [1.0, 10.0, 100.0]
         y = rng.normal(size=7)
         model = fit_gp(pts, y, FitConfig(multistarts=3, seed=2))
-        data = json.loads(json.dumps(gp_model_to_dict(model)))
-        clone = gp_model_from_dict(data)
+        data = json.loads(json.dumps(saved_fields(model)))
+        clone = from_saved(data)
         assert clone.beta == pytest.approx(model.beta, rel=1e-12)
         assert clone.sigma2 == pytest.approx(model.sigma2, rel=1e-12)
         for x0 in rng.uniform(size=(4, 3)) * [1.0, 10.0, 100.0]:
             assert predict(clone, x0) == pytest.approx(predict(model, x0), rel=1e-10)
+
+
+    def test_saved_keys_are_the_init_fields_but_kinv(self):
+        # every constructor argument but kinv, in field order, so a new field is saved too
+        data = fileio._family_to_dict(assemble_gp_model(np.eye(3), np.arange(3.0), np.ones(3)))
+        init = [f.name for f in dataclasses.fields(GpModel) if f.init and f.name != "kinv"]
+        assert list(data) == ["kind", *init]
 
 
 class TestLoadedModel:
@@ -399,7 +418,7 @@ class TestLoadedModel:
 
     @staticmethod
     def reload(model):
-        return gp_model_from_dict(json.loads(json.dumps(gp_model_to_dict(model))))
+        return from_saved(json.loads(json.dumps(saved_fields(model))))
 
     def test_predict_and_loo_equal_in_memory(self):
         rng = np.random.default_rng(23)
@@ -453,11 +472,11 @@ class TestLoadedModel:
 
     def test_malformed_dictionary(self):
         # the saved fields are GpModel's own, and the model checks them itself
-        data = gp_model_to_dict(assemble_gp_model(np.eye(3), np.arange(3.0), np.ones(3)))
+        data = saved_fields(assemble_gp_model(np.eye(3), np.arange(3.0), np.ones(3)))
         GpModel(**data)
         for key, bad in [("resid_solve", data["resid_solve"][:2]), ("responses", [0.0, 1.0]),
                          ("design", [1.0, 2.0, 3.0]), ("design", np.ones((3, 2)).tolist()),
                          ("lengths", [1.0, 1.0])]:
-            for build in (gp_model_from_dict, lambda fields: GpModel(**fields)):
+            for build in (from_saved, lambda fields: GpModel(**fields)):
                 with pytest.raises(ValueError, match="n responses and weights"):
                     build({**data, key: bad})

@@ -141,3 +141,11 @@ def test_train_and_fit_leave_scipy_unloaded(tmp_path):
             "    assert cli.main(argv) == 0, argv\n" + SCIPY_LOADED)
     assert run_fresh(code, str(tmp_path)).splitlines()[-1] == "[]"
     assert (tmp_path / "surrogate.json").exists()
+
+
+def test_readme_library_quick_start_runs():
+    # the README's library example, run as written, so its imports follow the modules
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+    section = open(readme, encoding="utf-8").read().split("## Quick start (library)", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    assert run_fresh(code).startswith("(55,) {'alpha': ")

@@ -19,7 +19,6 @@ from dynshape.registration import (
     estimate_params,
     estimate_params_blocked,
     extract_pattern,
-    identity_params,
     inverse_fourier,
     make_weights,
     rephase,
@@ -28,6 +27,11 @@ from dynshape.registration import (
     wrap_angle,
 )
 from dynshape.synth import generate_analytical, pressure_pattern
+
+
+def identity_params(n):
+    """Every curve at (alpha, theta, v) = (1, 0, 0)."""
+    return TransformParams(alpha=np.ones(n), theta=np.zeros(n), v=np.zeros(n))
 
 
 def wrapped_diff(a, b):
