@@ -51,7 +51,6 @@ SETTINGS = {
     "alpha_min": (float, EstimationConfig),
     "alpha_max": (float, EstimationConfig),
     "l_max": (int_or_none, EstimationConfig),
-    "max_iters": (int, EstimationConfig),
     "gp_multistarts": (int, FitConfig),
     "gp_max_iters": (int, FitConfig),
     "gp_length_lo": (float, FitConfig),
@@ -64,7 +63,11 @@ SETTINGS = {
 def _out_path(path: str) -> str:
     outdir = os.environ.get("DYNSHAPE_OUTDIR")
     if outdir and not os.path.isabs(path):
-        os.makedirs(outdir, exist_ok=True)
+        try:
+            os.makedirs(outdir, exist_ok=True)
+        except OSError as err:  # a file, or a path through one
+            raise InputConsistencyError(f"DYNSHAPE_OUTDIR={outdir}: cannot make the directory: "
+                                        f"{err.strerror}") from None
         return os.path.join(outdir, path)
     return path
 
@@ -190,7 +193,8 @@ def cmd_synth_co2(args) -> None:
     try:  # raises only on the design's points: wrong column count or outside the box
         curves = generate_functional_sim(spec, DesignMatrix(points=points, normalized=False))
     except ValueError as err:
-        raise InputConsistencyError(f"{args.design}: {err}") from None
+        source = f"{args.design} in the box of {args.box}" if args.box else args.design
+        raise InputConsistencyError(f"{source}: {err}") from None
     fileio.write_curves_csv(_out_path(args.curves_out), curves)
     if args.truth_out:
         truth = np.column_stack([spec.alpha_fn(points), spec.theta_fn(points), spec.v_fn(points)])
@@ -234,9 +238,8 @@ def cmd_align(args) -> None:
     curves, _ = _read_curves(args.curves, args)
     params = fileio.read_params_csv(args.params)
     if params.n != curves.n:
-        raise InputConsistencyError(
-            f"parameter file has {params.n} rows but the curve file has {curves.n}"
-        )
+        raise InputConsistencyError(f"{args.params} has {params.n} rows but {args.curves} has "
+                                    f"{curves.n} curves")
     try:
         aligned = align_curves(curves, params)
     except ValueError as err:  # an amplitude scale below the floor
@@ -250,29 +253,32 @@ def cmd_predict(args) -> None:
     points = fileio.read_design_csv(args.points)
     header = ",".join(f"t={fileio.fmt(t)}" for t in surrogate.t_grid) + ",extrapolated"
     if points.shape[1] != surrogate.d:
-        raise InputConsistencyError(
-            f"points have {points.shape[1]} columns but the surrogate expects {surrogate.d}"
-        )
+        raise InputConsistencyError(f"{args.points} has {points.shape[1]} columns but "
+                                    f"{args.surrogate} expects {surrogate.d}")
     values, flags = predict_curves(surrogate, points)
     fileio.write_table(_out_path(args.out), header, np.column_stack([values, flags]))
     print(f"wrote {points.shape[0]} predicted curves to {args.out}")
 
 
-def _test_set(args, t_grid: np.ndarray) -> tuple:
-    """The held-out design and curves, which must lie on the reference time grid."""
+def _test_set(args, t_grid: np.ndarray, d: int, reference: str) -> tuple:
+    """The held-out design and curves, which must have the d inputs and the time grid of
+    the training set, read from the file(s) named ``reference``."""
     test_design, test_curves, _ = _design_and_curves(args.test_design, args.test_curves, args)
+    if test_design.points.shape[1] != d:
+        raise InputConsistencyError(f"--test-design {args.test_design} has "
+                                    f"{test_design.points.shape[1]} columns but {reference} has {d}")
     tol = 1e-9 * max(t_grid[1], 1.0)  # what CurveSet allows a grid
     if test_curves.j != t_grid.size or not np.allclose(test_curves.t_grid, t_grid, 0.0, tol):
         raise InputConsistencyError(
             f"--test-curves {args.test_curves} has J = {test_curves.j} time steps of "
-            f"{fileio.fmt(test_curves.t_grid[1])} but training used J = {t_grid.size} "
+            f"{fileio.fmt(test_curves.t_grid[1])} but {reference} has J = {t_grid.size} "
             f"of {fileio.fmt(t_grid[1])}")
     return test_design, test_curves
 
 
 def cmd_validate(args) -> None:
     surrogate = fileio.load_surrogate(args.surrogate)
-    test_design, test_curves = _test_set(args, surrogate.t_grid)
+    test_design, test_curves = _test_set(args, surrogate.t_grid, surrogate.d, args.surrogate)
     report = validate(surrogate, test_design, test_curves)
     fileio.write_report_csv(_out_path(args.report_out), report, surrogate.t_grid)
     print(f"overall rmse = {fileio.fmt(report.overall_rmse)}; "
@@ -281,7 +287,8 @@ def cmd_validate(args) -> None:
 
 def cmd_bench(args) -> None:
     design, curves, _ = _design_and_curves(args.design, args.curves, args, MIN_TRAINING_CURVES)
-    test_design, test_curves = _test_set(args, curves.t_grid)
+    test_design, test_curves = _test_set(args, curves.t_grid, design.points.shape[1],
+                                         f"{args.design} with {args.curves}")
     config = _train_config(args)
     bench = benchmark_against_per_step(design, curves, test_design, test_curves, config)
 
@@ -327,7 +334,7 @@ def _add_curve_inputs(p: argparse.ArgumentParser) -> None:
 def _add_fit_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="flat key = value settings file")
     for key, (kind, *_) in SETTINGS.items():
-        p.add_argument("--" + key.replace("_", "-"), dest=key, type=kind)
+        p.add_argument("--" + key.replace("_", "-"), type=kind)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -341,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--box", required=True, help="CSV of name,min,max rows")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--maximin-restarts", dest="maximin_restarts", type=int, default=20,
+    p.add_argument("--maximin-restarts", type=int, default=20,
                    help="0 = plain Latin hypercube without maximin improvement; must be >= 0")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_design)
@@ -352,30 +359,30 @@ def build_parser() -> argparse.ArgumentParser:
     p = synth_sub.add_parser("analytical", help="parabola benchmark with iid uniform parameters")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--j", type=int, required=True)
-    p.add_argument("--noise-var", dest="noise_var", type=float, default=0.0)
+    p.add_argument("--noise-var", type=float, default=0.0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--curves-out", dest="curves_out", required=True)
-    p.add_argument("--params-out", dest="params_out")
+    p.add_argument("--curves-out", required=True)
+    p.add_argument("--params-out")
     p.set_defaults(func=cmd_synth_analytical)
 
     p = synth_sub.add_parser("co2", help="pressure-style functional simulator stand-in")
     p.add_argument("--design", required=True, help="design CSV in box coordinates")
     p.add_argument("--box", help="box CSV; defaults to the built-in demo box")
     p.add_argument("--j", type=int, default=55)
-    p.add_argument("--noise-var", dest="noise_var", type=float, default=0.0)
+    p.add_argument("--noise-var", type=float, default=0.0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--curves-out", dest="curves_out", required=True)
-    p.add_argument("--truth-out", dest="truth_out", help="optional alpha,theta,v map values")
+    p.add_argument("--curves-out", required=True)
+    p.add_argument("--truth-out", help="optional alpha,theta,v map values")
     p.set_defaults(func=cmd_synth_co2)
 
     p = sub.add_parser("fit", help="train a functional surrogate")
     p.add_argument("--design", required=True)
     _add_curve_inputs(p)
     _add_fit_flags(p)
-    p.add_argument("--surrogate-out", dest="surrogate_out", required=True)
-    p.add_argument("--params-out", dest="params_out")
-    p.add_argument("--pattern-out", dest="pattern_out")
-    p.add_argument("--diagnostics-out", dest="diagnostics_out")
+    p.add_argument("--surrogate-out", required=True)
+    p.add_argument("--params-out")
+    p.add_argument("--pattern-out")
+    p.add_argument("--diagnostics-out")
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("align", help="apply the inverse deformation to curves")
@@ -392,22 +399,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="per-step metrics on held-out runs")
     p.add_argument("--surrogate", required=True)
-    p.add_argument("--test-design", dest="test_design", required=True)
-    p.add_argument("--test-curves", dest="test_curves", required=True)
+    p.add_argument("--test-design", required=True)
+    p.add_argument("--test-curves", required=True)
     p.add_argument("--times")
     p.add_argument("--period", type=float)
-    p.add_argument("--report-out", dest="report_out", required=True)
+    p.add_argument("--report-out", required=True)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("bench", help="compare against one GP per time step")
     p.add_argument("--design", required=True)
     _add_curve_inputs(p)
-    p.add_argument("--test-design", dest="test_design", required=True)
-    p.add_argument("--test-curves", dest="test_curves", required=True)
+    p.add_argument("--test-design", required=True)
+    p.add_argument("--test-curves", required=True)
     _add_fit_flags(p)
-    p.add_argument("--report-out", dest="report_out", required=True)
-    p.add_argument("--timings-out", dest="timings_out", required=True)
-    p.add_argument("--crossplot-out", dest="crossplot_out")
+    p.add_argument("--report-out", required=True)
+    p.add_argument("--timings-out", required=True)
+    p.add_argument("--crossplot-out")
     p.set_defaults(func=cmd_bench)
 
     return parser

@@ -194,7 +194,7 @@ def train(
             models[name] = float(values.mean())
             continue
         try:
-            models[name] = fit_gp(design, values, config.gp)
+            models[name] = fit_gp(pts, values, config.gp)
         except FitFailureError as err:
             raise FitFailureError(f"parameter-model stage ({name}): {err}",
                                   starts=err.starts) from err
@@ -301,7 +301,7 @@ def benchmark_against_per_step(
     t0 = time.perf_counter()
     step_pred = np.empty((test_curves.n, curves.j))
     for col in range(curves.j):
-        model = fit_gp(design, curves.values[:, col], config.gp)
+        model = fit_gp(design.points, curves.values[:, col], config.gp)
         step_pred[:, col] = predict_many(stack_models([model]), test_design.points)[:, 0]
     step_seconds = time.perf_counter() - t0
     step_report = _report_from_predictions(step_pred, test_curves.values)

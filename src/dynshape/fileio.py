@@ -502,14 +502,13 @@ def load_surrogate(path: str) -> FunctionalSurrogate:
             raise ValueError(f"holds {len(fits)} fitted time ranges, not one; refit it")
         fit = fits[0]
         span = [fit[key] for key in ("start", "stop", "grid_start", "grid_stop")]
-        pattern = Pattern(values=fit["pattern_values"])
-        if span != [0, j, 0, j] or pattern.values.shape != (j,):
+        if span != [0, j, 0, j] or np.shape(fit["pattern_values"]) != (j,):
             raise ValueError("the pattern does not span its time grid")
         return FunctionalSurrogate(
             box=box,
             t_grid=t_grid,
             period=float(data["period"]),
-            pattern=pattern,
+            pattern=Pattern(values=fit["pattern_values"]),
             models={name: _family_from_dict(fit["families"][name]) for name in FAMILIES},
         )
     except (OSError, ValueError, KeyError, TypeError, AttributeError, OverflowError, RecursionError) as err:

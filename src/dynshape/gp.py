@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .doe import DesignMatrix, lhd_sample
+from .doe import lhd_sample
 from .errors import DegenerateResponseError, FitFailureError, IllConditionedDesignError
 from .lbfgs import _minimize_box
 
@@ -33,7 +33,6 @@ __all__ = [
     "GpModel",
     "GpStack",
     "stack_models",
-    "corr_gaussian",
     "build_correlation",
     "gls_beta",
     "mle_sigma2",
@@ -154,18 +153,6 @@ def _checked_lengths(lengths) -> np.ndarray:
     if np.any(lengths <= 0) or not np.all(np.isfinite(lengths)):
         raise ValueError("correlation lengths must be positive and finite")
     return lengths
-
-
-def corr_gaussian(x: np.ndarray, y: np.ndarray, lengths: np.ndarray) -> float:
-    """Gaussian correlation between two points; 1 iff x == y."""
-    lengths = _checked_lengths(lengths)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    if x.shape != y.shape or x.size != lengths.size:
-        raise ValueError("x and y must both have one coordinate per correlation length")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-        raise ValueError("inputs must be finite")
-    return float(_corr(x[None, :], y[None, :], lengths)[0, 0])
 
 
 def _unit_box(design: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -297,8 +284,8 @@ def assemble_gp_model(
                    sigma2=sigma2, nugget=used, resid_solve=a, kinv=kinv)
 
 
-def fit_gp(design: DesignMatrix | np.ndarray, responses: np.ndarray, config: FitConfig | None = None) -> GpModel:
-    """Fit correlation lengths by concentrated maximum likelihood.
+def fit_gp(design: np.ndarray, responses: np.ndarray, config: FitConfig | None = None) -> GpModel:
+    """Fit correlation lengths to an n x d design by concentrated maximum likelihood.
 
     Runs ``config.multistarts`` projected L-BFGS searches in log-length space
     (:func:`dynshape.lbfgs._minimize_box` at L-BFGS-B's default tolerances,
@@ -315,7 +302,7 @@ def fit_gp(design: DesignMatrix | np.ndarray, responses: np.ndarray, config: Fit
     """
     if config is None:
         config = FitConfig()
-    pts_raw = design.points if isinstance(design, DesignMatrix) else np.asarray(design, dtype=float)
+    pts_raw = np.asarray(design, dtype=float)
     responses = np.asarray(responses, dtype=float)
     n, d = pts_raw.shape
     if n < 3:

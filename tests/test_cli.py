@@ -323,6 +323,27 @@ class TestValidateCommand:
                    "--test-curves", test_curves, "--report-out", str(tmp_path / "r.csv")) == 0
 
 
+    @pytest.mark.parametrize("command", ["validate", "bench"])
+    def test_test_design_columns_name_the_files(self, tmp_path, box_file, capsys, command):
+        # once exit 2 with "points must be m x 3", after bench had trained
+        design, curves = make_dataset(tmp_path, box_file, n=6, j=11)
+        surrogate = str(tmp_path / "sur.json")
+        assert run("fit", "--design", design, "--curves", curves, "--gp-multistarts", "1",
+                   "--surrogate-out", surrogate) == 0
+        test_design = tmp_path / "td.csv"
+        lines = open(design).read().splitlines()
+        test_design.write_text("\n".join(line.rsplit(",", 1)[0] for line in lines) + "\n")
+        inputs = (["--surrogate", surrogate] if command == "validate"
+                  else ["--design", design, "--curves", curves, "--timings-out",
+                        str(tmp_path / "t.csv")])
+        capsys.readouterr()
+        assert run(command, *inputs, "--test-design", str(test_design), "--test-curves", curves,
+                   "--report-out", str(tmp_path / "r.csv")) == 3
+        err = capsys.readouterr().err
+        assert f"--test-design {test_design} has 2 columns but " in err
+        assert (surrogate if command == "validate" else f"{design} with {curves}") in err
+
+
 class TestAlignCommand:
     def test_identity_params_roundtrip(self, tmp_path, box_file):
         design, curves = make_dataset(tmp_path, box_file)
@@ -421,6 +442,14 @@ class TestEnvironmentOverrides:
         assert (outdir / "design.csv").exists()
         assert not (tmp_path / "design.csv").exists()
 
+    def test_outdir_naming_a_file_exits_3(self, tmp_path, box_file, monkeypatch, capsys):
+        outdir = tmp_path / "taken"
+        outdir.write_text("")
+        monkeypatch.setenv("DYNSHAPE_OUTDIR", str(outdir))
+        capsys.readouterr()
+        assert run("design", "--n", "6", "--box", box_file, "--out", "design.csv") == 3
+        assert f"DYNSHAPE_OUTDIR={outdir}: cannot make the directory" in capsys.readouterr().err
+
 
 FIT_ARGV = ["fit", "--design", "d.csv", "--curves", "c.csv", "--surrogate-out", "s.json"]
 SAMPLE_TEXT = {int: "2", float: "0.5", int_or_none: "7"}
@@ -448,14 +477,13 @@ class TestSettingsTable:
         cfg.write_text("alpha_min = 0.1\ngp_length_hi = 100\nseed = 9\nl_max = none\n")
         argv = FIT_ARGV + [
             "--config", str(cfg), "--seed", "3", "--block-size", "4", "--beta-exponent", "1.25",
-            "--alpha-max", "9", "--l-max", "7", "--max-iters", "50",
+            "--alpha-max", "9", "--l-max", "7",
             "--gp-multistarts", "5", "--gp-max-iters", "60", "--gp-length-lo", "0.01",
             "--gp-nugget-floor", "1e-8", "--var-fix-tol", "1e-6",
         ]
         assert config_from(argv) == TrainConfig(
             block_size=4, var_fix_tol=1e-6,
-            estimation=EstimationConfig(alpha_bounds=(0.1, 9.0), beta_exponent=1.25, l_max=7,
-                                        max_iters=50),
+            estimation=EstimationConfig(alpha_bounds=(0.1, 9.0), beta_exponent=1.25, l_max=7),
             gp=FitConfig(length_bounds=(0.01, 100.0), multistarts=5, max_iters=60,
                          nugget_floor=1e-8, seed=3),
         )
@@ -695,6 +723,29 @@ class TestSurrogateErrors:
         assert code == 3
         assert path in err and "pattern does not span its time grid" in err
 
+    @pytest.mark.parametrize("token", ["5", "true", "null"])
+    def test_pattern_not_a_list_exits_3(self, tmp_path, box_file, capsys, token):
+        # once an IndexError traceback from the pattern's transform
+        def edit(data):
+            data["segments"][0]["pattern_values"] = "BAD"
+
+        code, path, err = self.predict_with_edited_file(tmp_path, box_file, capsys, edit,
+                                                        ('"BAD"', token))
+        assert code == 3
+        assert path in err and "pattern does not span its time grid" in err
+
+    def test_even_grid_and_pattern_exit_3(self, tmp_path, box_file, capsys):
+        # once exit 0, with rows of J + 2 cells under a header of J + 1
+        def edit(data):
+            data["t_grid"] = data["t_grid"][:-1]
+            data["segments"][0]["pattern_values"] = data["segments"][0]["pattern_values"][:-1]
+            data["segments"][0]["stop"] = data["segments"][0]["grid_stop"] = len(data["t_grid"])
+
+        code, path, err = self.predict_with_edited_file(tmp_path, box_file, capsys, edit)
+        assert code == 3
+        assert path in err and "pattern values must be 1-D of odd length >= 3" in err
+        assert not (tmp_path / "p.csv").exists()
+
     def test_two_fitted_time_ranges_ask_for_a_refit(self, tmp_path, box_file, capsys):
         def edit(data):
             data["segments"].append(dict(data["segments"][0]))
@@ -803,6 +854,23 @@ class TestTimeWindowsAreGone:
         assert run("fit", "--design", design, "--curves", curves, "--config", str(cfg),
                    "--surrogate-out", str(tmp_path / "s.json")) == 3
         assert f"{cfg}, line 2: unknown setting 'time_windows'" in capsys.readouterr().err
+
+
+class TestMaxItersIsGone:
+    # registration's iteration cap is a constant: measured searches never reach it
+    def test_flag_is_gone(self):
+        with pytest.raises(SystemExit) as exc:
+            run(*FIT_ARGV, "--max-iters", "50")
+        assert exc.value.code == 2
+
+    def test_config_key_is_unknown(self, tmp_path, box_file, capsys):
+        design, curves = make_dataset(tmp_path, box_file, n=6, j=11)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("block_size = 4\nmax_iters = 50\n")
+        capsys.readouterr()
+        assert run("fit", "--design", design, "--curves", curves, "--config", str(cfg),
+                   "--surrogate-out", str(tmp_path / "s.json")) == 3
+        assert f"{cfg}, line 2: unknown setting 'max_iters'" in capsys.readouterr().err
 
 
 # sha256 of each deterministic artifact of a small README quick start, run in

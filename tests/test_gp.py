@@ -7,14 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dynshape import fileio
-from dynshape.doe import DesignMatrix, lhd_sample
+from dynshape.doe import lhd_sample
 from dynshape.errors import DegenerateResponseError
 from dynshape.gp import (
     FitConfig,
     GpModel,
     assemble_gp_model,
+    _corr,
     build_correlation,
-    corr_gaussian,
     fit_gp,
     likelihood_with_gradient,
     loo_metrics,
@@ -49,12 +49,17 @@ def unit_columns(points):
     return (points - lo) / (points.max(axis=0) - lo)
 
 
+def gauss(a, b, lengths):
+    """The Gaussian correlation exp(-sum_j (a_j - b_j)^2 / length_j), written out."""
+    return math.exp(-(((a - b) ** 2) / lengths).sum())
+
+
 def dense_reference(points, responses, lengths, nugget=0.0):
     """Brute-force kriging quantities through an explicit matrix inverse."""
     points = np.asarray(points, dtype=float)
     y = np.asarray(responses, dtype=float)
     n = points.shape[0]
-    r_mat = np.array([[corr_gaussian(a, b, lengths) for b in points] for a in points])
+    r_mat = np.array([[gauss(a, b, lengths) for b in points] for a in points])
     r_mat += nugget * np.eye(n)
     rinv = np.linalg.inv(r_mat)
     ones = np.ones(n)
@@ -64,12 +69,13 @@ def dense_reference(points, responses, lengths, nugget=0.0):
 
 
 class TestCorrelation:
+    # the one kernel, _corr, between the rows of two point sets
     def test_same_point_is_one(self):
-        x = np.array([0.4, -1.2])
-        assert corr_gaussian(x, x, np.array([0.3, 2.0])) == 1.0
+        x = np.array([[0.4, -1.2]])
+        assert _corr(x, x, np.array([0.3, 2.0]))[0, 0] == 1.0
 
     def test_unit_distance_value(self):
-        assert corr_gaussian(np.array([0.0]), np.array([1.0]), np.array([1.0])) == pytest.approx(
+        assert _corr(np.array([[0.0]]), np.array([[1.0]]), np.array([1.0]))[0, 0] == pytest.approx(
             math.exp(-1.0), rel=1e-12
         )
 
@@ -78,17 +84,16 @@ class TestCorrelation:
     def test_symmetry(self, seed):
         rng = np.random.default_rng(seed)
         lengths = rng.uniform(0.1, 5.0, 3)
-        x, y = rng.normal(size=3), rng.normal(size=3)
-        assert corr_gaussian(x, y, lengths) == pytest.approx(corr_gaussian(y, x, lengths),
-                                                             rel=1e-14)
+        x, y = rng.normal(size=(4, 3)), rng.normal(size=(5, 3))
+        np.testing.assert_allclose(_corr(x, y, lengths), _corr(y, x, lengths).T, rtol=1e-14)
+        for a, row in zip(x, _corr(x, y, lengths)):
+            np.testing.assert_allclose(row, [gauss(a, b, lengths) for b in y], rtol=1e-13)
 
     def test_nonpositive_length_rejected(self):
         # every entry point that takes lengths from outside checks them
         pts, y = np.array([[0.0, 0.0], [0.5, 1.0], [1.0, 0.2]]), np.array([0.0, 1.0, 2.0])
         saved = saved_fields(assemble_gp_model(pts, y, np.array([0.5, 0.5])))
         for bad in ([1.0, 0.0], [1.0, -2.0], [np.inf, 1.0], [1.0, np.nan]):
-            with pytest.raises(ValueError, match="positive and finite"):
-                corr_gaussian(pts[0], pts[1], np.array(bad))
             with pytest.raises(ValueError, match="positive and finite"):
                 assemble_gp_model(pts, y, np.array(bad))
             with pytest.raises(ValueError, match="positive and finite"):
@@ -115,7 +120,7 @@ class TestBuildCorrelation:
         pts = rng.uniform(size=(6, 2))
         lengths = np.array([0.5, 0.8])
         factor, nugget = build_correlation(pts, lengths, nugget=1e-10)
-        target = np.array([[corr_gaussian(a, b, lengths) for b in pts] for a in pts])
+        target = np.array([[gauss(a, b, lengths) for b in pts] for a in pts])
         assert np.allclose(factor @ factor.T, target + nugget * np.eye(6), rtol=1e-8)
 
 
@@ -230,15 +235,15 @@ class TestLikelihoodGradient:
 
 class TestFit:
     def test_smooth_function_recovery(self):
-        design = lhd_sample(10, 2, seed=4)
-        y = 2.0 + 3.0 * design.points[:, 0] - 1.5 * design.points[:, 1]
+        design = lhd_sample(10, 2, seed=4).points
+        y = 2.0 + 3.0 * design[:, 0] - 1.5 * design[:, 1]
         model = fit_gp(design, y, FitConfig(multistarts=6, seed=0))
         _, q2 = loo_metrics(model)
         assert q2 > 0.99
 
     def test_lengths_inside_bounds(self):
-        design = lhd_sample(8, 2, seed=9)
-        y = np.cos(4.0 * design.points[:, 0]) + design.points[:, 1]
+        design = lhd_sample(8, 2, seed=9).points
+        y = np.cos(4.0 * design[:, 0]) + design[:, 1]
         config = FitConfig(length_bounds=(1e-2, 1e2), multistarts=4, seed=1)
         model = fit_gp(design, y, config)
         assert np.all(model.lengths >= 1e-2) and np.all(model.lengths <= 1e2)
@@ -296,7 +301,7 @@ class TestPredict:
         _, rinv, beta, sigma2 = dense_reference(pts, y, lengths)
         ones = np.ones(4)
         for x0 in rng.uniform(size=(5, 2)):
-            r = np.array([corr_gaussian(p, x0, lengths) for p in pts])
+            r = np.array([gauss(p, x0, lengths) for p in pts])
             mean_ref = beta + r @ rinv @ (y - beta)
             var_ref = sigma2 * (
                 1.0 - r @ rinv @ r + (1.0 - ones @ rinv @ r) ** 2 / (ones @ rinv @ ones)

@@ -497,6 +497,14 @@ class TestPatternAndAlign:
         pattern = extract_pattern(to_fourier(curves), identity_params(3))
         np.testing.assert_allclose(pattern.values, values[0], atol=1e-12)
 
+    @pytest.mark.parametrize("values", [5.0, True, None, np.zeros(20), np.zeros(1),
+                                        np.zeros((3, 3))],
+                             ids=["number", "bool", "none", "even", "one", "2-d"])
+    def test_pattern_values_odd_1d(self, values):
+        # the rule a CurveSet's grid keeps; an even J predicted J + 1 columns
+        with pytest.raises(ValueError, match="odd length >= 3"):
+            Pattern(values=values)
+
     def test_pattern_matches_truth(self, small_deformed):
         curves, truth = small_deformed
         pattern = extract_pattern(to_fourier(curves), truth)
