@@ -322,7 +322,6 @@ class TestValidateCommand:
         assert run("validate", "--surrogate", surrogate, "--test-design", test_design,
                    "--test-curves", test_curves, "--report-out", str(tmp_path / "r.csv")) == 0
 
-
     @pytest.mark.parametrize("command", ["validate", "bench"])
     def test_test_design_columns_name_the_files(self, tmp_path, box_file, capsys, command):
         # once exit 2 with "points must be m x 3", after bench had trained
