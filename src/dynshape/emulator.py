@@ -3,14 +3,15 @@
 Training registers the curves to a common pattern, then fits one GP per
 deformation-parameter family (amplitude scale, time shift, vertical shift)
 over the experimental design.  Prediction evaluates the GP families' means at
-a new input in one kernel pass over their shared design and applies the
-forward deformation to the pattern, so a full output curve costs one kernel
-pass and one inverse FFT regardless of the number of time steps.  Families
-whose estimated values are numerically constant are held fixed at their mean
-instead of being GP-fitted.
+a new input in one kernel pass over their shared design and deforms the
+pattern through its shift basis (see :class:`FunctionalSurrogate`): a full
+output curve costs one kernel pass and one small combination of basis rows,
+with no Fourier transform per curve.  Families whose estimated values are
+numerically constant are held fixed at their mean instead of being GP-fitted.
 """
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -25,7 +26,6 @@ from .registration import (
     EstimationConfig,
     Pattern,
     TransformParams,
-    deform,
     estimate_params_blocked,
     extract_pattern,
     inverse_fourier,
@@ -47,6 +47,9 @@ __all__ = [
 
 FAMILIES = ("alpha", "theta", "v")
 MIN_TRAINING_CURVES = 4
+# Taylor terms K of the sub-grid shift: each |l phi 2 pi / J| < pi/2, so the tail
+# is at most (pi/2)^K / K! * 2 sum|c_l|; the least K that puts it below 2^-53 sum|c_l|
+SHIFT_TERMS = next(k for k in range(1, 99) if 2 * (math.pi / 2) ** k / math.factorial(k) < 2**-53)
 
 
 @dataclass(frozen=True)
@@ -68,9 +71,13 @@ class FunctionalSurrogate:
     """Trained curve surrogate: the pattern plus one model per deformation family.
 
     Each family maps to either a fitted GpModel or a fixed float.  The GP
-    families must share one design (ValueError otherwise): construction
-    stacks them for :func:`dynshape.gp.predict_many` and fixes the
-    extrapolation bounds, so prediction rebuilds neither.
+    families must share one design, and the grid and pattern must form a
+    :class:`~dynshape.registration.CurveSet` (ValueError otherwise).
+    Construction stacks the GP families for :func:`dynshape.gp.predict_many`,
+    fixes the extrapolation bounds and builds the shift basis: with
+    s = theta J / 2 pi, q = rint(s) and phi = s - q, a curve is
+    alpha sum_i phi^i B_i[(j - q) mod J] + v, and row B_i (highest i first) is
+    ``inverse_fourier(c (-i l 2 pi / J)^i / i!)`` for the pattern's half spectrum c.
     """
 
     box: InputBox
@@ -85,14 +92,20 @@ class FunctionalSurrogate:
     gp_families: tuple = field(init=False, repr=False)
     kernel: GpStack | None = field(init=False, repr=False)  # stack of the gp_families
     inside: tuple = field(init=False, repr=False)  # (lower, upper) beyond which points extrapolate
+    shift_basis: np.ndarray = field(init=False, repr=False)  # SHIFT_TERMS x J
 
     def __post_init__(self):
+        CurveSet(values=self.pattern.values[None, :], t_grid=self.t_grid, period=self.period)
         names = tuple(name for name in FAMILIES if isinstance(self.models[name], GpModel))
         object.__setattr__(self, "gp_families", names)
         object.__setattr__(self, "kernel",
                            stack_models([self.models[name] for name in names]) if names else None)
         tol = 1e-12 * np.maximum(self.box.span, 1.0)
         object.__setattr__(self, "inside", (self.box.lower - tol, self.box.upper + tol))
+        ell = np.arange(self.pattern.coeffs.shape[0])
+        steps = (-2j * np.pi / self.j) * ell / np.arange(1, SHIFT_TERMS)[:, None]
+        terms = np.cumprod(np.vstack((self.pattern.coeffs, steps)), axis=0)
+        object.__setattr__(self, "shift_basis", inverse_fourier(terms)[::-1].copy())
 
     @property
     def j(self) -> int:
@@ -219,10 +232,25 @@ def _predict(surrogate: FunctionalSurrogate, points: np.ndarray) -> tuple[np.nda
     if points.ndim != 2 or points.shape[1] != surrogate.d:
         raise ValueError(f"points must be m x {surrogate.d}")
     params = surrogate.evaluate_params(points)
-    coeffs = deform(surrogate.pattern.coeffs, params["alpha"], params["theta"], params["v"])
+    j, theta = surrogate.j, params["theta"]
+    # phi = theta J / 2 pi - q from 2 pi / J as a 26-bit head, so that q * head is
+    # exact, plus a tail that keeps 2 pi - float(2 pi): |theta| = 50 loses no digits
+    head = round(2.0 * np.pi / j * 2**26) / 2**26
+    tail = (2.0 * np.pi - head * j + 2.4492935982947064e-16) / j
+    q = np.rint(theta * (j / (2.0 * np.pi)))
+    phi = (theta - q * head - q * tail) * (j / (2.0 * np.pi))
+    # phi^i from the highest i down; einsum, not BLAS, so a point keeps its bits in any batch
+    unshifted = np.einsum("mk,kj->mj", np.vander(phi, SHIFT_TERMS), surrogate.shift_basis)
+    values = np.empty_like(unshifted)
+    # roll each row by its q; fmax sends a NaN (theta not finite, row all NaN) to 0
+    for row, k in enumerate(np.fmax(q % j, 0.0).astype(int).tolist()):
+        values[row, k:] = unshifted[row, : j - k]
+        values[row, :k] = unshifted[row, j - k :]
+    values *= params["alpha"][:, None]
+    values += params["v"][:, None]
     lower, upper = surrogate.inside
     outside = (points < lower) | (points > upper)
-    return inverse_fourier(coeffs), outside.any(axis=1), params
+    return values, outside.any(axis=1), params
 
 
 def predict_curves(surrogate: FunctionalSurrogate, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -38,7 +38,6 @@ __all__ = [
     "to_fourier",
     "inverse_fourier",
     "make_weights",
-    "deform",
     "undeform",
     "rephase",
     "contrast",
@@ -209,18 +208,6 @@ def make_weights(j: int, beta_exponent: float = 1.5, l_max: int | None = None) -
     return delta
 
 
-def deform(coeffs: np.ndarray, alpha: np.ndarray, theta: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Coefficients of alpha_k f(t - theta_k) + v_k, one row per parameter triple.
-
-    ``coeffs`` is the pattern's half spectrum (column l = frequency l); alpha,
-    theta and v are equal-length arrays.  Inverse of :func:`undeform`.
-    """
-    phases = _phases(-theta, coeffs.shape[-1])
-    out = alpha[:, None] * coeffs[None, :] * phases
-    out[:, 0] += v
-    return out
-
-
 def _phases(theta: np.ndarray, width: int) -> np.ndarray:
     """e^{i theta_k l}, l = 0 ... width-1, from a two-level angle-addition table.
 
@@ -238,7 +225,7 @@ def _phases(theta: np.ndarray, width: int) -> np.ndarray:
 
 
 def undeform(coeffs: np.ndarray, alpha: np.ndarray, theta: np.ndarray, v) -> np.ndarray:
-    """Undo each row's deformation; inverse of :func:`deform`.
+    """Undo each row's deformation alpha_k f(t - theta_k) + v_k.
 
     ``coeffs`` is n x m with column l = frequency l, and v is one entry per
     row or a scalar.  The result is (1/alpha_k) e^{i l theta_k} d_kl away

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dynshape.registration import CurveSet, TransformParams
+from dynshape.registration import CurveSet, TransformParams, _phases
 
 TWO_PI = 2.0 * np.pi
 
@@ -28,6 +28,20 @@ def deformed_curves(alpha, theta, v, j=31, pattern=trig_pattern, noise_var=0.0, 
         values = values + rng.normal(0.0, np.sqrt(noise_var), size=values.shape)
     curves = CurveSet(values=values, t_grid=omega, period=TWO_PI)
     return curves, TransformParams(alpha=alpha, theta=theta, v=v)
+
+
+# The forward deformation in the Fourier domain, which prediction once called
+# per curve: the tests keep it as the oracle for the shift basis.
+def deform(coeffs: np.ndarray, alpha: np.ndarray, theta: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Coefficients of alpha_k f(t - theta_k) + v_k, one row per parameter triple.
+
+    ``coeffs`` is the pattern's half spectrum (column l = frequency l); alpha,
+    theta and v are equal-length arrays.  Inverse of :func:`undeform`.
+    """
+    phases = _phases(-theta, coeffs.shape[-1])
+    out = alpha[:, None] * coeffs[None, :] * phases
+    out[:, 0] += v
+    return out
 
 
 @pytest.fixture

@@ -722,6 +722,24 @@ class TestSurrogateErrors:
         assert code == 3
         assert path in err and "pattern does not span its time grid" in err
 
+    @pytest.mark.parametrize("entry, period, where", [
+        (99.0, -1.0, "period must be positive"),
+        (99.0, None, "t_grid must equal j/J * period"),
+        (None, -1.0, "period must be positive"),
+    ], ids=["entry-and-period", "entry", "period"])
+    def test_grid_off_its_period_exits_3(self, tmp_path, box_file, capsys, entry, period, where):
+        # once exit 0, with t=99 in the header of the predicted curves
+        def edit(data):
+            if entry is not None:
+                data["t_grid"][3] = entry
+            if period is not None:
+                data["period"] = period
+
+        code, path, err = self.predict_with_edited_file(tmp_path, box_file, capsys, edit)
+        assert code == 3
+        assert f"{path}: cannot load surrogate: ValueError: {where}" in err
+        assert not (tmp_path / "p.csv").exists()
+
     @pytest.mark.parametrize("token", ["5", "true", "null"])
     def test_pattern_not_a_list_exits_3(self, tmp_path, box_file, capsys, token):
         # once an IndexError traceback from the pattern's transform
@@ -879,10 +897,10 @@ QUICK_START_SHA256 = {
     "params.csv": "a68fd0a284f4e30838cfc9f626f486aad072632fc648be2a4cc46f1ef2b2b337",
     "pattern.csv": "7d44564f571bc58ac68be818d4524a8d5158faea38f020055e0453a94a7b68f7",
     "diagnostics.txt": "08d65b94a6c952f35002953945ddc97accc9cbd531ec90601848b97434d92190",
-    "predicted.csv": "dbe95ae513aff2a9d58629493c1da7965f687d925fefbbd845fa3c5061745cf7",
-    "report.csv": "841a14ff346c484f649405bd289154b866a991228c7e31aa666f99819623d135",
-    "comparison.csv": "484f33292ff2faac67d7a9ef27f571c793e681e4a82d738c17cf988d84ad579a",
-    "crossplot.csv": "754f280608f9b130cfd1d851015c59591cba10a4929cc1f8a58676bf9349b668",
+    "predicted.csv": "c2c2070cd913af986e8dc7121c0df4b8f8037ec773b3e1a89850565526e5105b",
+    "report.csv": "4a1142f4c84f081f3d8f89b7d812dcb1469bb57a72622382d297515f01e174f2",
+    "comparison.csv": "35ef7a21a49040023100e4967925a766f4027fa5907916542e43765ff678a0bf",
+    "crossplot.csv": "18aa22cd443d88c51edfec2abdb9608ddcc1282674ffa6fe49ce74024d067dfb",
     "aligned.csv": "49dd65ea70731f4cfe4cda840801c1d570d57170af03ecc7ef9fa0dd2645aa33",
     "surrogate.json": "f9542b674ea4a5cc9042bc2a323dcc5a7c9186f79152118501df942e14ff3bb6",
 }

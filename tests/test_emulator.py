@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import TWO_PI
+from conftest import TWO_PI, deform
 from dynshape.doe import DesignMatrix, InputBox, lhd_sample, scale_to_box
 from dynshape.emulator import (
     FAMILIES,
@@ -20,7 +20,6 @@ from dynshape.registration import (
     CurveSet,
     EstimationConfig,
     Pattern,
-    deform,
     inverse_fourier,
 )
 from dynshape.synth import SimSpec, co2_default_box, co2_style_spec, generate_functional_sim
@@ -218,6 +217,75 @@ class TestPredict:
         expected = (np.fft.ifft(full, axis=1) * j).real
         scale = np.abs(expected).max()
         np.testing.assert_allclose(values, expected, rtol=0, atol=1e-12 * scale)
+
+
+def fixed_surrogate(values, alpha, theta, v):
+    """A surrogate of the pattern ``values`` whose three families are fixed."""
+    j = values.size
+    return FunctionalSurrogate(box=InputBox(lower=np.zeros(1), upper=np.ones(1)),
+                               t_grid=TWO_PI * np.arange(j) / j, period=TWO_PI,
+                               pattern=Pattern(values=values),
+                               models={"alpha": alpha, "theta": theta, "v": v})
+
+
+def long_double_curves(values, alpha, theta, v):
+    """alpha f(t_j - theta) + v for the trigonometric interpolant f of ``values``,
+    summed directly in long double from a long-double DFT."""
+    j = values.size
+    two_pi = 8 * np.arctan(np.longdouble(1))
+    ell = np.arange(j // 2 + 1)
+    grid = two_pi * (np.outer(ell, np.arange(j)) % j) / j  # l t_k, reduced exactly
+    x = np.asarray(values, dtype=np.longdouble)
+    re, im = np.cos(grid) @ x / j, -(np.sin(grid) @ x) / j
+    turn = np.outer(np.asarray(theta, dtype=np.longdouble), ell)
+    a = re * np.cos(turn) + im * np.sin(turn)  # c_l e^{-i l theta}
+    b = im * np.cos(turn) - re * np.sin(turn)
+    curves = 2 * (a @ np.cos(grid) - b @ np.sin(grid)) - a[:, :1]
+    return np.asarray(alpha, dtype=np.longdouble)[:, None] * curves + np.asarray(v)[:, None]
+
+
+class TestShiftBasis:
+    @pytest.mark.parametrize("j", [3, 21, 55, 401])
+    def test_accuracy_against_long_double_sum(self, j):
+        rng = np.random.default_rng(j)
+        grid = TWO_PI * np.arange(j) / j
+        values = 5.0 + np.exp(np.sin(grid)) + 0.3 * np.cos(3 * grid) + rng.normal(0.0, 0.1, j)
+        ties = TWO_PI * (np.arange(-3, 3) + 0.5) / j  # phi = +-1/2
+        theta = np.concatenate((np.linspace(-np.pi, np.pi, 161), ties, [-np.pi, np.pi, 50.0, -50.0]))
+        alpha = rng.uniform(0.3, 3.0, theta.size)
+        v = rng.normal(0.0, 2.0, theta.size)
+        basis = np.array([predict_curve(fixed_surrogate(values, a, t, c), [0.5]).values
+                          for a, t, c in zip(alpha, theta, v)])
+        irfft = inverse_fourier(deform(Pattern(values=values).coeffs, alpha, theta, v))
+        exact = long_double_curves(values, alpha, theta, v)
+        scale = (alpha * np.abs(values).max() + np.abs(v))[:, None]  # the terms' size
+        err_basis = float((np.abs(basis - exact) / scale).max())
+        err_irfft = float((np.abs(irfft - exact) / scale).max())
+        assert err_basis <= 2.0 * err_irfft
+
+    def test_theta_and_theta_plus_two_pi_agree(self):
+        j = 401
+        grid = TWO_PI * np.arange(j) / j
+        values = 5.0 + np.exp(np.sin(grid))
+        for theta in np.linspace(-np.pi, np.pi, 41):
+            one = predict_curve(fixed_surrogate(values, 1.3, theta, 0.2), [0.5]).values
+            turned = predict_curve(fixed_surrogate(values, 1.3, theta + TWO_PI, 0.2), [0.5]).values
+            np.testing.assert_allclose(turned, one, rtol=0.0, atol=1e-14 * np.abs(one).max())
+
+    def test_single_point_equals_its_row_at_prime_j(self):
+        design, curves, _ = harness(n=12, j=401)
+        trained = train(design, curves, FAST, box=BOX)
+        assert trained.gp_families == FAMILIES
+        points = scale_to_box(lhd_sample(1000, 3, seed=31), BOX).points
+        for gps in (("theta",), ("alpha", "theta"), FAMILIES):
+            models = {name: trained.models[name] if name in gps
+                      else float(getattr(trained.params, name).mean()) for name in FAMILIES}
+            surrogate = FunctionalSurrogate(box=BOX, t_grid=trained.t_grid,
+                                            period=trained.period, pattern=trained.pattern,
+                                            models=models)
+            batch, _ = predict_curves(surrogate, points)
+            for x, row in zip(points, batch):
+                assert np.array_equal(predict_curve(surrogate, x).values, row)
 
 
 class TestValidate:

@@ -204,7 +204,7 @@ class TestPinnedBits:
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
             "4546155b9110a55d87334b6915cdc43ed5c410be873cd78936019e80a8871f97")
         assert hashlib.sha256(values.tobytes()).hexdigest() == (
-            "acaa11408344da11ac935e66a98f34f58757cce2b62447f59d3a40901f9fa57f")
+            "e83f4e1a699b12e049841196a8c2ade4bbbd677bde7b6b4ee3e556872ab4b4b4")
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import TWO_PI, deformed_curves, trig_pattern
+from conftest import TWO_PI, deform, deformed_curves, trig_pattern
 from dynshape import registration
 from dynshape.registration import (
     CurveSet,
@@ -15,7 +15,6 @@ from dynshape.registration import (
     align_curves,
     contrast,
     contrast_with_gradient,
-    deform,
     estimate_params,
     estimate_params_blocked,
     extract_pattern,
