@@ -72,29 +72,23 @@ def _out_path(path: str) -> str:
     return path
 
 
-def _read_curves(path: str, args) -> tuple:
-    """Curves (and their grid) from a curves CSV plus --times/--period/header."""
-    values, header_times = fileio.read_curves_csv(path)
-    times = fileio.read_times_csv(args.times) if args.times else None
-    if times is None and args.period is None:
-        times = header_times
-    if times is None and not args.period > 0:
-        raise InputConsistencyError(f"--period must be positive, got {args.period:g}")
+def _read_curves(path: str) -> tuple:
+    """Curves on the grid of the file's ``t=`` header; a grid error names the file."""
+    values, times = fileio.read_curves_csv(path)
     try:
-        curves, dropped = fileio.curves_from_arrays(values, times=times, period=args.period)
+        curves, dropped = fileio.curves_from_arrays(values, times=times)
     except (ValueError, InputConsistencyError) as err:  # a bad grid, or too few columns left
-        source = f"--times {args.times} with {path}" if args.times else path
-        raise InputConsistencyError(f"{source}: {err}") from None
+        raise InputConsistencyError(f"{path}: {err}") from None
     if dropped:
         print(f"warning: {path} has an even number of time steps; dropped the last sample "
               "to make J odd", file=sys.stderr)
     return curves, dropped
 
 
-def _design_and_curves(design_path: str, curves_path: str, args, min_curves: int = 1) -> tuple:
+def _design_and_curves(design_path: str, curves_path: str, min_curves: int = 1) -> tuple:
     """Design rows and at least ``min_curves`` curves that must pair up one to one."""
     points = fileio.read_design_csv(design_path)
-    curves, dropped = _read_curves(curves_path, args)
+    curves, dropped = _read_curves(curves_path)
     if curves.n < min_curves:
         raise InputConsistencyError(f"{curves_path} has {curves.n} curves; training needs at "
                                     f"least {min_curves}")
@@ -203,7 +197,7 @@ def cmd_synth_co2(args) -> None:
 
 
 def cmd_fit(args) -> None:
-    design, curves, dropped = _design_and_curves(args.design, args.curves, args, MIN_TRAINING_CURVES)
+    design, curves, dropped = _design_and_curves(args.design, args.curves, MIN_TRAINING_CURVES)
     config = _train_config(args)
     surrogate = train(design, curves, config)
 
@@ -235,7 +229,7 @@ def cmd_fit(args) -> None:
 
 
 def cmd_align(args) -> None:
-    curves, _ = _read_curves(args.curves, args)
+    curves, _ = _read_curves(args.curves)
     params = fileio.read_params_csv(args.params)
     if params.n != curves.n:
         raise InputConsistencyError(f"{args.params} has {params.n} rows but {args.curves} has "
@@ -263,7 +257,7 @@ def cmd_predict(args) -> None:
 def _test_set(args, t_grid: np.ndarray, d: int, reference: str) -> tuple:
     """The held-out design and curves, which must have the d inputs and the time grid of
     the training set, read from the file(s) named ``reference``."""
-    test_design, test_curves, _ = _design_and_curves(args.test_design, args.test_curves, args)
+    test_design, test_curves, _ = _design_and_curves(args.test_design, args.test_curves)
     if test_design.points.shape[1] != d:
         raise InputConsistencyError(f"--test-design {args.test_design} has "
                                     f"{test_design.points.shape[1]} columns but {reference} has {d}")
@@ -286,7 +280,7 @@ def cmd_validate(args) -> None:
 
 
 def cmd_bench(args) -> None:
-    design, curves, _ = _design_and_curves(args.design, args.curves, args, MIN_TRAINING_CURVES)
+    design, curves, _ = _design_and_curves(args.design, args.curves, MIN_TRAINING_CURVES)
     test_design, test_curves = _test_set(args, curves.t_grid, design.points.shape[1],
                                          f"{args.design} with {args.curves}")
     config = _train_config(args)
@@ -327,8 +321,6 @@ def cmd_bench(args) -> None:
 
 def _add_curve_inputs(p: argparse.ArgumentParser) -> None:
     p.add_argument("--curves", required=True, help="curves CSV (rows = curves, header t=<value>)")
-    p.add_argument("--times", help="optional CSV with one time value per row")
-    p.add_argument("--period", type=float, help="period, when no time grid is supplied")
 
 
 def _add_fit_flags(p: argparse.ArgumentParser) -> None:
@@ -401,8 +393,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--surrogate", required=True)
     p.add_argument("--test-design", required=True)
     p.add_argument("--test-curves", required=True)
-    p.add_argument("--times")
-    p.add_argument("--period", type=float)
     p.add_argument("--report-out", required=True)
     p.set_defaults(func=cmd_validate)
 

@@ -71,8 +71,9 @@ class FunctionalSurrogate:
     """Trained curve surrogate: the pattern plus one model per deformation family.
 
     Each family maps to either a fitted GpModel or a fixed float.  The GP
-    families must share one design, and the grid and pattern must form a
-    :class:`~dynshape.registration.CurveSet` (ValueError otherwise).
+    families must share one design with a column per box dimension, and the
+    grid and pattern must form a :class:`~dynshape.registration.CurveSet`
+    (ValueError otherwise).
     Construction stacks the GP families for :func:`dynshape.gp.predict_many`,
     fixes the extrapolation bounds and builds the shift basis: with
     s = theta J / 2 pi, q = rint(s) and phi = s - q, a curve is
@@ -97,6 +98,8 @@ class FunctionalSurrogate:
     def __post_init__(self):
         CurveSet(values=self.pattern.values[None, :], t_grid=self.t_grid, period=self.period)
         names = tuple(name for name in FAMILIES if isinstance(self.models[name], GpModel))
+        if any(self.models[name].d != self.d for name in names):
+            raise ValueError(f"GP family designs must have the box's {self.d} columns")
         object.__setattr__(self, "gp_families", names)
         object.__setattr__(self, "kernel",
                            stack_models([self.models[name] for name in names]) if names else None)

@@ -32,7 +32,6 @@ __all__ = [
     "read_design_csv",
     "write_curves_csv",
     "read_curves_csv",
-    "read_times_csv",
     "write_params_csv",
     "read_params_csv",
     "write_pattern_csv",
@@ -291,38 +290,24 @@ def read_curves_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
     return _read_numbers(path, lines[1:], len(cells)), times
 
 
-def read_times_csv(path: str) -> np.ndarray:
-    return _read_numbers(path, _read_lines(path), 1)[:, 0]
+def curves_from_arrays(values: np.ndarray, times: np.ndarray) -> tuple[CurveSet, bool]:
+    """CurveSet on the grid ``times`` (a curves file's ``t=`` header), and whether
+    the last sample was dropped to make J odd.
 
-
-def curves_from_arrays(
-    values: np.ndarray, times: np.ndarray | None = None, period: float | None = None
-) -> tuple[CurveSet, bool]:
-    """Build a CurveSet from raw arrays, dropping the last sample if J is even.
-
-    The grid must be equispaced and start at zero; the period is taken as
-    J * step when only times are given.  Returns the curve set and a flag
-    saying whether a sample was dropped to make J odd.
+    The grid must be equispaced from 0; the period is J * step.
     """
     values = np.atleast_2d(np.asarray(values, dtype=float))
-    if times is None and period is None:
-        raise InputConsistencyError("either a time grid or a period is required")
-    if times is not None:
-        times = np.asarray(times, dtype=float)
-        if times.shape != (values.shape[1],):
-            raise InputConsistencyError(
-                f"time grid has {times.size} entries but curves have {values.shape[1]} columns"
-            )
-        if times[0] != 0.0:
-            raise InputConsistencyError("the time grid must start at 0")
-        steps = np.diff(times)
-        if times.size < 2 or steps.min() <= 0 or np.ptp(steps) > 1e-9 * steps[0]:
-            raise InputConsistencyError("the time grid must be strictly increasing and equispaced")
-        step = times[1] - times[0]
-    else:
-        if not period > 0:
-            raise InputConsistencyError("period must be positive")
-        step = period / values.shape[1]
+    times = np.asarray(times, dtype=float)
+    if times.shape != (values.shape[1],):
+        raise InputConsistencyError(
+            f"time grid has {times.size} entries but curves have {values.shape[1]} columns"
+        )
+    if times[0] != 0.0:
+        raise InputConsistencyError("the time grid must start at 0")
+    steps = np.diff(times)
+    if times.size < 2 or steps.min() <= 0 or np.ptp(steps) > 1e-9 * steps[0]:
+        raise InputConsistencyError("the time grid must be strictly increasing and equispaced")
+    step = times[1] - times[0]
     dropped = values.shape[1] % 2 == 0
     if dropped:
         values = values[:, :-1]

@@ -274,7 +274,8 @@ def test_c08_training_cost_scaling():
     # the host do not inflate
     grids = (55, 220)
     curves = {
-        j_raw: curves_from_arrays(_co2_values_on_raw_grid(spec, design, j_raw), period=55.0)[0]
+        j_raw: curves_from_arrays(_co2_values_on_raw_grid(spec, design, j_raw),
+                                  times=55.0 / j_raw * np.arange(j_raw))[0]
         for j_raw in grids
     }
     # the SIM side is only a handful of fits: best of 3, alternating the grids

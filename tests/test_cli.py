@@ -193,26 +193,22 @@ class TestFitCommand:
         err = capsys.readouterr().err
         assert f"error: {curves} has 3 curves; training needs at least 4" in err
 
-    def test_nonpositive_period_names_the_flag(self, tmp_path, box_file, capsys):
-        design, curves = make_dataset(tmp_path, box_file, n=6, j=11)
-        capsys.readouterr()
-        assert run("fit", "--design", design, "--curves", curves, "--period", "-1",
-                   "--surrogate-out", str(tmp_path / "s.json")) == 3
-        assert "--period must be positive" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("times, message", [
-        (range(10), "time grid has 10 entries but curves have 11 columns"),
+    @pytest.mark.parametrize("header, message", [
         (range(1, 12), "the time grid must start at 0"),
-    ])
-    def test_bad_times_grid_names_the_file(self, tmp_path, box_file, capsys, times, message):
+        ([0, 1, 2, 3.5, *range(4, 11)], "the time grid must be strictly increasing and equispaced"),
+        ([0, 1, 2, "nan", *range(4, 11)], "line 1, column 4: non-finite value nan"),
+    ], ids=["starts-at-1", "unequal-steps", "nan"])
+    def test_bad_header_grid_names_the_file(self, tmp_path, box_file, capsys, header, message):
+        # the t= header is a curve's only grid: a bad one is fixed in the file
         design, curves = make_dataset(tmp_path, box_file, n=6, j=11)
-        path = tmp_path / "times.csv"
-        path.write_text("".join(f"{k}\n" for k in times))
+        lines = open(curves).read().splitlines()
+        with open(curves, "w") as handle:
+            handle.write("\n".join([",".join(f"t={k}" for k in header)] + lines[1:]) + "\n")
         capsys.readouterr()
-        assert run("fit", "--design", design, "--curves", curves, "--times", str(path),
+        assert run("fit", "--design", design, "--curves", curves,
                    "--surrogate-out", str(tmp_path / "s.json")) == 3
         err = capsys.readouterr().err
-        assert f"error: --times {path}" in err and message in err
+        assert f"error: {curves}" in err and message in err
 
     def test_even_j_warns_and_drops(self, tmp_path, box_file, capsys):
         design, curves = make_dataset(tmp_path, box_file, j=21)
@@ -563,15 +559,6 @@ class TestNonFiniteCells:
         assert run("design", "--n", "5", "--box", box_file, "--out", str(tmp_path / "d.csv")) == 3
         assert where in capsys.readouterr().err
 
-    def test_times(self, tmp_path, box_file, capsys):
-        design, curves = make_dataset(tmp_path, box_file, n=6, j=11)
-        times = tmp_path / "times.csv"
-        times.write_text("".join(f"{k}\n" for k in range(11)))
-        where = with_blank_and_bad_cell(str(times), 5, 0)
-        assert run("fit", "--design", design, "--curves", curves, "--times", str(times),
-                   "--surrogate-out", str(tmp_path / "s.json")) == 3
-        assert where in capsys.readouterr().err
-
     def test_prediction_points(self, tmp_path, box_file, capsys):
         design, curves = make_dataset(tmp_path, box_file)
         surrogate = str(tmp_path / "sur.json")
@@ -763,6 +750,17 @@ class TestSurrogateErrors:
         assert path in err and "pattern values must be 1-D of odd length >= 3" in err
         assert not (tmp_path / "p.csv").exists()
 
+    def test_box_of_fewer_dimensions_exits_3(self, tmp_path, box_file, capsys):
+        # once loaded: predict then exited 2 on 2-column points, naming no file
+        def edit(data):
+            data["box"]["lower"] = data["box"]["lower"][:2]
+            data["box"]["upper"] = data["box"]["upper"][:2]
+
+        code, path, err = self.predict_with_edited_file(tmp_path, box_file, capsys, edit)
+        assert code == 3
+        assert (f"{path}: cannot load surrogate: ValueError: GP family designs must have the "
+                "box's 2 columns") in err
+
     def test_two_fitted_time_ranges_ask_for_a_refit(self, tmp_path, box_file, capsys):
         def edit(data):
             data["segments"].append(dict(data["segments"][0]))
@@ -888,6 +886,26 @@ class TestMaxItersIsGone:
         assert run("fit", "--design", design, "--curves", curves, "--config", str(cfg),
                    "--surrogate-out", str(tmp_path / "s.json")) == 3
         assert f"{cfg}, line 2: unknown setting 'max_iters'" in capsys.readouterr().err
+
+
+class TestTimesAndPeriodAreGone:
+    # a curve's grid is its file's t= header, which every curves file carries
+    ARGV = {
+        "fit": FIT_ARGV,
+        "align": ["align", "--curves", "c.csv", "--params", "p.csv", "--out", "a.csv"],
+        "bench": ["bench", "--design", "d.csv", "--curves", "c.csv", "--test-design", "td.csv",
+                  "--test-curves", "tc.csv", "--report-out", "r.csv", "--timings-out", "t.csv"],
+        "validate": ["validate", "--surrogate", "s.json", "--test-design", "td.csv",
+                     "--test-curves", "tc.csv", "--report-out", "r.csv"],
+    }
+
+    @pytest.mark.parametrize("flag, value", [("--times", "times.csv"), ("--period", "55")])
+    @pytest.mark.parametrize("command", sorted(ARGV))
+    def test_flag_is_gone(self, capsys, command, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            run(*self.ARGV[command], flag, value)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
 
 
 # sha256 of each deterministic artifact of a small README quick start, run in

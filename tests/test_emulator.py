@@ -153,6 +153,14 @@ class TestPredict:
         with pytest.raises(ValueError):
             predict_curve(surrogate, np.array([0.2, 100.0]))
 
+    def test_box_of_other_dimensions_rejected(self):
+        design, curves, _ = harness(n=10)
+        trained = train(design, curves, FAST, box=BOX)
+        narrow = InputBox(lower=BOX.lower[:2], upper=BOX.upper[:2])
+        with pytest.raises(ValueError, match="GP family designs must have the box's 2 columns"):
+            FunctionalSurrogate(box=narrow, t_grid=trained.t_grid, period=trained.period,
+                                pattern=trained.pattern, models=trained.models)
+
     def test_zero_points(self):
         design, curves, _ = harness(n=10)
         surrogate = train(design, curves, FAST, box=BOX)

@@ -58,10 +58,14 @@ class TestCurvesCsv:
 class TestCurvesFromArrays:
     def test_even_j_drops_last(self):
         values = np.arange(20, dtype=float).reshape(2, 10)
-        curves, dropped = fileio.curves_from_arrays(values, period=10.0)
+        curves, dropped = fileio.curves_from_arrays(values, times=np.arange(10.0))
         assert dropped
         assert curves.j == 9
         assert curves.period == pytest.approx(9.0)
+
+    def test_times_must_match_the_columns(self):
+        with pytest.raises(InputConsistencyError, match="10 entries but curves have 11 columns"):
+            fileio.curves_from_arrays(np.zeros((2, 11)), times=np.arange(10.0))
 
     def test_times_must_start_at_zero(self):
         values = np.zeros((2, 5))
@@ -73,10 +77,6 @@ class TestCurvesFromArrays:
         times = np.array([0.0, 1.0, 2.0, 3.5, 4.0])
         with pytest.raises(InputConsistencyError, match="equispaced"):
             fileio.curves_from_arrays(values, times=times)
-
-    def test_needs_grid_or_period(self):
-        with pytest.raises(InputConsistencyError):
-            fileio.curves_from_arrays(np.zeros((2, 5)))
 
 
 class TestParamsCsv:

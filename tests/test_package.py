@@ -2,6 +2,8 @@ import importlib
 import importlib.util
 import os
 import pkgutil
+import re
+import shlex
 import subprocess
 import sys
 from collections import Counter
@@ -143,9 +145,29 @@ def test_train_and_fit_leave_scipy_unloaded(tmp_path):
     assert (tmp_path / "surrogate.json").exists()
 
 
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+
+
 def test_readme_library_quick_start_runs():
     # the README's library example, run as written, so its imports follow the modules
-    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
-    section = open(readme, encoding="utf-8").read().split("## Quick start (library)", 1)[1]
+    section = open(README, encoding="utf-8").read().split("## Quick start (library)", 1)[1]
     code = section.split("```python\n", 1)[1].split("```", 1)[0]
     assert run_fresh(code).startswith("(55,) {'alpha': ")
+
+
+def test_readme_command_lines_parse():
+    # every dynshape command line of the README's bash blocks, continuation lines
+    # joined, is parsed (not run), so a retired flag cannot linger in the docs
+    from dynshape.cli import build_parser
+
+    blocks = re.findall(r"```bash\n(.*?)```", open(README, encoding="utf-8").read(), re.S)
+    lines = [line.strip() for block in blocks for line in block.replace("\\\n", " ").splitlines()]
+    commands = [shlex.split(line, comments=True)[1:] for line in lines if line.startswith("dynshape ")]
+    parser = build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: dynshape {shlex.join(argv)}")
+    assert {argv[0] for argv in commands} == {"design", "synth", "fit", "predict", "validate",
+                                              "bench", "align"}
