@@ -4,13 +4,10 @@ Subcommands: design, synth, fit, align, predict, validate, bench.  All file
 formats are plain CSV (plus JSON for serialized models); every command is
 deterministic given its flags, config file and seed.  Exit codes: 0 success,
 2 usage error, 3 inconsistent or malformed inputs, 4 numerical failure.
-
-Environment override: DYNSHAPE_OUTDIR prefixes relative output paths.
 """
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 import numpy as np
@@ -42,8 +39,7 @@ def int_or_none(text: str) -> int | None:
 
 # Every training setting, once: key -> (type, the config class it sets).
 # The flag is --key with "-" for "_"; the config-file key is the key itself.
-# A key names the field it sets, less any "gp_" prefix; a *_min/*_max or
-# *_lo/*_hi key that names no field sets one end of the <stem>_bounds pair.
+# A key names the field it sets, less any "gp_" prefix.
 SETTINGS = {
     "seed": (int, FitConfig),
     "block_size": (int, TrainConfig),
@@ -58,18 +54,6 @@ SETTINGS = {
     "gp_nugget_floor": (float, FitConfig),
     "var_fix_tol": (float, TrainConfig),
 }
-
-
-def _out_path(path: str) -> str:
-    outdir = os.environ.get("DYNSHAPE_OUTDIR")
-    if outdir and not os.path.isabs(path):
-        try:
-            os.makedirs(outdir, exist_ok=True)
-        except OSError as err:  # a file, or a path through one
-            raise InputConsistencyError(f"DYNSHAPE_OUTDIR={outdir}: cannot make the directory: "
-                                        f"{err.strerror}") from None
-        return os.path.join(outdir, path)
-    return path
 
 
 def _read_curves(path: str) -> tuple:
@@ -128,15 +112,7 @@ def _config_from(given: dict) -> TrainConfig:
     """``TrainConfig`` from setting values, each default where ``given`` has none."""
     fields = {TrainConfig: {}, EstimationConfig: {}, FitConfig: {}}
     for key, value in given.items():
-        cls = SETTINGS[key][1]
-        name = key.removeprefix("gp_")
-        if name in cls.__dataclass_fields__:
-            fields[cls][name] = value
-        else:
-            stem, end = name.rsplit("_", 1)
-            pair = list(fields[cls].get(f"{stem}_bounds", getattr(cls, f"{stem}_bounds")))
-            pair[end in ("max", "hi")] = value
-            fields[cls][f"{stem}_bounds"] = tuple(pair)
+        fields[SETTINGS[key][1]][key.removeprefix("gp_")] = value
     return TrainConfig(
         **fields[TrainConfig],
         estimation=EstimationConfig(**fields[EstimationConfig]),
@@ -167,16 +143,16 @@ def cmd_design(args) -> None:
         design = lhd_sample(args.n, box.dims, seed=args.seed)
     dist = min_pairwise_distance(design.points)
     scaled = scale_to_box(design, box)
-    fileio.write_design_csv(_out_path(args.out), scaled.points)
+    fileio.write_design_csv(args.out, scaled.points)
     print(f"wrote {args.n} x {box.dims} design to {args.out}; "
           f"min pairwise distance (normalized) = {fileio.fmt(dist)}")
 
 
 def cmd_synth_analytical(args) -> None:
     curves, truth = generate_analytical(args.n, args.j, args.noise_var, args.seed)
-    fileio.write_curves_csv(_out_path(args.curves_out), curves)
+    fileio.write_curves_csv(args.curves_out, curves)
     if args.params_out:
-        fileio.write_params_csv(_out_path(args.params_out), truth)
+        fileio.write_params_csv(args.params_out, truth)
     print(f"wrote {curves.n} x {curves.j} analytical curves to {args.curves_out}")
 
 
@@ -189,10 +165,10 @@ def cmd_synth_co2(args) -> None:
     except ValueError as err:
         source = f"{args.design} in the box of {args.box}" if args.box else args.design
         raise InputConsistencyError(f"{source}: {err}") from None
-    fileio.write_curves_csv(_out_path(args.curves_out), curves)
+    fileio.write_curves_csv(args.curves_out, curves)
     if args.truth_out:
         truth = np.column_stack([spec.alpha_fn(points), spec.theta_fn(points), spec.v_fn(points)])
-        fileio.write_table(_out_path(args.truth_out), "alpha,theta,v", truth)
+        fileio.write_table(args.truth_out, "alpha,theta,v", truth)
     print(f"wrote {curves.n} x {curves.j} simulated curves to {args.curves_out}")
 
 
@@ -201,11 +177,11 @@ def cmd_fit(args) -> None:
     config = _train_config(args)
     surrogate = train(design, curves, config)
 
-    fileio.save_surrogate(_out_path(args.surrogate_out), surrogate)
+    fileio.save_surrogate(args.surrogate_out, surrogate)
     if args.params_out:
-        fileio.write_params_csv(_out_path(args.params_out), surrogate.params)
+        fileio.write_params_csv(args.params_out, surrogate.params)
     if args.pattern_out:
-        fileio.write_pattern_csv(_out_path(args.pattern_out), curves.t_grid, surrogate.pattern.values)
+        fileio.write_pattern_csv(args.pattern_out, curves.t_grid, surrogate.pattern.values)
     if args.diagnostics_out:
         delta = make_weights(curves.j, config.estimation.beta_exponent, config.estimation.l_max)
         lines = [
@@ -224,7 +200,7 @@ def cmd_fit(args) -> None:
             else:
                 lines.append(f"{name}_model = fixed")
                 lines.append(f"{name}_fixed_value = {fileio.fmt(model)}")
-        fileio.atomic_write_text(_out_path(args.diagnostics_out), "\n".join(lines) + "\n")
+        fileio.atomic_write_text(args.diagnostics_out, "\n".join(lines) + "\n")
     print(f"trained surrogate on {curves.n} curves x {curves.j} steps -> {args.surrogate_out}")
 
 
@@ -238,7 +214,7 @@ def cmd_align(args) -> None:
         aligned = align_curves(curves, params)
     except ValueError as err:  # an amplitude scale below the floor
         raise InputConsistencyError(f"{args.params}: {err}") from None
-    fileio.write_curves_csv(_out_path(args.out), aligned)
+    fileio.write_curves_csv(args.out, aligned)
     print(f"wrote {aligned.n} aligned curves to {args.out}")
 
 
@@ -250,7 +226,7 @@ def cmd_predict(args) -> None:
         raise InputConsistencyError(f"{args.points} has {points.shape[1]} columns but "
                                     f"{args.surrogate} expects {surrogate.d}")
     values, flags = predict_curves(surrogate, points)
-    fileio.write_table(_out_path(args.out), header, np.column_stack([values, flags]))
+    fileio.write_table(args.out, header, np.column_stack([values, flags]))
     print(f"wrote {points.shape[0]} predicted curves to {args.out}")
 
 
@@ -274,7 +250,7 @@ def cmd_validate(args) -> None:
     surrogate = fileio.load_surrogate(args.surrogate)
     test_design, test_curves = _test_set(args, surrogate.t_grid, surrogate.d, args.surrogate)
     report = validate(surrogate, test_design, test_curves)
-    fileio.write_report_csv(_out_path(args.report_out), report, surrogate.t_grid)
+    fileio.write_report_csv(args.report_out, report, surrogate.t_grid)
     print(f"overall rmse = {fileio.fmt(report.overall_rmse)}; "
           f"mean q2 over unflagged steps = {fileio.fmt(report.mean_q2_unflagged)}")
 
@@ -288,7 +264,7 @@ def cmd_bench(args) -> None:
 
     sim, step = bench.sim_report, bench.step_report
     fileio.write_table(
-        _out_path(args.report_out),
+        args.report_out,
         "step,t,rmse_sim,q2_sim,flag_sim,rmse_step,q2_step,flag_step",
         np.column_stack([np.arange(1, curves.j + 1), curves.t_grid,
                          sim.per_step_rmse, sim.per_step_q2, sim.flags,
@@ -303,11 +279,11 @@ def cmd_bench(args) -> None:
         f"sim_total,{fileio.fmt(surrogate.train_seconds)}",
         f"per_step_gp_total,{fileio.fmt(bench.step_train_seconds)}",
     ]
-    fileio.atomic_write_text(_out_path(args.timings_out), "\n".join(timing_lines) + "\n")
+    fileio.atomic_write_text(args.timings_out, "\n".join(timing_lines) + "\n")
 
     if args.crossplot_out:
         fileio.write_crossplot_csv(
-            _out_path(args.crossplot_out),
+            args.crossplot_out,
             [("sim", test_curves.values, bench.sim_predicted),
              ("per_step_gp", test_curves.values, bench.step_predicted)],
         )
@@ -317,10 +293,6 @@ def cmd_bench(args) -> None:
 
 
 # ---------------------------------------------------------------- parser
-
-
-def _add_curve_inputs(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--curves", required=True, help="curves CSV (rows = curves, header t=<value>)")
 
 
 def _add_fit_flags(p: argparse.ArgumentParser) -> None:
@@ -369,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="train a functional surrogate")
     p.add_argument("--design", required=True)
-    _add_curve_inputs(p)
+    p.add_argument("--curves", required=True, help="curves CSV (rows = curves, header t=<value>)")
     _add_fit_flags(p)
     p.add_argument("--surrogate-out", required=True)
     p.add_argument("--params-out")
@@ -378,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("align", help="apply the inverse deformation to curves")
-    _add_curve_inputs(p)
+    p.add_argument("--curves", required=True, help="curves CSV (rows = curves, header t=<value>)")
     p.add_argument("--params", required=True, help="curve,alpha,theta,v CSV")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_align)
@@ -398,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="compare against one GP per time step")
     p.add_argument("--design", required=True)
-    _add_curve_inputs(p)
+    p.add_argument("--curves", required=True, help="curves CSV (rows = curves, header t=<value>)")
     p.add_argument("--test-design", required=True)
     p.add_argument("--test-curves", required=True)
     _add_fit_flags(p)

@@ -182,7 +182,7 @@ def _swap_hill_climb(pts: np.ndarray) -> np.ndarray:
     return pts
 
 
-def maximin_lhd(n: int, d: int, seed: int, restarts: int = 10) -> DesignMatrix:
+def maximin_lhd(n: int, d: int, seed: int, restarts: int) -> DesignMatrix:
     """Maximin-improved Latin hypercube design on [0, 1]^d.
 
     Generates ``restarts`` stratified designs (restart r starts from

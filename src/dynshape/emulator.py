@@ -252,7 +252,7 @@ def _predict(surrogate: FunctionalSurrogate, points: np.ndarray) -> tuple[np.nda
     values *= params["alpha"][:, None]
     values += params["v"][:, None]
     lower, upper = surrogate.inside
-    outside = (points < lower) | (points > upper)
+    outside = ~((points >= lower) & (points <= upper))
     return values, outside.any(axis=1), params
 
 

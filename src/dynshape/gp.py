@@ -56,16 +56,16 @@ RIDGE_TIE = 1e-6
 class FitConfig:
     """Settings for the maximum-likelihood length search."""
 
-    length_bounds: tuple[float, float] = (1e-3, 1e3)  # in normalized input units
+    length_lo: float = 1e-3  # in normalized input units
+    length_hi: float = 1e3
     multistarts: int = 8
     max_iters: int = 200
     nugget_floor: float = 1e-10
     seed: int = 0
 
     def __post_init__(self):
-        lo, hi = self.length_bounds
-        if not (0 < lo < hi):
-            raise ValueError("length bounds must satisfy 0 < lo < hi")
+        if not (0 < self.length_lo < self.length_hi):
+            raise ValueError("length bounds must satisfy 0 < length_lo < length_hi")
         if self.multistarts < 1:
             raise ValueError("multistarts must be >= 1")
         if self.nugget_floor < 0:
@@ -315,7 +315,7 @@ def fit_gp(design: np.ndarray, responses: np.ndarray, config: FitConfig | None =
     x_lo, x_span = _unit_box(pts_raw)
     pts = (pts_raw - x_lo) / x_span
 
-    log_lo, log_hi = np.log(config.length_bounds[0]), np.log(config.length_bounds[1])
+    log_lo, log_hi = np.log(config.length_lo), np.log(config.length_hi)
     sq_diff = (pts[:, None, :] - pts[None, :, :]) ** 2
 
     def objective(log_lengths: np.ndarray) -> tuple[float, np.ndarray]:

@@ -157,14 +157,14 @@ class Pattern:
 class EstimationConfig:
     """Settings for the contrast search: alpha bounds, weight exponent, l cap."""
 
-    alpha_bounds: tuple[float, float] = (0.05, 20.0)
+    alpha_min: float = 0.05
+    alpha_max: float = 20.0
     beta_exponent: float = 1.5
     l_max: int | None = None
 
     def __post_init__(self):
-        lo, hi = self.alpha_bounds
-        if not (0 < lo < hi):
-            raise ValueError("alpha bounds must satisfy 0 < lo < hi")
+        if not (0 < self.alpha_min < self.alpha_max):
+            raise ValueError("alpha bounds must satisfy 0 < alpha_min < alpha_max")
         if self.l_max is not None and self.l_max < 1:
             raise ValueError("l_max must be >= 1")
         if self.beta_exponent <= 0:
@@ -328,7 +328,7 @@ def contrast_with_gradient(
 
 
 def _coarse_start(
-    coeffs: np.ndarray, delta2: np.ndarray, j: int, alpha_bounds: tuple[float, float]
+    coeffs: np.ndarray, delta2: np.ndarray, j: int, alpha_min: float, alpha_max: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Initial (alpha, theta) per curve from a grid scan against the reference.
 
@@ -345,7 +345,7 @@ def _coarse_start(
     num = corr[np.arange(n), s_best]
     with np.errstate(divide="ignore", invalid="ignore"):
         alpha0 = np.where(num > 0, denom / np.where(num > 0, num, 1.0), 1.0)
-    alpha0 = np.clip(alpha0, alpha_bounds[0], alpha_bounds[1])
+    alpha0 = np.clip(alpha0, alpha_min, alpha_max)
     theta0[0] = 0.0
     alpha0[0] = 1.0
     return alpha0, theta0
@@ -380,9 +380,9 @@ def estimate_params(
     keep = slice(None if config.l_max is None else config.l_max + 1)
     coeffs, delta2 = full[:, keep], delta[keep] ** 2
 
-    alpha0, theta0 = _coarse_start(coeffs, delta2, j, config.alpha_bounds)
-    lo = np.concatenate((np.full(n - 1, config.alpha_bounds[0]), theta0[1:] - np.pi))
-    hi = np.concatenate((np.full(n - 1, config.alpha_bounds[1]), theta0[1:] + np.pi))
+    alpha0, theta0 = _coarse_start(coeffs, delta2, j, config.alpha_min, config.alpha_max)
+    lo = np.concatenate((np.full(n - 1, config.alpha_min), theta0[1:] - np.pi))
+    hi = np.concatenate((np.full(n - 1, config.alpha_max), theta0[1:] + np.pi))
 
     def objective(x: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
         alpha = np.concatenate(([1.0], x[: n - 1]))

@@ -174,7 +174,6 @@ def co2_style_spec(
     noise_var: float = 0.0,
     seed: int = 0,
     box: InputBox | None = None,
-    horizon: float = 55.0,
 ) -> SimSpec:
     """Default pressure-curve stand-in over the demo box.
 
@@ -211,7 +210,6 @@ def co2_style_spec(
         v_fn=v_fn,
         box=box,
         j=j,
-        horizon=horizon,
         noise_var=noise_var,
         seed=seed,
     )

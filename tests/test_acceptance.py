@@ -70,7 +70,7 @@ def recovery_errors(est, truth):
 def test_c01_analytical_noiseless_replication():
     t0 = time.perf_counter()
     curves, truth = generate_analytical(101, 101, 0.0, seed=12)
-    config = EstimationConfig(alpha_bounds=(1e-3, 20.0))
+    config = EstimationConfig(alpha_min=1e-3, alpha_max=20.0)
     est, _ = estimate_params(curves, config)
     elapsed = time.perf_counter() - t0
     e_alpha, e_theta, e_v = recovery_errors(est, truth)
@@ -135,7 +135,7 @@ def test_c04_contrast_oracle():
 
 def test_c05a_blocked_equals_unblocked_bitwise():
     curves, _ = generate_analytical(41, 101, 0.0, seed=12)
-    config = EstimationConfig(alpha_bounds=(1e-3, 20.0))
+    config = EstimationConfig(alpha_min=1e-3, alpha_max=20.0)
     solo, _ = estimate_params(curves, config)
     blocked, _ = estimate_params_blocked(curves, block_size=curves.n - 1, config=config)
     ok = (
@@ -149,7 +149,7 @@ def test_c05a_blocked_equals_unblocked_bitwise():
 
 def test_c05b_blocked_recovery_tolerance():
     curves, truth = generate_analytical(101, 101, 0.0, seed=12)
-    config = EstimationConfig(alpha_bounds=(1e-3, 20.0))
+    config = EstimationConfig(alpha_min=1e-3, alpha_max=20.0)
     est, diags = estimate_params_blocked(curves, block_size=10, config=config)
     e_alpha, e_theta, e_v = recovery_errors(est, truth)
     ok = len(diags) == 10 and e_alpha <= 1e-3 and e_theta <= 1e-3 and e_v <= 1e-3

@@ -428,22 +428,14 @@ class TestBenchCommand:
         assert open(report, "rb").read() == first
 
 
-class TestEnvironmentOverrides:
-    def test_outdir_prefixes_relative_outputs(self, tmp_path, box_file, monkeypatch):
+class TestOutputPaths:
+    def test_outdir_variable_is_ignored(self, tmp_path, box_file, monkeypatch):
         outdir = tmp_path / "artifacts"
         monkeypatch.setenv("DYNSHAPE_OUTDIR", str(outdir))
         monkeypatch.chdir(tmp_path)
         assert run("design", "--n", "6", "--box", box_file, "--out", "design.csv") == 0
-        assert (outdir / "design.csv").exists()
-        assert not (tmp_path / "design.csv").exists()
-
-    def test_outdir_naming_a_file_exits_3(self, tmp_path, box_file, monkeypatch, capsys):
-        outdir = tmp_path / "taken"
-        outdir.write_text("")
-        monkeypatch.setenv("DYNSHAPE_OUTDIR", str(outdir))
-        capsys.readouterr()
-        assert run("design", "--n", "6", "--box", box_file, "--out", "design.csv") == 3
-        assert f"DYNSHAPE_OUTDIR={outdir}: cannot make the directory" in capsys.readouterr().err
+        assert (tmp_path / "design.csv").exists()
+        assert not outdir.exists()
 
 
 FIT_ARGV = ["fit", "--design", "d.csv", "--curves", "c.csv", "--surrogate-out", "s.json"]
@@ -466,6 +458,9 @@ class TestSettingsTable:
         from_flag = config_from(FIT_ARGV + ["--" + key.replace("_", "-"), text])
         assert from_flag == config_from(FIT_ARGV + ["--config", str(cfg)])
         assert from_flag != TrainConfig()
+        kind, cls = SETTINGS[key]
+        part = {TrainConfig: from_flag, EstimationConfig: from_flag.estimation, FitConfig: from_flag.gp}
+        assert getattr(part[cls], key.removeprefix("gp_")) == kind(text)
 
     def test_every_setting_reaches_its_field(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -478,8 +473,8 @@ class TestSettingsTable:
         ]
         assert config_from(argv) == TrainConfig(
             block_size=4, var_fix_tol=1e-6,
-            estimation=EstimationConfig(alpha_bounds=(0.1, 9.0), beta_exponent=1.25, l_max=7),
-            gp=FitConfig(length_bounds=(0.01, 100.0), multistarts=5, max_iters=60,
+            estimation=EstimationConfig(alpha_min=0.1, alpha_max=9.0, beta_exponent=1.25, l_max=7),
+            gp=FitConfig(length_lo=0.01, length_hi=100.0, multistarts=5, max_iters=60,
                          nugget_floor=1e-8, seed=3),
         )
 
@@ -515,7 +510,7 @@ class TestSettingsTable:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("alpha_min = 30\n")
         config = config_from(FIT_ARGV + ["--config", str(cfg), "--alpha-max", "40"])
-        assert config.estimation.alpha_bounds == (30.0, 40.0)
+        assert (config.estimation.alpha_min, config.estimation.alpha_max) == (30.0, 40.0)
 
 
 def with_blank_and_bad_cell(path, bad_row, bad_col, token="nan"):

@@ -147,6 +147,14 @@ class TestPredict:
         assert outside.extrapolated
         assert outside.values.shape == (curves.j,)
 
+    def test_non_finite_coordinate_is_flagged(self):
+        design, curves, _ = harness(n=10)
+        surrogate = train(design, curves, FAST, box=BOX)
+        points = np.array([[np.nan, 100.0, 0.7], [np.inf, 100.0, 0.7], design.points[0]])
+        _, flags = predict_curves(surrogate, points)
+        assert flags.tolist() == [True, True, False]
+        assert predict_curve(surrogate, points[0]).extrapolated
+
     def test_dimension_mismatch(self):
         design, curves, _ = harness(n=10)
         surrogate = train(design, curves, FAST, box=BOX)

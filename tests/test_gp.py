@@ -244,7 +244,7 @@ class TestFit:
     def test_lengths_inside_bounds(self):
         design = lhd_sample(8, 2, seed=9).points
         y = np.cos(4.0 * design[:, 0]) + design[:, 1]
-        config = FitConfig(length_bounds=(1e-2, 1e2), multistarts=4, seed=1)
+        config = FitConfig(length_lo=1e-2, length_hi=1e2, multistarts=4, seed=1)
         model = fit_gp(design, y, config)
         assert np.all(model.lengths >= 1e-2) and np.all(model.lengths <= 1e2)
 

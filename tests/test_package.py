@@ -171,3 +171,12 @@ def test_readme_command_lines_parse():
             pytest.fail(f"README command does not parse: dynshape {shlex.join(argv)}")
     assert {argv[0] for argv in commands} == {"design", "synth", "fit", "predict", "validate",
                                               "bench", "align"}
+
+
+def test_readme_lists_the_training_settings():
+    # the README's list of training settings is cli.SETTINGS' keys, in order
+    from dynshape.cli import SETTINGS
+
+    text = " ".join(open(README, encoding="utf-8").read().split())
+    listed = text.split("The training settings, in order: ", 1)[1].split(".", 1)[0]
+    assert re.findall(r"`(\w+)`", listed) == list(SETTINGS)

@@ -214,7 +214,7 @@ class TestHalfSpectrum:
         curves, _ = deformed_curves(alpha, theta, v, j=j, noise_var=0.2, seed=seed)
         coeffs = to_fourier(curves)
         delta2 = make_weights(j) ** 2
-        alpha0, theta0 = _coarse_start(coeffs, delta2, j, (0.05, 20.0))
+        alpha0, theta0 = _coarse_start(coeffs, delta2, j, 0.05, 20.0)
         # the full-spectrum scan: one complex FFT of the weighted cross spectrum
         full, _, full_delta2 = full_spectrum(curves.values)
         corr = np.fft.fft(full_delta2 * np.conj(full) * full[0][None, :], axis=1).real
@@ -399,7 +399,7 @@ class TestEstimation:
         # aliasing of the non-band-limited pattern shrinks with the grid;
         # at J=501 recovery reaches the 1e-4 scale
         curves, truth = generate_analytical(30, 501, 0.0, seed=4)
-        est, _ = estimate_params(curves, EstimationConfig(alpha_bounds=(1e-3, 20.0)))
+        est, _ = estimate_params(curves, EstimationConfig(alpha_min=1e-3, alpha_max=20.0))
         assert np.abs(est.alpha - truth.alpha).max() <= 1e-4
         assert wrapped_diff(est.theta, truth.theta).max() <= 1e-4
         assert np.abs(est.v - truth.v).max() <= 1e-4
