@@ -15,7 +15,6 @@ import numpy as np
 from . import fileio
 from .doe import DesignMatrix, lhd_sample, maximin_lhd, min_pairwise_distance, scale_to_box
 from .emulator import (
-    FAMILIES,
     MIN_TRAINING_CURVES,
     TrainConfig,
     benchmark_against_per_step,
@@ -24,8 +23,8 @@ from .emulator import (
     validate,
 )
 from .errors import DynshapeError, InputConsistencyError
-from .gp import FitConfig, GpModel, loo_metrics
-from .registration import EstimationConfig, align_curves, contrast, make_weights, to_fourier
+from .gp import FitConfig
+from .registration import EstimationConfig, align_curves
 from .synth import co2_default_box, co2_style_spec, generate_analytical, generate_functional_sim
 
 EXIT_USAGE = 2
@@ -183,23 +182,16 @@ def cmd_fit(args) -> None:
     if args.pattern_out:
         fileio.write_pattern_csv(args.pattern_out, curves.t_grid, surrogate.pattern.values)
     if args.diagnostics_out:
-        delta = make_weights(curves.j, config.estimation.beta_exponent, config.estimation.l_max)
         lines = [
-            f"contrast = {fileio.fmt(contrast(surrogate.params, to_fourier(curves), delta))}",
+            f"contrast = {fileio.fmt(surrogate.record['contrast'])}",
             f"curves = {curves.n}",
             f"time_steps = {curves.j}",
             f"dropped_last_step = {int(dropped)}",
             f"block_size = {config.block_size}",
         ]
-        for name in FAMILIES:
-            model = surrogate.models[name]
-            if isinstance(model, GpModel):
-                _, q2 = loo_metrics(model)
-                lines.append(f"{name}_model = gp")
-                lines.append(f"{name}_loo_q2 = {fileio.fmt(q2)}")
-            else:
-                lines.append(f"{name}_model = fixed")
-                lines.append(f"{name}_fixed_value = {fileio.fmt(model)}")
+        lines += [f"{name}_{key} = {value if isinstance(value, str) else fileio.fmt(value)}"
+                  for name, facts in surrogate.record["families"].items()
+                  for key, value in facts.items()]
         fileio.atomic_write_text(args.diagnostics_out, "\n".join(lines) + "\n")
     print(f"trained surrogate on {curves.n} curves x {curves.j} steps -> {args.surrogate_out}")
 
@@ -271,14 +263,9 @@ def cmd_bench(args) -> None:
                          step.per_step_rmse, step.per_step_q2, step.flags]),
     )
 
-    surrogate = bench.surrogate
-    timing_lines = [
-        "stage,seconds",
-        f"sim_registration,{fileio.fmt(surrogate.registration_seconds)}",
-        f"sim_parameter_models,{fileio.fmt(surrogate.gp_seconds)}",
-        f"sim_total,{fileio.fmt(surrogate.train_seconds)}",
-        f"per_step_gp_total,{fileio.fmt(bench.step_train_seconds)}",
-    ]
+    seconds = bench.surrogate.record["seconds"]
+    timing_lines = ["stage,seconds", *(f"sim_{stage},{fileio.fmt(s)}" for stage, s in seconds.items()),
+                    f"per_step_gp_total,{fileio.fmt(bench.step_train_seconds)}"]
     fileio.atomic_write_text(args.timings_out, "\n".join(timing_lines) + "\n")
 
     if args.crossplot_out:
@@ -287,7 +274,7 @@ def cmd_bench(args) -> None:
             [("sim", test_curves.values, bench.sim_predicted),
              ("per_step_gp", test_curves.values, bench.step_predicted)],
         )
-    print(f"sim train {surrogate.train_seconds:.2f}s vs per-step {bench.step_train_seconds:.2f}s; "
+    print(f"sim train {seconds['total']:.2f}s vs per-step {bench.step_train_seconds:.2f}s; "
           f"mean q2 sim = {fileio.fmt(bench.sim_report.mean_q2_unflagged)}, "
           f"per-step = {fileio.fmt(bench.step_report.mean_q2_unflagged)}")
 

@@ -19,16 +19,18 @@ import numpy as np
 
 from .doe import DesignMatrix, InputBox
 from .errors import FitFailureError, EstimationFailureError, TrainingError
-from .gp import (FitConfig, GpModel, GpStack, fit_gp, predict_many, prediction_metrics,
-                 stack_models)
+from .gp import (FitConfig, GpModel, GpStack, fit_gp, loo_metrics, predict_many,
+                 prediction_metrics, stack_models)
 from .registration import (
     CurveSet,
     EstimationConfig,
     Pattern,
     TransformParams,
+    contrast,
     estimate_params_blocked,
     extract_pattern,
     inverse_fourier,
+    make_weights,
     to_fourier,
 )
 
@@ -64,6 +66,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.block_size < 1:
             raise ValueError("block size must be >= 1")
+        if not self.var_fix_tol >= 0:  # NaN fails too
+            raise ValueError("var_fix_tol must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -87,9 +91,9 @@ class FunctionalSurrogate:
     pattern: Pattern
     models: dict
     params: TransformParams = field(repr=False, default=None)
-    train_seconds: float = 0.0
-    registration_seconds: float = 0.0
-    gp_seconds: float = 0.0
+    # train's facts of the run: stage "seconds", "contrast" and per-family "families"
+    # (model, and loo_q2 or fixed_value); never saved, so None after load_surrogate
+    record: dict | None = field(default=None, repr=False, compare=False)
     gp_families: tuple = field(init=False, repr=False)
     kernel: GpStack | None = field(init=False, repr=False)  # stack of the gp_families
     inside: tuple = field(init=False, repr=False)  # (lower, upper) beyond which points extrapolate
@@ -148,7 +152,7 @@ class ValidationReport:
 
 @dataclass
 class BenchmarkReport:
-    """Both methods' reports and predictions; the surrogate keeps its own stage times."""
+    """Both methods' reports and predictions; the surrogate's record holds its stage times."""
 
     surrogate: FunctionalSurrogate
     sim_report: ValidationReport
@@ -191,7 +195,7 @@ def train(
     try:
         params, _ = estimate_params_blocked(curves, config.block_size, config.estimation)
     except EstimationFailureError as err:
-        raise EstimationFailureError(f"registration stage: {err}", starts=err.starts) from err
+        raise EstimationFailureError(f"registration stage: {err}") from err
     reg_seconds = time.perf_counter() - t_start
 
     theta_span = params.theta.max() - params.theta.min()
@@ -201,7 +205,8 @@ def train(
             "the period; re-reference the curves to a central curve and train again"
         )
 
-    pattern = extract_pattern(to_fourier(curves), params)
+    coeffs = to_fourier(curves)
+    pattern = extract_pattern(coeffs, params)
     models = {}
     t0 = time.perf_counter()
     for name in FAMILIES:
@@ -212,21 +217,19 @@ def train(
         try:
             models[name] = fit_gp(pts, values, config.gp)
         except FitFailureError as err:
-            raise FitFailureError(f"parameter-model stage ({name}): {err}",
-                                  starts=err.starts) from err
-    gp_seconds = time.perf_counter() - t0
-
-    return FunctionalSurrogate(
-        box=box,
-        t_grid=curves.t_grid,
-        period=curves.period,
-        pattern=pattern,
-        models=models,
-        params=params,
-        train_seconds=time.perf_counter() - t_start,
-        registration_seconds=reg_seconds,
-        gp_seconds=gp_seconds,
-    )
+            raise FitFailureError(f"parameter-model stage ({name}): {err}") from err
+    t_end = time.perf_counter()
+    est = config.estimation
+    record = {
+        "seconds": {"registration": reg_seconds, "parameter_models": t_end - t0,
+                    "total": t_end - t_start},
+        "contrast": contrast(params, coeffs, make_weights(curves.j, est.beta_exponent, est.l_max)),
+        "families": {name: {"model": "gp", "loo_q2": loo_metrics(model)[1]}
+                     if isinstance(model, GpModel) else {"model": "fixed", "fixed_value": model}
+                     for name, model in models.items()},
+    }
+    return FunctionalSurrogate(box=box, t_grid=curves.t_grid, period=curves.period,
+                               pattern=pattern, models=models, params=params, record=record)
 
 
 def _predict(surrogate: FunctionalSurrogate, points: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict]:

@@ -10,15 +10,7 @@ class IllConditionedDesignError(DynshapeError):
 
 
 class FitFailureError(DynshapeError):
-    """Every hyperparameter search start failed.
-
-    Carries a list of per-start diagnostics (start point, status message,
-    objective value) in ``starts``.
-    """
-
-    def __init__(self, message, starts=None):
-        super().__init__(message)
-        self.starts = starts or []
+    """Every hyperparameter search start failed."""
 
 
 class DegenerateResponseError(DynshapeError):
@@ -26,11 +18,7 @@ class DegenerateResponseError(DynshapeError):
 
 
 class EstimationFailureError(DynshapeError):
-    """The contrast search ended at a non-finite value; ``starts`` holds its diagnostics."""
-
-    def __init__(self, message, starts=None):
-        super().__init__(message)
-        self.starts = starts or []
+    """The contrast search ended at a non-finite value."""
 
 
 class TrainingError(DynshapeError):

@@ -64,12 +64,12 @@ class FitConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (0 < self.length_lo < self.length_hi):
-            raise ValueError("length bounds must satisfy 0 < length_lo < length_hi")
+        if not (0 < self.length_lo < self.length_hi < math.inf):
+            raise ValueError("length bounds must satisfy 0 < length_lo < length_hi < inf")
         if self.multistarts < 1:
             raise ValueError("multistarts must be >= 1")
-        if self.nugget_floor < 0:
-            raise ValueError("nugget_floor must be nonnegative")
+        if not (0 <= self.nugget_floor < math.inf):
+            raise ValueError("nugget_floor must be nonnegative and finite")
 
 
 @dataclass(frozen=True)
@@ -333,19 +333,16 @@ def fit_gp(design: np.ndarray, responses: np.ndarray, config: FitConfig | None =
         unit = lhd_sample(config.multistarts, d, seed=config.seed).points
         starts = log_lo + unit * (log_hi - log_lo)
 
-    attempts = []
+    best_x, best_fun = None, 1e24  # a start at or above 1e24 hit only failed factorizations
     for x0 in starts:
-        x, fun, _, _, message, _ = _minimize_box(objective, x0, log_lo, log_hi,
-                                                 config.max_iters, gtol=1e-5, ftol=2.2e-9)
-        usable = np.isfinite(fun) and fun < 1e24
-        attempts.append({"start": x0.copy(), "fun": float(fun), "x": x,
-                         "message": message, "usable": bool(usable)})
-    usable = [a for a in attempts if a["usable"]]
-    if not usable:
-        raise FitFailureError("all likelihood-search starts failed", starts=attempts)
-    best = min(usable, key=lambda a: a["fun"])
+        x, fun, *_ = _minimize_box(objective, x0, log_lo, log_hi,
+                                   config.max_iters, gtol=1e-5, ftol=2.2e-9)
+        if np.isfinite(fun) and fun < best_fun:  # strict: a tie keeps the earlier start
+            best_x, best_fun = x, fun
+    if best_x is None:
+        raise FitFailureError("all likelihood-search starts failed")
 
-    return assemble_gp_model(pts_raw, responses, np.exp(best["x"]), config.nugget_floor)
+    return assemble_gp_model(pts_raw, responses, np.exp(best_x), config.nugget_floor)
 
 
 def predict(model: GpModel, x0: np.ndarray) -> tuple[float, float]:

@@ -167,7 +167,7 @@ class EstimationConfig:
             raise ValueError("alpha bounds must satisfy 0 < alpha_min < alpha_max")
         if self.l_max is not None and self.l_max < 1:
             raise ValueError("l_max must be >= 1")
-        if self.beta_exponent <= 0:
+        if not self.beta_exponent > 0:  # NaN fails too
             raise ValueError("weight exponent must be positive")
 
 
@@ -396,8 +396,7 @@ def estimate_params(
     )
     start = {"start": 0, "fun": float(fun), "nit": nit, "message": message}
     if not np.isfinite(fun):
-        raise EstimationFailureError("the contrast minimization ended at a non-finite value",
-                                     starts=[start])
+        raise EstimationFailureError("the contrast minimization ended at a non-finite value")
 
     alpha_hat = np.concatenate(([1.0], x[: n - 1]))
     theta_hat = _wrap_keep_reference(np.concatenate(([0.0], x[n - 1 :])))
@@ -405,13 +404,8 @@ def estimate_params(
     v_hat = c0 - alpha_hat * c0[0]
     v_hat[0] = 0.0
     params = TransformParams(alpha=alpha_hat, theta=theta_hat, v=v_hat)
-    diag = EstimationDiagnostics(
-        contrast=start["fun"],
-        iterations=start["nit"],
-        nfev=nfev,
-        starts=[start],
-    )
-    return params, diag
+    return params, EstimationDiagnostics(contrast=start["fun"], iterations=nit, nfev=nfev,
+                                         starts=[start])
 
 
 def estimate_params_blocked(
@@ -448,7 +442,7 @@ def estimate_params_blocked(
         try:
             sub_params, sub_diag = estimate_params(full[np.concatenate(([0], rows))], config)
         except EstimationFailureError as err:
-            raise EstimationFailureError(f"block {b}: {err}", starts=err.starts) from err
+            raise EstimationFailureError(f"block {b}: {err}") from err
         alpha[rows] = sub_params.alpha[1:]
         theta[rows] = sub_params.theta[1:]
         v[rows] = sub_params.v[1:]

@@ -141,6 +141,30 @@ class TestFitCommand:
         first = open(pattern).read().splitlines()
         assert first[0] == "t,f"
 
+    def test_fixed_families_diagnostics(self, tmp_path, box_file):
+        # curves that are amplitude scalings of one curve: theta and v are fixed
+        design, curves = make_dataset(tmp_path, box_file, n=12, j=21)
+        values, times = fileio.read_curves_csv(curves)
+        scales = 1.0 + fileio.read_design_csv(design)[:, 1] / 300.0
+        scaled, _ = fileio.curves_from_arrays(scales[:, None] * values[0], times=times)
+        fileio.write_curves_csv(curves, scaled)
+        diag = tmp_path / "diag.txt"
+        assert run("fit", "--design", design, "--curves", curves,
+                   "--surrogate-out", str(tmp_path / "s.json"), "--diagnostics-out", str(diag)) == 0
+        assert diag.read_text() == (
+            "contrast = 3.5345894830715548e-29\n"
+            "curves = 12\n"
+            "time_steps = 21\n"
+            "dropped_last_step = 0\n"
+            "block_size = 10\n"
+            "alpha_model = gp\n"
+            "alpha_loo_q2 = 0.99999972314376906\n"
+            "theta_model = fixed\n"
+            "theta_fixed_value = 0\n"
+            "v_model = fixed\n"
+            "v_fixed_value = 9.7107507220547021e-14\n"
+        )
+
     def test_row_mismatch_exits_3(self, tmp_path, box_file):
         design, curves = make_dataset(tmp_path, box_file)
         other_design = str(tmp_path / "d2.csv")
@@ -487,7 +511,10 @@ class TestSettingsTable:
         with pytest.raises(InputConsistencyError, match="run.cfg.*multistarts"):
             config_from(FIT_ARGV + ["--config", str(cfg)])
 
-    @pytest.mark.parametrize("key,text", [("alpha_min", "30"), ("l_max", "0")])
+    @pytest.mark.parametrize("key,text", [
+        ("alpha_min", "30"), ("l_max", "0"), ("gp_nugget_floor", "nan"), ("gp_length_hi", "inf"),
+        ("beta_exponent", "nan"), ("var_fix_tol", "-1"), ("var_fix_tol", "nan"),
+    ])
     @pytest.mark.parametrize("source", ["file", "flag"])
     def test_rejected_value_exit_code(self, tmp_path, box_file, capsys, key, text, source):
         design, curves = make_dataset(tmp_path, box_file, n=6, j=11)

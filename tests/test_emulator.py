@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import TWO_PI, deform
+from dynshape import fileio
 from dynshape.doe import DesignMatrix, InputBox, lhd_sample, scale_to_box
 from dynshape.emulator import (
     FAMILIES,
@@ -20,7 +21,10 @@ from dynshape.registration import (
     CurveSet,
     EstimationConfig,
     Pattern,
+    contrast,
     inverse_fourier,
+    make_weights,
+    to_fourier,
 )
 from dynshape.synth import SimSpec, co2_default_box, co2_style_spec, generate_functional_sim
 
@@ -76,6 +80,26 @@ class TestTrain:
         model = surrogate.models["v"]
         assert isinstance(model, float)
         assert abs(model) < 1e-6
+
+    def test_record_holds_the_run_facts(self, tmp_path):
+        design, curves, _ = harness(n=12, v_fn=lambda pts: np.zeros(pts.shape[0]))
+        surrogate = train(design, curves, FAST, box=BOX)
+        record = surrogate.record
+        seconds = record["seconds"]
+        assert seconds["registration"] > 0 and seconds["parameter_models"] > 0
+        assert seconds["total"] >= seconds["registration"] + seconds["parameter_models"]
+        for name in FAMILIES:
+            model = surrogate.models[name]
+            if isinstance(model, GpModel):
+                assert record["families"][name] == {"model": "gp", "loo_q2": loo_metrics(model)[1]}
+            else:
+                assert record["families"][name] == {"model": "fixed", "fixed_value": model}
+        assert {facts["model"] for facts in record["families"].values()} == {"gp", "fixed"}
+        delta = make_weights(curves.j, FAST.estimation.beta_exponent, FAST.estimation.l_max)
+        assert record["contrast"] == contrast(surrogate.params, to_fourier(curves), delta)
+        path = str(tmp_path / "s.json")
+        fileio.save_surrogate(path, surrogate)
+        assert fileio.load_surrogate(path).record is None
 
     def test_wrapping_shifts_rejected(self):
         spec = co2_style_spec(j=33)
@@ -410,7 +434,7 @@ class TestBenchmark:
         bench = benchmark_against_per_step(design, curves, test_design, test_curves, FAST)
         assert bench.sim_predicted.shape == (8, 21)
         assert bench.step_predicted.shape == (8, 21)
-        assert bench.surrogate.train_seconds > 0 and bench.step_train_seconds > 0
+        assert bench.surrogate.record["seconds"]["total"] > 0 and bench.step_train_seconds > 0
         # both methods' crossplots hug the diagonal
         for pred in (bench.sim_predicted, bench.step_predicted):
             r = np.corrcoef(pred.ravel(), test_curves.values.ravel())[0, 1]

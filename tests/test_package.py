@@ -23,20 +23,20 @@ def test_public_names_resolve(name):
     assert not missing, f"dynshape.{name}.__all__ names missing attributes: {missing}"
 
 
-def load_tracer():
-    """The benchmark's ``perfbench/tracer.py``, loaded from this checkout."""
+def load_perfbench(name):
+    """The benchmark's ``perfbench/<name>.py``, loaded from this checkout."""
     path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                        "perfbench", "tracer.py")
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
-    return tracer
+                        "perfbench", f"{name}.py")
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_benchmark_traced_names_resolve():
     # the benchmark's tracer looks up each (module, function) it wraps by name
     # when it installs, so renaming or deleting one breaks every traced run
-    tracer = load_tracer()
+    tracer = load_perfbench("tracer")
     missing = [f"dynshape.{module}.{name}" for module, names in tracer.TARGETS.items()
                for name in names
                if not callable(getattr(importlib.import_module(f"dynshape.{module}"), name, None))]
@@ -49,7 +49,7 @@ def test_benchmark_counters_read_real_results(tmp_path):
     from dynshape import fileio, gp, registration
     from dynshape.synth import generate_analytical
 
-    tracer = load_tracer()
+    tracer = load_perfbench("tracer")
     curves, _ = generate_analytical(4, 21, 0.0, seed=3)
     duplicated = np.array([[0.2, 0.2], [0.2, 0.2], [0.8, 0.5]])
     # two models, so that an m x k result and its transpose differ in length
@@ -157,18 +157,21 @@ def test_readme_library_quick_start_runs():
 
 def test_readme_command_lines_parse():
     # every dynshape command line of the README's bash blocks, continuation lines
-    # joined, is parsed (not run), so a retired flag cannot linger in the docs
+    # joined, is parsed (not run), so a retired flag cannot linger in the docs;
+    # so is every argv of the benchmark's desk pass, so that retiring a flag it runs fails here
     from dynshape.cli import build_parser
 
     blocks = re.findall(r"```bash\n(.*?)```", open(README, encoding="utf-8").read(), re.S)
     lines = [line.strip() for block in blocks for line in block.replace("\\\n", " ").splitlines()]
     commands = [shlex.split(line, comments=True)[1:] for line in lines if line.startswith("dynshape ")]
+    desk = [argv for _, argv in load_perfbench("workloads").desk_commands(0)]
     parser = build_parser()
-    for argv in commands:
-        try:
-            parser.parse_args(argv)
-        except SystemExit:
-            pytest.fail(f"README command does not parse: dynshape {shlex.join(argv)}")
+    for source, argvs in (("README", commands), ("perfbench desk", desk)):
+        for argv in argvs:
+            try:
+                parser.parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"{source} command does not parse: dynshape {shlex.join(argv)}")
     assert {argv[0] for argv in commands} == {"design", "synth", "fit", "predict", "validate",
                                               "bench", "align"}
 
