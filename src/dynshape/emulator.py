@@ -39,12 +39,12 @@ __all__ = [
     "FunctionalSurrogate",
     "CurvePrediction",
     "ValidationReport",
-    "BenchmarkReport",
     "train",
     "predict_curve",
     "predict_curves",
+    "per_step_report",
     "validate",
-    "benchmark_against_per_step",
+    "per_step_gp_predictions",
 ]
 
 FAMILIES = ("alpha", "theta", "v")
@@ -148,18 +148,6 @@ class ValidationReport:
     def mean_q2_unflagged(self) -> float:
         ok = ~self.flags
         return float(np.nanmean(self.per_step_q2[ok])) if ok.any() else float("nan")
-
-
-@dataclass
-class BenchmarkReport:
-    """Both methods' reports and predictions; the surrogate's record holds its stage times."""
-
-    surrogate: FunctionalSurrogate
-    sim_report: ValidationReport
-    step_report: ValidationReport
-    step_train_seconds: float
-    sim_predicted: np.ndarray
-    step_predicted: np.ndarray
 
 
 def _should_fix(values: np.ndarray, tol: float) -> bool:
@@ -282,7 +270,8 @@ def predict_curve(surrogate: FunctionalSurrogate, x0: np.ndarray) -> CurvePredic
     )
 
 
-def _report_from_predictions(predicted: np.ndarray, truth: np.ndarray) -> ValidationReport:
+def per_step_report(predicted: np.ndarray, truth: np.ndarray) -> ValidationReport:
+    """Per-time-step RMSE and Q2 of m x J predictions against the m x J true values."""
     if predicted.shape[0] != truth.shape[0]:
         raise ValueError("test design and test curves must have the same number of rows")
     if predicted.shape[1] != truth.shape[1]:
@@ -307,44 +296,14 @@ def validate(
     are flagged and get a NaN Q2 instead of failing the run.
     """
     predicted, _ = predict_curves(surrogate, test_design.points)
-    return _report_from_predictions(predicted, test_curves.values)
+    return per_step_report(predicted, test_curves.values)
 
 
-def benchmark_against_per_step(
-    design: DesignMatrix,
-    curves: CurveSet,
-    test_design: DesignMatrix,
-    test_curves: CurveSet,
-    config: TrainConfig | None = None,
-) -> BenchmarkReport:
-    """Head-to-head: the curve surrogate versus one GP per time step.
-
-    Both approaches share the GP settings from ``config``; the baseline fits
-    an independent kriging model on the raw responses of every time step and
-    predicts steps one by one.  Reports per-step metrics and the raw
-    predictions (crossplot data) for both methods, the trained surrogate and
-    the baseline's wall time.
-    """
-    if config is None:
-        config = TrainConfig()
-
-    surrogate = train(design, curves, config)
-    sim_pred, _ = predict_curves(surrogate, test_design.points)
-    sim_report = _report_from_predictions(sim_pred, test_curves.values)
-
-    t0 = time.perf_counter()
-    step_pred = np.empty((test_curves.n, curves.j))
+def per_step_gp_predictions(design: DesignMatrix, curves: CurveSet, points: np.ndarray,
+                            config: FitConfig) -> np.ndarray:
+    """The single-step baseline: one GP per time step on the raw responses, m x J at the points."""
+    predicted = np.empty((points.shape[0], curves.j))
     for col in range(curves.j):
-        model = fit_gp(design.points, curves.values[:, col], config.gp)
-        step_pred[:, col] = predict_many(stack_models([model]), test_design.points)[:, 0]
-    step_seconds = time.perf_counter() - t0
-    step_report = _report_from_predictions(step_pred, test_curves.values)
-
-    return BenchmarkReport(
-        surrogate=surrogate,
-        sim_report=sim_report,
-        step_report=step_report,
-        step_train_seconds=step_seconds,
-        sim_predicted=sim_pred,
-        step_predicted=step_pred,
-    )
+        model = fit_gp(design.points, curves.values[:, col], config)
+        predicted[:, col] = predict_many(stack_models([model]), points)[:, 0]
+    return predicted

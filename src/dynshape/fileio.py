@@ -19,7 +19,7 @@ import tempfile
 import numpy as np
 
 from .doe import InputBox
-from .emulator import FAMILIES, FunctionalSurrogate, ValidationReport
+from .emulator import FAMILIES, FunctionalSurrogate
 from .errors import InputConsistencyError
 from .gp import GpModel
 from .registration import CurveSet, Pattern, TransformParams
@@ -352,11 +352,13 @@ def write_pattern_csv(path: str, t_grid: np.ndarray, values: np.ndarray) -> None
 # ---------------------------------------------------------------- reports
 
 
-def write_report_csv(path: str, report: ValidationReport, t_grid: np.ndarray) -> None:
-    steps = np.arange(1, t_grid.shape[0] + 1)
-    write_table(path, "step,t,rmse,q2,flag", np.column_stack(
-        [steps, t_grid, report.per_step_rmse, report.per_step_q2, report.flags]
-    ))
+def write_report_csv(path: str, t_grid: np.ndarray, reports: dict) -> None:
+    """Columns step, t, then rmse, q2 and flag of each ``ValidationReport``, their
+    names ending in its key: ``{"": report}`` gives ``step,t,rmse,q2,flag``."""
+    names = [f"{column}{suffix}" for suffix in reports for column in ("rmse", "q2", "flag")]
+    columns = [c for r in reports.values() for c in (r.per_step_rmse, r.per_step_q2, r.flags)]
+    write_table(path, ",".join(["step", "t", *names]),
+                np.column_stack([np.arange(1, t_grid.shape[0] + 1), t_grid, *columns]))
 
 
 def write_crossplot_csv(path: str, blocks: list[tuple[str, np.ndarray, np.ndarray]]) -> None:

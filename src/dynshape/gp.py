@@ -68,6 +68,10 @@ class FitConfig:
             raise ValueError("length bounds must satisfy 0 < length_lo < length_hi < inf")
         if self.multistarts < 1:
             raise ValueError("multistarts must be >= 1")
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         if not (0 <= self.nugget_floor < math.inf):
             raise ValueError("nugget_floor must be nonnegative and finite")
 

@@ -72,8 +72,10 @@ class SimSpec:
             raise ValueError("pattern must be a callable of the angle in [0, 2pi)")
         if self.j < 3 or self.j % 2 == 0:
             raise ValueError(f"J must be odd and >= 3, got {self.j}")
-        if self.noise_var < 0:
-            raise ValueError("noise variance must be nonnegative")
+        if not 0 <= self.noise_var < np.inf:  # NaN fails too
+            raise ValueError("noise variance must be finite and nonnegative")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         if not self.horizon > 0:
             raise ValueError("horizon must be positive")
 
@@ -112,8 +114,10 @@ def generate_analytical(
         raise ValueError("need at least 2 curves")
     if j < 3 or j % 2 == 0:
         raise ValueError(f"J must be odd and >= 3, got {j}")
-    if noise_var < 0:
-        raise ValueError("noise variance must be nonnegative")
+    if not 0 <= noise_var < np.inf:  # NaN fails too
+        raise ValueError("noise variance must be finite and nonnegative")
+    if seed < 0:
+        raise ValueError("seed must be nonnegative")
     if not callable(pattern):
         raise ValueError("pattern must be a callable of the angle in [0, 2pi)")
     rng = np.random.default_rng(seed)

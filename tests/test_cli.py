@@ -393,7 +393,10 @@ class TestBenchCommand:
         )
         timing_lines = open(timings).read().splitlines()
         assert timing_lines[0] == "stage,seconds"
-        assert len(timing_lines) == 5
+        rows = [line.split(",") for line in timing_lines[1:]]
+        assert [name for name, _ in rows] == ["sim_registration", "sim_parameter_models",
+                                              "sim_total", "per_step_gp_total"]
+        assert all(float(seconds) > 0 for _, seconds in rows)
         cross = open(crossplot).read().splitlines()
         assert cross[0] == "true,predicted,method,step"
         assert len(cross) == 1 + 2 * 6 * 11
@@ -406,7 +409,7 @@ class TestBenchCommand:
         def no_training(*args, **kwargs):
             raise AssertionError("trained before checking the test grid")
 
-        monkeypatch.setattr(cli, "benchmark_against_per_step", no_training)
+        monkeypatch.setattr(cli, "train", no_training)
         report = tmp_path / "cmp.csv"
         capsys.readouterr()
         assert run("bench", "--design", design, "--curves", curves,
@@ -514,6 +517,7 @@ class TestSettingsTable:
     @pytest.mark.parametrize("key,text", [
         ("alpha_min", "30"), ("l_max", "0"), ("gp_nugget_floor", "nan"), ("gp_length_hi", "inf"),
         ("beta_exponent", "nan"), ("var_fix_tol", "-1"), ("var_fix_tol", "nan"),
+        ("gp_max_iters", "0"), ("gp_max_iters", "-3"), ("seed", "-1"),
     ])
     @pytest.mark.parametrize("source", ["file", "flag"])
     def test_rejected_value_exit_code(self, tmp_path, box_file, capsys, key, text, source):
@@ -538,6 +542,45 @@ class TestSettingsTable:
         cfg.write_text("alpha_min = 30\n")
         config = config_from(FIT_ARGV + ["--config", str(cfg), "--alpha-max", "40"])
         assert (config.estimation.alpha_min, config.estimation.alpha_max) == (30.0, 40.0)
+
+
+# Every numeric flag of every command that takes one, with its type
+NUMERIC_FLAGS = {
+    **{command: {key: kind for key, (kind, _) in SETTINGS.items()} for command in ("fit", "bench")},
+    "design": {"n": int, "seed": int, "maximin_restarts": int},
+    "synth analytical": {"n": int, "j": int, "noise_var": float, "seed": int},
+    "synth co2": {"j": int, "noise_var": float, "seed": int},
+}
+
+
+class TestNumericFlags:
+    @pytest.mark.parametrize("command,key,text", [
+        (command, key, text) for command, flags in NUMERIC_FLAGS.items()
+        for key, kind in flags.items() for text in (["-1", "nan"] if kind is float else ["-1"])
+    ])
+    def test_negative_or_nan_is_usage_error(self, tmp_path, capsys, quick_start, command,
+                                            key, text):
+        inputs = [str(quick_start / name) for name in ("box.csv", "design.csv", "curves.csv")]
+        box, design, curves = inputs
+        out = str(tmp_path / "out.csv")
+        argv = {
+            "fit": ["--design", design, "--curves", curves, "--surrogate-out", out],
+            "bench": ["--design", design, "--curves", curves, "--test-design", design,
+                      "--test-curves", curves, "--report-out", out, "--timings-out", out],
+            "design": ["--n", "6", "--box", box, "--out", out],
+            "synth analytical": ["--n", "6", "--j", "11", "--curves-out", out],
+            "synth co2": ["--design", design, "--j", "11", "--curves-out", out],
+        }[command]
+        capsys.readouterr()
+        try:
+            code = run(*command.split(), *argv, "--" + key.replace("_", "-"), text)
+        except SystemExit as exc:  # argparse's own usage errors
+            code = exc.code
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert not any(path in err for path in inputs)
+        assert list(tmp_path.iterdir()) == []
 
 
 def with_blank_and_bad_cell(path, bad_row, bad_col, token="nan"):
@@ -946,18 +989,22 @@ QUICK_START_SHA256 = {
 }
 
 
-class TestPinnedArtifacts:
-    def test_quick_start_artifacts(self, tmp_path, box_file, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        fit = ("--design", "design.csv", "--curves", "curves.csv", "--gp-multistarts", "2")
-        test_set = ("--test-design", "test_design.csv", "--test-curves", "test_curves.csv")
+@pytest.fixture(scope="module")
+def quick_start(tmp_path_factory):
+    """The folder of a small README quick start plus bench and align, run in process."""
+    folder = tmp_path_factory.mktemp("quick_start")
+    (folder / "box.csv").write_text(BOX_TEXT)
+    fit = ("--design", "design.csv", "--curves", "curves.csv", "--gp-multistarts", "2")
+    test_set = ("--test-design", "test_design.csv", "--test-curves", "test_curves.csv")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.chdir(folder)
         for argv in [
-            ("design", "--n", "12", "--box", box_file, "--seed", "0", "--maximin-restarts", "5",
+            ("design", "--n", "12", "--box", "box.csv", "--seed", "0", "--maximin-restarts", "5",
              "--out", "design.csv"),
             ("synth", "co2", "--design", "design.csv", "--j", "21", "--curves-out", "curves.csv"),
             ("fit", *fit, "--surrogate-out", "surrogate.json", "--params-out", "params.csv",
              "--pattern-out", "pattern.csv", "--diagnostics-out", "diagnostics.txt"),
-            ("design", "--n", "6", "--box", box_file, "--seed", "9", "--maximin-restarts", "0",
+            ("design", "--n", "6", "--box", "box.csv", "--seed", "9", "--maximin-restarts", "0",
              "--out", "test_design.csv"),
             ("predict", "--surrogate", "surrogate.json", "--points", "test_design.csv",
              "--out", "predicted.csv"),
@@ -969,6 +1016,21 @@ class TestPinnedArtifacts:
             ("align", "--curves", "curves.csv", "--params", "params.csv", "--out", "aligned.csv"),
         ]:
             assert run(*argv) == 0, argv
-        got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+    return folder
+
+
+class TestPinnedArtifacts:
+    def test_quick_start_artifacts(self, quick_start):
+        got = {name: hashlib.sha256((quick_start / name).read_bytes()).hexdigest()
                for name in QUICK_START_SHA256}
         assert got == QUICK_START_SHA256
+
+    def test_report_is_the_comparisons_sim_columns(self, quick_start):
+        # validate and bench write one per-step layout: bench's first five columns are
+        # validate's file, its header suffixed with _sim
+        report = (quick_start / "report.csv").read_text().splitlines()
+        comparison = (quick_start / "comparison.csv").read_text().splitlines()
+        assert report[0] == "step,t,rmse,q2,flag"
+        assert comparison[0].startswith("step,t,rmse_sim,q2_sim,flag_sim,")
+        assert len(report) == len(comparison) == 22
+        assert report[1:] == [",".join(row.split(",")[:5]) for row in comparison[1:]]
