@@ -133,10 +133,8 @@ def _accepted(given: dict) -> bool:
 
 
 def cmd_design(args) -> None:
-    if args.n < 2:
-        raise argparse.ArgumentTypeError("--n must be at least 2")
-    if args.maximin_restarts < 0:
-        raise argparse.ArgumentTypeError("--maximin-restarts must be at least 0")
+    if args.maximin_restarts < 0:  # 0 is the plain Latin hypercube, not a maximin setting
+        raise ValueError("--maximin-restarts must be at least 0")
     box = fileio.read_box_csv(args.box)
     if args.maximin_restarts > 0:
         design = maximin_lhd(args.n, box.dims, seed=args.seed, restarts=args.maximin_restarts)
@@ -370,12 +368,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         args.func(args)
-    except argparse.ArgumentTypeError as err:
-        parser.error(str(err))  # exits with code 2
     except InputConsistencyError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT

@@ -74,10 +74,6 @@ class DesignMatrix:
         object.__setattr__(self, "points", pts)
 
     @property
-    def n(self) -> int:
-        return self.points.shape[0]
-
-    @property
     def d(self) -> int:
         return self.points.shape[1]
 
@@ -106,10 +102,12 @@ def lhd_sample(n: int, d: int, seed: int | list[int]) -> DesignMatrix:
 
     Every column contains exactly one point in each of the n equal-width
     strata [i/n, (i+1)/n); placement inside a stratum is uniform.  The result
-    is a deterministic function of (n, d, seed); ``seed`` is anything
-    ``numpy.random.default_rng`` takes, such as an int or a list of ints.
+    is a deterministic function of (n, d, seed); ``seed`` is a nonnegative
+    int or a list of them, which seeds ``numpy.random.default_rng``.
     """
     _check_size(n, d)
+    if np.any(np.asarray(seed) < 0):
+        raise ValueError("seed must be nonnegative")
     rng = np.random.default_rng(seed)
     pts = np.empty((n, d))
     for j in range(d):

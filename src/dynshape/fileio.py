@@ -392,8 +392,8 @@ def read_box_csv(path: str) -> InputBox:
 
 
 def read_config(path: str, known_keys: set[str]) -> dict:
-    """Flat key = value settings; '#' starts a comment, unknown keys fail fast."""
-    out = {}
+    """Flat key = value settings; '#' starts a comment, unknown or repeated keys fail fast."""
+    out, first_line = {}, {}
     for no, line in _read_lines(path):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -403,7 +403,10 @@ def read_config(path: str, known_keys: set[str]) -> dict:
         key, value = (part.strip() for part in stripped.split("=", 1))
         if key not in known_keys:
             raise InputConsistencyError(f"{path}, line {no}: unknown setting {key!r}")
-        out[key] = value
+        if key in first_line:
+            raise InputConsistencyError(f"{path}, line {no}: {key} is already set on line "
+                                        f"{first_line[key]}")
+        out[key], first_line[key] = value, no
     return out
 
 

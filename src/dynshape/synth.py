@@ -26,6 +26,7 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * np.pi
+_SIM_PERIOD = 55.0  # the time span of every functional-simulator curve
 
 
 def parabola_pattern(t):
@@ -63,21 +64,22 @@ class SimSpec:
     v_fn: Callable[[np.ndarray], np.ndarray]
     box: InputBox
     j: int = 55
-    horizon: float = 55.0
     noise_var: float = 0.0
     seed: int = 0
 
     def __post_init__(self):
-        if not callable(self.pattern):
-            raise ValueError("pattern must be a callable of the angle in [0, 2pi)")
-        if self.j < 3 or self.j % 2 == 0:
-            raise ValueError(f"J must be odd and >= 3, got {self.j}")
-        if not 0 <= self.noise_var < np.inf:  # NaN fails too
-            raise ValueError("noise variance must be finite and nonnegative")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
-        if not self.horizon > 0:
-            raise ValueError("horizon must be positive")
+        _check_settings(self.pattern, self.j, self.noise_var, self.seed)
+
+
+def _check_settings(pattern, j: int, noise_var: float, seed: int) -> None:
+    if not callable(pattern):
+        raise ValueError("pattern must be a callable of the angle in [0, 2pi)")
+    if j < 3 or j % 2 == 0:
+        raise ValueError(f"J must be odd and >= 3, got {j}")
+    if not 0 <= noise_var < np.inf:  # NaN fails too
+        raise ValueError("noise variance must be finite and nonnegative")
+    if seed < 0:
+        raise ValueError("seed must be nonnegative")
 
 
 def _deformed(pattern, alpha, theta, v, j, noise_var, rng) -> np.ndarray:
@@ -112,14 +114,7 @@ def generate_analytical(
     """
     if n < 2:
         raise ValueError("need at least 2 curves")
-    if j < 3 or j % 2 == 0:
-        raise ValueError(f"J must be odd and >= 3, got {j}")
-    if not 0 <= noise_var < np.inf:  # NaN fails too
-        raise ValueError("noise variance must be finite and nonnegative")
-    if seed < 0:
-        raise ValueError("seed must be nonnegative")
-    if not callable(pattern):
-        raise ValueError("pattern must be a callable of the angle in [0, 2pi)")
+    _check_settings(pattern, j, noise_var, seed)
     rng = np.random.default_rng(seed)
 
     def draw(rng_, lo, hi):
@@ -139,7 +134,7 @@ def generate_functional_sim(spec: SimSpec, design: DesignMatrix) -> CurveSet:
     """Evaluate the functional stand-in simulator at every design point.
 
     Row i is alpha(x_i) f(t - theta(x_i)) + v(x_i) plus optional noise; the
-    time grid spans one horizon with J equispaced steps.
+    time grid spans one period of 55 with J equispaced steps.
     """
     pts = design.points
     if design.normalized:
@@ -160,8 +155,8 @@ def generate_functional_sim(spec: SimSpec, design: DesignMatrix) -> CurveSet:
 
     values = _deformed(spec.pattern, alpha, theta, v, spec.j, spec.noise_var,
                        np.random.default_rng(spec.seed))
-    t_grid = (spec.horizon / spec.j) * np.arange(spec.j)
-    return CurveSet(values=values, t_grid=t_grid, period=spec.horizon)
+    t_grid = (_SIM_PERIOD / spec.j) * np.arange(spec.j)
+    return CurveSet(values=values, t_grid=t_grid, period=_SIM_PERIOD)
 
 
 def co2_default_box() -> InputBox:

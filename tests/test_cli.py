@@ -11,6 +11,7 @@ from dynshape.emulator import TrainConfig
 from dynshape.errors import InputConsistencyError
 from dynshape.gp import FitConfig
 from dynshape.registration import EstimationConfig
+from dynshape.synth import co2_style_spec, generate_analytical
 
 BOX_TEXT = "PORO,0.15,0.35\nKSAND,10,300\nKRSAND,0.5,1.0\n"
 
@@ -72,18 +73,28 @@ class TestDesignCommand:
             written.append(open(out, "rb").read())
         assert written[0] != written[1]
 
-    def test_n_one_is_usage_error(self, tmp_path, box_file):
-        with pytest.raises(SystemExit) as exc:
-            run("design", "--n", "1", "--box", box_file, "--out", str(tmp_path / "d.csv"))
-        assert exc.value.code == 2
-
-    def test_negative_restarts_is_usage_error(self, tmp_path, box_file):
+    def rejected(self, tmp_path, box_file, capsys, *flags) -> str:
+        """stderr of a design run that must exit 2 and write nothing."""
         out = tmp_path / "d.csv"
-        with pytest.raises(SystemExit) as exc:
-            run("design", "--n", "5", "--box", box_file, "--maximin-restarts", "-3",
-                "--out", str(out))
-        assert exc.value.code == 2
+        capsys.readouterr()
+        assert run("design", *flags, "--box", box_file, "--out", str(out)) == 2
         assert not out.exists()
+        return capsys.readouterr().err
+
+    # a rejected value goes through main's one ValueError branch: one error line, no usage
+    def test_n_one_is_usage_error(self, tmp_path, box_file, capsys):
+        err = self.rejected(tmp_path, box_file, capsys, "--n", "1")
+        assert err == "error: a design needs at least 2 points, got n=1\n"
+
+    def test_negative_restarts_is_usage_error(self, tmp_path, box_file, capsys):
+        err = self.rejected(tmp_path, box_file, capsys, "--n", "5", "--maximin-restarts", "-3")
+        assert err == "error: --maximin-restarts must be at least 0\n"
+
+    @pytest.mark.parametrize("restarts", ["0", "2"])
+    def test_negative_seed_is_usage_error(self, tmp_path, box_file, capsys, restarts):
+        err = self.rejected(tmp_path, box_file, capsys, "--n", "5", "--seed", "-1",
+                            "--maximin-restarts", restarts)
+        assert err == "error: seed must be nonnegative\n"
 
     def test_malformed_box_is_input_error(self, tmp_path):
         bad = tmp_path / "box.csv"
@@ -100,6 +111,29 @@ class TestSynthCommand:
         values, times = fileio.read_curves_csv(curves_path)
         assert values.shape == (101, 5)
         assert times[0] == 0.0
+
+    def test_analytical_params_out_is_the_truth(self, tmp_path):
+        curves, params = str(tmp_path / "a.csv"), str(tmp_path / "p.csv")
+        assert run("synth", "analytical", "--n", "7", "--j", "11", "--noise-var", "0.01",
+                   "--seed", "4", "--curves-out", curves, "--params-out", params) == 0
+        truth = generate_analytical(7, 11, 0.01, 4)[1]
+        loaded = fileio.read_params_csv(params)
+        for name in ("alpha", "theta", "v"):
+            assert np.array_equal(getattr(loaded, name), getattr(truth, name))
+        assert run("align", "--curves", curves, "--params", params,
+                   "--out", str(tmp_path / "aligned.csv")) == 0
+
+    def test_co2_truth_out_is_the_maps(self, tmp_path, box_file):
+        design, truth = str(tmp_path / "d.csv"), tmp_path / "truth.csv"
+        assert run("design", "--n", "6", "--box", box_file, "--seed", "2", "--out", design) == 0
+        assert run("synth", "co2", "--design", design, "--box", box_file, "--j", "11",
+                   "--curves-out", str(tmp_path / "c.csv"), "--truth-out", str(truth)) == 0
+        header, *rows = truth.read_text().splitlines()
+        assert header == "alpha,theta,v"
+        points = fileio.read_design_csv(design)
+        spec = co2_style_spec(j=11, box=fileio.read_box_csv(box_file))
+        maps = np.column_stack([spec.alpha_fn(points), spec.theta_fn(points), spec.v_fn(points)])
+        assert np.array_equal([[float(x) for x in row.split(",")] for row in rows], maps)
 
     def test_missing_required_flag(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -523,7 +557,8 @@ class TestSettingsTable:
     def test_rejected_value_exit_code(self, tmp_path, box_file, capsys, key, text, source):
         design, curves = make_dataset(tmp_path, box_file, n=6, j=11)
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"seed = 2\n{key} = {text}\n" if source == "file" else "seed = 2\n")
+        cfg.write_text(f"block_size = 10\n{key} = {text}\n" if source == "file"
+                       else "block_size = 10\n")
         flag = ["--" + key.replace("_", "-"), text] if source == "flag" else []
         capsys.readouterr()
         code = run("fit", "--design", design, "--curves", curves, "--config", str(cfg), *flag,
@@ -535,6 +570,16 @@ class TestSettingsTable:
         else:
             assert code == 2
             assert str(cfg) not in err
+        assert not (tmp_path / "s.json").exists()
+
+    def test_repeated_config_key_is_input_error(self, tmp_path, box_file, capsys):
+        design, curves = make_dataset(tmp_path, box_file, n=6, j=11)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = 1\nblock_size = 4\nseed = -5\nseed = 2\n")
+        capsys.readouterr()
+        assert run("fit", "--design", design, "--curves", curves, "--config", str(cfg),
+                   "--surrogate-out", str(tmp_path / "s.json")) == 3
+        assert capsys.readouterr().err == f"error: {cfg}, line 3: seed is already set on line 1\n"
         assert not (tmp_path / "s.json").exists()
 
     def test_flag_can_complete_a_file_value(self, tmp_path):
@@ -579,6 +624,8 @@ class TestNumericFlags:
         assert code == 2
         err = capsys.readouterr().err
         assert "Traceback" not in err
+        assert "usage:" not in err  # argparse's usage line is for its own errors alone
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert not any(path in err for path in inputs)
         assert list(tmp_path.iterdir()) == []
 
@@ -843,6 +890,20 @@ class TestSurrogateErrors:
         monkeypatch.setattr(cli, "train", singular)
         assert run("fit", "--design", design, "--curves", curves,
                    "--surrogate-out", str(tmp_path / "s.json")) == 4
+
+    def test_non_finite_registration_exits_4(self, tmp_path, box_file, capsys):
+        # curves near the float limit overflow the contrast: a numerical failure, not bad input
+        design, curves = make_dataset(tmp_path, box_file, n=8, j=11)
+        values, times = fileio.read_curves_csv(curves)
+        fileio.write_curves_csv(curves, fileio.curves_from_arrays(1e200 * values, times)[0])
+        out = tmp_path / "s.json"
+        capsys.readouterr()
+        assert run("fit", "--design", design, "--curves", curves, "--surrogate-out", str(out)) == 4
+        err = capsys.readouterr().err
+        assert err.endswith("error: registration stage: block 0: the contrast minimization "
+                            "ended at a non-finite value\n")
+        assert "Traceback" not in err
+        assert not out.exists()
 
 
 class TestBadFilesExit3:

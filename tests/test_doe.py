@@ -55,6 +55,11 @@ class TestLhdSample:
         with pytest.raises(ValueError):
             lhd_sample(5, 0, seed=0)
 
+    @pytest.mark.parametrize("seed", [-1, [3, -1]])
+    def test_negative_seed_rejected(self, seed):
+        with pytest.raises(ValueError, match="seed must be nonnegative"):
+            lhd_sample(5, 2, seed=seed)
+
     def test_deterministic(self):
         a = lhd_sample(12, 3, seed=42).points
         b = lhd_sample(12, 3, seed=42).points
@@ -90,6 +95,10 @@ class TestMaximin:
     def test_restart_validation(self):
         with pytest.raises(ValueError):
             maximin_lhd(5, 2, seed=0, restarts=0)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be nonnegative"):
+            maximin_lhd(5, 2, seed=-1, restarts=2)
 
 
 def _reference_climb(pts):

@@ -47,7 +47,6 @@ def harness(n=20, j=33, noise_var=0.0, seed=0, design_seed=1, v_fn=None):
             v_fn=v_fn,
             box=spec.box,
             j=spec.j,
-            horizon=spec.horizon,
             noise_var=spec.noise_var,
             seed=spec.seed,
         )

@@ -6,6 +6,7 @@ import re
 import shlex
 import subprocess
 import sys
+import types
 from collections import Counter
 
 import numpy as np
@@ -23,10 +24,12 @@ def test_public_names_resolve(name):
     assert not missing, f"dynshape.{name}.__all__ names missing attributes: {missing}"
 
 
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+
+
 def load_perfbench(name):
     """The benchmark's ``perfbench/<name>.py``, loaded from this checkout."""
-    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                        "perfbench", f"{name}.py")
+    path = os.path.join(PERFBENCH, f"{name}.py")
     spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
@@ -183,3 +186,23 @@ def test_readme_lists_the_training_settings():
     text = " ".join(open(README, encoding="utf-8").read().split())
     listed = text.split("The training settings, in order: ", 1)[1].split(".", 1)[0]
     assert re.findall(r"`(\w+)`", listed) == list(SETTINGS)
+
+
+def test_benchmark_register_and_serve_passes_run(tmp_path, monkeypatch):
+    # the benchmark worker's own passes, shrunk: an API they call that changes
+    # shape fails here rather than as a failed benchmark run
+    monkeypatch.syspath_prepend(PERFBENCH)  # the worker imports its neighbours by name
+    worker = importlib.import_module("worker")
+    for name, value in {"REGISTER_N": 21, "REGISTER_J": 201, "SERVE_TRAIN": 10, "SERVE_J": 31,
+                        "SERVE_SINGLE": 20, "SERVE_POINTS": 200, "SERVE_BATCH": 50}.items():
+        monkeypatch.setattr(worker.wl, name, value)
+    args = types.SimpleNamespace(workdir=str(tmp_path), seed=0)  # the worker's task arguments
+
+    worker.prepare_register(args)
+    _, outputs = worker.register_pass(args.workdir)
+    assert worker.check_register(args.workdir, outputs)[1] == []
+
+    worker.prepare_serve(args)
+    result = worker.serve_pass(worker.ServeState(args.workdir), quality=True)
+    assert result["failed"] == 0
+    assert len(result["latencies"]) == 20 and np.isfinite(result["q2"])
