@@ -370,7 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        args.func(args)
+        with np.errstate(all="ignore"):  # a non-finite result is reported by the checks after it
+            args.func(args)
     except InputConsistencyError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT

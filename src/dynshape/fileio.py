@@ -21,7 +21,7 @@ import numpy as np
 from .doe import InputBox
 from .emulator import FAMILIES, FunctionalSurrogate
 from .errors import InputConsistencyError
-from .gp import GpModel
+from .gp import GpModel, assemble_gp_model
 from .registration import CurveSet, Pattern, TransformParams
 
 __all__ = [
@@ -413,8 +413,9 @@ def read_config(path: str, known_keys: set[str]) -> dict:
 # ---------------------------------------------------------------- JSON models
 
 
-# a GP family's keys: GpModel's init fields but kinv, so loading needs no factorization
-_GP_KEYS = ("design", "responses", "lengths", "beta", "sigma2", "nugget", "resid_solve")
+# a GP family's keys: the arguments of assemble_gp_model, which rebuilds the family
+# from them on load; nugget is the one the fit used, so K factors as it did then
+_GP_KEYS = ("design", "responses", "lengths", "nugget")
 
 
 def _family_to_dict(entry) -> dict:
@@ -425,14 +426,14 @@ def _family_to_dict(entry) -> dict:
 
 def _family_from_dict(data: dict):
     if data["kind"] == "gp":
-        return GpModel(**{key: data[key] for key in _GP_KEYS})
+        return assemble_gp_model(**{key: data[key] for key in _GP_KEYS})
     return float(data["value"])
 
 
 def save_surrogate(path: str, surrogate: FunctionalSurrogate) -> None:
     data = {
         "format": "dynshape-surrogate",
-        "version": 2,
+        "version": 3,
         "box": {
             "lower": surrogate.box.lower.tolist(),
             "upper": surrogate.box.upper.tolist(),
@@ -440,17 +441,8 @@ def save_surrogate(path: str, surrogate: FunctionalSurrogate) -> None:
         },
         "t_grid": surrogate.t_grid.tolist(),
         "period": surrogate.period,
-        # a list of fitted time ranges; this version writes and reads one, the whole grid
-        "segments": [
-            {
-                "start": 0,
-                "stop": surrogate.j,
-                "grid_start": 0,
-                "grid_stop": surrogate.j,
-                "pattern_values": surrogate.pattern.values.tolist(),
-                "families": {name: _family_to_dict(surrogate.models[name]) for name in FAMILIES},
-            }
-        ],
+        "pattern_values": surrogate.pattern.values.tolist(),
+        "families": {name: _family_to_dict(surrogate.models[name]) for name in FAMILIES},
     }
     atomic_write_text(path, json.dumps(data, indent=1) + "\n")
 
@@ -464,21 +456,26 @@ def _finite_number(text: str) -> float:
 
 
 def load_surrogate(path: str) -> FunctionalSurrogate:
-    """Surrogate saved by :func:`save_surrogate`; its GPs need no factorization.
+    """Surrogate saved by :func:`save_surrogate`, version 3 or 2; each GP family is
+    rebuilt by :func:`assemble_gp_model` from its saved arguments, which factors its K once.
 
+    A version 2 file holds its pattern and families in a one-entry ``segments``
+    list, and its saved beta, sigma2 and kriging weights are recomputed, not read.
     A missing, unreadable or malformed file, one of another format or
     version (1 is from an older dynshape), one holding NaN, Infinity or an
-    overflowing number such as 1e999, one with more than one fitted time range
-    or a pattern off its ``t_grid``, or one whose GP families hold different
-    designs raises :class:`InputConsistencyError` naming the path.
+    overflowing number such as 1e999, a version 2 file with more than one fitted
+    time range, one with a pattern off its ``t_grid`` or a negative nugget, or one
+    whose GP families hold different designs raises :class:`InputConsistencyError`
+    naming the path.
     """
     try:
         with open(path, "r") as handle:
             data = json.load(handle, parse_float=_finite_number, parse_constant=_finite_number)
-        if (data.get("format"), data.get("version")) == ("dynshape-surrogate", 1):
+        kind = (data.get("format"), data.get("version"))
+        if kind == ("dynshape-surrogate", 1):
             raise ValueError("written by an older dynshape; refit it")
-        if (data.get("format"), data.get("version")) != ("dynshape-surrogate", 2):
-            raise ValueError("not a dynshape-surrogate version 2 file")
+        if kind not in (("dynshape-surrogate", 3), ("dynshape-surrogate", 2)):
+            raise ValueError("not a dynshape-surrogate version 3 or 2 file")
         box_data = data["box"]
         box = InputBox(
             lower=np.asarray(box_data["lower"], dtype=float),
@@ -487,12 +484,13 @@ def load_surrogate(path: str) -> FunctionalSurrogate:
         )
         t_grid = np.asarray(data["t_grid"], dtype=float)
         j = len(t_grid)
-        fits = data["segments"]
-        if len(fits) != 1:
-            raise ValueError(f"holds {len(fits)} fitted time ranges, not one; refit it")
-        fit = fits[0]
-        span = [fit[key] for key in ("start", "stop", "grid_start", "grid_stop")]
-        if span != [0, j, 0, j] or np.shape(fit["pattern_values"]) != (j,):
+        fit = data
+        if kind[1] == 2:  # the one fitted time range of a version 2 file
+            fits = data["segments"]
+            if len(fits) != 1:
+                raise ValueError(f"holds {len(fits)} fitted time ranges, not one; refit it")
+            fit = fits[0]
+        if np.shape(fit["pattern_values"]) != (j,):
             raise ValueError("the pattern does not span its time grid")
         return FunctionalSurrogate(
             box=box,

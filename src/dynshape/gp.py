@@ -14,8 +14,7 @@ given the likelihood's analytic gradient (see ``likelihood_with_gradient``).
 One concentration step gives Kinv and the closed-form beta and sigma2 to both the
 likelihood and ``assemble_gp_model``, so a model stores the sigma2 the search saw.
 Inputs are normalized to the design's bounding box inside fit and predict, so
-the length bounds are scale free.  A loaded model predicts its mean from
-stored weights, without factoring a matrix.
+the length bounds are scale free.
 """
 from __future__ import annotations
 
@@ -87,8 +86,7 @@ class GpModel:
     one did.  Construction makes beta, sigma2 and nugget floats and raises ValueError
     unless the design is n x d with n responses, n kriging weights ``resid_solve``
     (Kinv (Y - beta 1)) and d positive, finite lengths.  ``kinv`` is the inverse of
-    K = R + nugget I on the normalized design, or None in a loaded model until the
-    first variance or LOO sets it; the weights give the mean without it.
+    K = R + nugget I on the normalized design.
     """
 
     design: np.ndarray
@@ -98,7 +96,7 @@ class GpModel:
     sigma2: float
     nugget: float
     resid_solve: np.ndarray = field(repr=False)
-    kinv: np.ndarray = field(repr=False, default=None)
+    kinv: np.ndarray = field(repr=False)
     x_lo: np.ndarray = field(init=False, repr=False)
     x_span: np.ndarray = field(init=False, repr=False)
 
@@ -278,9 +276,9 @@ def assemble_gp_model(
     """
     design = np.asarray(design, dtype=float)
     responses = np.asarray(responses, dtype=float)
-    if design.ndim != 2 or responses.shape != (design.shape[0],):
-        raise ValueError("design must be n x d and responses length n")
     lengths = _checked_lengths(lengths)
+    if design.ndim != 2 or responses.shape != (design.shape[0],) or lengths.size != design.shape[1]:
+        raise ValueError("GP design must be n x d, with n responses and d lengths")
     x_lo, x_span = _unit_box(design)
     factor, used = build_correlation((design - x_lo) / x_span, lengths, nugget)
     kinv, beta, a, sigma2 = _concentrate(factor, responses)
@@ -361,9 +359,8 @@ def predict(model: GpModel, x0: np.ndarray) -> tuple[float, float]:
     x0 = (x0 - model.x_lo) / model.x_span
     r = _corr(x0[None, :], model.normalized_design(), model.lengths)[0]
     mean = model.beta + (r * model.resid_solve).sum()
-    kinv = _inverted(model).kinv
-    rinv_1 = kinv.sum(axis=1)
-    var = model.sigma2 * (1.0 - r @ (kinv @ r) + (1.0 - rinv_1 @ r) ** 2 / rinv_1.sum())
+    rinv_1 = model.kinv.sum(axis=1)
+    var = model.sigma2 * (1.0 - r @ (model.kinv @ r) + (1.0 - rinv_1 @ r) ** 2 / rinv_1.sum())
     return float(mean), max(float(var), 0.0)
 
 
@@ -415,18 +412,9 @@ def loo_metrics(model: GpModel) -> tuple[float, float]:
     y = model.responses
     if np.ptp(y) == 0.0:
         raise DegenerateResponseError("responses have zero variance, Q2 undefined")
-    kinv = _inverted(model).kinv
-    rinv_1 = kinv.sum(axis=1)
-    q = kinv - np.outer(rinv_1, rinv_1) / rinv_1.sum()
+    rinv_1 = model.kinv.sum(axis=1)
+    q = model.kinv - np.outer(rinv_1, rinv_1) / rinv_1.sum()
     resid = (q @ y) / np.diag(q)
     loo_pred = y - resid
     return prediction_metrics(y, loo_pred)
-
-
-def _inverted(model: GpModel) -> GpModel:
-    """The model with its Kinv; a loaded model inverts K once and keeps it."""
-    if model.kinv is None:  # the stored nugget worked, so the same bits come back
-        full = assemble_gp_model(model.design, model.responses, model.lengths, model.nugget)
-        object.__setattr__(model, "kinv", full.kinv)
-    return model
 

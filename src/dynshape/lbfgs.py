@@ -56,11 +56,11 @@ def _newton(h, q):
     for _ in range(SHIFTS):
         a = h + shift * np.eye(q.size)
         try:
-            np.linalg.cholesky(a)
+            if np.isfinite(np.linalg.cholesky(a)).all():  # numpy factors a NaN matrix without error
+                return np.linalg.solve(a, q)
         except np.linalg.LinAlgError:
-            shift = max(10.0 * shift, 1e-10 * scale)
-            continue
-        return np.linalg.solve(a, q)
+            pass
+        shift = max(10.0 * shift, 1e-10 * scale)
     return (1.0 / max(1.0, np.linalg.norm(q))) * q
 
 

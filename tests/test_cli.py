@@ -1,14 +1,16 @@
 import hashlib
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
 
-from dynshape import cli, fileio
+from conftest import as_version_2
+from dynshape import cli, fileio, gp
 from dynshape.cli import SETTINGS, _train_config, build_parser, int_or_none, main
 from dynshape.emulator import TrainConfig
-from dynshape.errors import InputConsistencyError
+from dynshape.errors import IllConditionedDesignError, InputConsistencyError
 from dynshape.gp import FitConfig
 from dynshape.registration import EstimationConfig
 from dynshape.synth import co2_style_spec, generate_analytical
@@ -715,8 +717,6 @@ class TestSurrogateErrors:
                    "--surrogate-out", str(path)) == 0
         data = json.loads(path.read_text())
         data["version"] = 1  # as written before the kriging weights were stored
-        for family in data["segments"][0]["families"].values():
-            family.pop("resid_solve", None)
         path.write_text(json.dumps(data))
         points = tmp_path / "pts.csv"
         points.write_text("x1,x2,x3\n0.2,100,0.7\n")
@@ -728,7 +728,7 @@ class TestSurrogateErrors:
 
     def test_families_on_different_designs_exit_3(self, tmp_path, box_file, capsys):
         def edit(data):
-            theta = data["segments"][0]["families"]["theta"]
+            theta = data["families"]["theta"]
             assert theta["kind"] == "gp"
             theta["design"][0][0] += 0.01
 
@@ -736,33 +736,38 @@ class TestSurrogateErrors:
         assert code == 3
         assert path in err and "different designs" in err
 
-    @pytest.mark.parametrize("field, token", [
-        (("families", "theta", "resid_solve", 0), "NaN"),
-        (("pattern_values", 3), "Infinity"),
-        (("pattern_values", 0), "-Infinity"),
-        (("families", "theta", "beta"), "NaN"),
-        (("families", "theta", "sigma2"), "1e999"),
-        (("families", "theta", "beta"), "1" + "0" * 400),
+    @pytest.mark.parametrize("version, field, token", [
+        (2, ("families", "theta", "resid_solve", 0), "NaN"),
+        (3, ("pattern_values", 3), "Infinity"),
+        (3, ("pattern_values", 0), "-Infinity"),
+        (2, ("families", "theta", "beta"), "NaN"),
+        (2, ("families", "theta", "sigma2"), "1e999"),
+        (3, ("families", "theta", "design", 0, 0), "1" + "0" * 400),
+        (3, ("families", "theta", "responses", 0), "NaN"),
+        (3, ("families", "theta", "nugget"), "NaN"),
+        (3, ("families", "theta", "nugget"), "1e999"),
     ], ids=["nan-weight", "inf-pattern", "neg-inf-pattern", "nan-beta", "1e999-sigma2",
-            "huge-int-beta"])
-    def test_non_finite_number_exits_3(self, tmp_path, box_file, capsys, field, token):
+            "huge-int-design", "nan-response", "nan-nugget", "1e999-nugget"])
+    def test_non_finite_number_exits_3(self, tmp_path, box_file, capsys, version, field, token):
+        # the reader rejects a non-finite number anywhere, even in a key of a
+        # version 2 file (weights, beta, sigma2) that loading recomputes, not reads
         def edit(data):
             *keys, last = field
-            holder = data["segments"][0]
+            holder = data["segments"][0] if version == 2 else data
             for key in keys:
                 holder = holder[key]
             holder[last] = "BAD"
 
         code, path, err = self.predict_with_edited_file(tmp_path, box_file, capsys, edit,
-                                                        ('"BAD"', token))
+                                                        ('"BAD"', token), version)
         assert code == 3
         assert path in err and "cannot load surrogate" in err
 
     @pytest.mark.parametrize("token", ['"text"', "[1.0]", "null"])
-    def test_beta_not_a_number_exits_3(self, tmp_path, box_file, capsys, token):
-        # GpModel itself makes beta a float, so the loader needs no conversion of its own
+    def test_nugget_not_a_number_exits_3(self, tmp_path, box_file, capsys, token):
+        # assemble_gp_model compares the nugget with 0, so the loader needs no check of its own
         def edit(data):
-            data["segments"][0]["families"]["theta"]["beta"] = "BAD"
+            data["families"]["theta"]["nugget"] = "BAD"
 
         code, path, err = self.predict_with_edited_file(tmp_path, box_file, capsys, edit,
                                                         ('"BAD"', token))
@@ -772,7 +777,7 @@ class TestSurrogateErrors:
     @pytest.mark.parametrize("length", [0.0, -0.5])
     def test_nonpositive_length_exits_3(self, tmp_path, box_file, capsys, length):
         def edit(data):
-            theta = data["segments"][0]["families"]["theta"]
+            theta = data["families"]["theta"]
             assert theta["kind"] == "gp"
             theta["lengths"][1] = length
 
@@ -780,15 +785,28 @@ class TestSurrogateErrors:
         assert code == 3
         assert path in err and "correlation lengths must be positive and finite" in err
 
+    def test_negative_nugget_exits_3(self, tmp_path, box_file, capsys):
+        # once exit 0: the stored kriging weights predicted whatever the nugget said
+        def edit(data):
+            data["families"]["theta"]["nugget"] = -1.0
+
+        code, path, err = self.predict_with_edited_file(tmp_path, box_file, capsys, edit)
+        assert code == 3
+        assert f"{path}: cannot load surrogate: ValueError: nugget must be nonnegative" in err
+        assert not (tmp_path / "p.csv").exists()
+
     @staticmethod
-    def predict_with_edited_file(tmp_path, box_file, capsys, edit, replace=("", "")):
-        """Exit code, path and stderr of predict from a J = 11 surrogate file after
-        edit(data), with the text ``replace[0]`` then written as ``replace[1]``."""
+    def predict_with_edited_file(tmp_path, box_file, capsys, edit, replace=("", ""), version=3):
+        """Exit code, path and stderr of predict from a J = 11 surrogate file, in the
+        layout of ``version``, after edit(data), with the text ``replace[0]`` then
+        written as ``replace[1]``."""
         design, curves = make_dataset(tmp_path, box_file, n=6, j=11)
         path = tmp_path / "sur.json"
         assert run("fit", "--design", design, "--curves", curves, "--gp-multistarts", "1",
                    "--surrogate-out", str(path)) == 0
         data = json.loads(path.read_text())
+        if version == 2:
+            data = as_version_2(data, fileio.load_surrogate(str(path)).models)
         edit(data)
         path.write_text(json.dumps(data).replace(*replace))
         points = tmp_path / "pts.csv"
@@ -801,9 +819,8 @@ class TestSurrogateErrors:
     @pytest.mark.parametrize("change", [-2, 1, 2])
     def test_pattern_off_its_grid_exits_3(self, tmp_path, box_file, capsys, change):
         def edit(data):
-            values = data["segments"][0]["pattern_values"]
-            data["segments"][0]["pattern_values"] = (values[:change] if change < 0
-                                                     else values + [0.0] * change)
+            values = data["pattern_values"]
+            data["pattern_values"] = values[:change] if change < 0 else values + [0.0] * change
 
         code, path, err = self.predict_with_edited_file(tmp_path, box_file, capsys, edit)
         assert code == 3
@@ -843,7 +860,7 @@ class TestSurrogateErrors:
     def test_pattern_not_a_list_exits_3(self, tmp_path, box_file, capsys, token):
         # once an IndexError traceback from the pattern's transform
         def edit(data):
-            data["segments"][0]["pattern_values"] = "BAD"
+            data["pattern_values"] = "BAD"
 
         code, path, err = self.predict_with_edited_file(tmp_path, box_file, capsys, edit,
                                                         ('"BAD"', token))
@@ -854,8 +871,7 @@ class TestSurrogateErrors:
         # once exit 0, with rows of J + 2 cells under a header of J + 1
         def edit(data):
             data["t_grid"] = data["t_grid"][:-1]
-            data["segments"][0]["pattern_values"] = data["segments"][0]["pattern_values"][:-1]
-            data["segments"][0]["stop"] = data["segments"][0]["grid_stop"] = len(data["t_grid"])
+            data["pattern_values"] = data["pattern_values"][:-1]
 
         code, path, err = self.predict_with_edited_file(tmp_path, box_file, capsys, edit)
         assert code == 3
@@ -874,10 +890,11 @@ class TestSurrogateErrors:
                 "box's 2 columns") in err
 
     def test_two_fitted_time_ranges_ask_for_a_refit(self, tmp_path, box_file, capsys):
+        # a version 2 file held a list of fitted time ranges; one is read, two are not
         def edit(data):
             data["segments"].append(dict(data["segments"][0]))
 
-        code, path, err = self.predict_with_edited_file(tmp_path, box_file, capsys, edit)
+        code, path, err = self.predict_with_edited_file(tmp_path, box_file, capsys, edit, version=2)
         assert code == 3
         assert path in err and "holds 2 fitted time ranges, not one; refit it" in err
 
@@ -891,6 +908,21 @@ class TestSurrogateErrors:
         assert run("fit", "--design", design, "--curves", curves,
                    "--surrogate-out", str(tmp_path / "s.json")) == 4
 
+    def test_failed_likelihood_search_exits_4(self, tmp_path, box_file, capsys, monkeypatch):
+        # every factorization of K fails, so every start of the first family's search does
+        design, curves = make_dataset(tmp_path, box_file, n=8, j=11)
+
+        def failing(*args, **kwargs):
+            raise IllConditionedDesignError("not positive definite")
+
+        monkeypatch.setattr(gp, "build_correlation", failing)
+        out = tmp_path / "s.json"
+        capsys.readouterr()
+        assert run("fit", "--design", design, "--curves", curves, "--surrogate-out", str(out)) == 4
+        assert capsys.readouterr().err == (
+            "error: parameter-model stage (alpha): all likelihood-search starts failed\n")
+        assert not out.exists()
+
     def test_non_finite_registration_exits_4(self, tmp_path, box_file, capsys):
         # curves near the float limit overflow the contrast: a numerical failure, not bad input
         design, curves = make_dataset(tmp_path, box_file, n=8, j=11)
@@ -898,10 +930,13 @@ class TestSurrogateErrors:
         fileio.write_curves_csv(curves, fileio.curves_from_arrays(1e200 * values, times)[0])
         out = tmp_path / "s.json"
         capsys.readouterr()
-        assert run("fit", "--design", design, "--curves", curves, "--surrogate-out", str(out)) == 4
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run("fit", "--design", design, "--curves", curves, "--surrogate-out", str(out)) == 4
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         err = capsys.readouterr().err
-        assert err.endswith("error: registration stage: block 0: the contrast minimization "
-                            "ended at a non-finite value\n")
+        assert err == ("error: registration stage: block 0: the contrast minimization "
+                       "ended at a non-finite value\n")
         assert "Traceback" not in err
         assert not out.exists()
 
@@ -1046,7 +1081,7 @@ QUICK_START_SHA256 = {
     "comparison.csv": "35ef7a21a49040023100e4967925a766f4027fa5907916542e43765ff678a0bf",
     "crossplot.csv": "18aa22cd443d88c51edfec2abdb9608ddcc1282674ffa6fe49ce74024d067dfb",
     "aligned.csv": "49dd65ea70731f4cfe4cda840801c1d570d57170af03ecc7ef9fa0dd2645aa33",
-    "surrogate.json": "f9542b674ea4a5cc9042bc2a323dcc5a7c9186f79152118501df942e14ff3bb6",
+    "surrogate.json": "7f808120781bba306554f15d04ab435f970de3c618215378a51c9db5bdd2c014",
 }
 
 

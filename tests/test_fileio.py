@@ -1,4 +1,5 @@
 import hashlib
+import json
 import os
 import tracemalloc
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import deformed_curves
+from conftest import as_version_2, deformed_curves
 from dynshape import fileio
 from dynshape.doe import lhd_sample, scale_to_box
 from dynshape.emulator import TrainConfig, predict_curves, train
@@ -168,7 +169,9 @@ class TestModelSerialization:
         np.testing.assert_allclose(back, base, rtol=1e-12, atol=1e-12)
         assert np.array_equal(flags_a, flags_b)
 
-    def test_loaded_surrogate_predicts_bitwise(self, tmp_path):
+    @staticmethod
+    def saved(tmp_path):
+        """A small co2 surrogate and the path it is saved to."""
         box = co2_default_box()
         design = scale_to_box(lhd_sample(12, 3, seed=4), box)
         curves = generate_functional_sim(co2_style_spec(j=41, noise_var=0.01, seed=2), design)
@@ -177,9 +180,43 @@ class TestModelSerialization:
         surrogate = train(design, curves, config, box=box)
         path = str(tmp_path / "surrogate.json")
         fileio.save_surrogate(path, surrogate)
+        return surrogate, path
+
+    def test_loaded_surrogate_predicts_bitwise(self, tmp_path):
+        surrogate, path = self.saved(tmp_path)
         clone = fileio.load_surrogate(path)
-        pts = scale_to_box(lhd_sample(7, 3, seed=11), box).points
+        pts = scale_to_box(lhd_sample(7, 3, seed=11), surrogate.box).points
         assert np.array_equal(predict_curves(clone, pts)[0], predict_curves(surrogate, pts)[0])
+
+    def test_version_3_keys(self, tmp_path):
+        # the pattern and families at the top level; a GP family is assemble_gp_model's arguments
+        _, path = self.saved(tmp_path)
+        with open(path) as handle:
+            data = json.load(handle)
+        assert data["version"] == 3
+        assert set(data) == {"format", "version", "box", "t_grid", "period", "pattern_values",
+                             "families"}
+        kinds = [family["kind"] for family in data["families"].values()]
+        assert "gp" in kinds
+        for family in data["families"].values():
+            assert set(family) == ({"kind", "design", "responses", "lengths", "nugget"}
+                                   if family["kind"] == "gp" else {"kind", "value"})
+
+    def test_version_2_file_predicts_bitwise(self, tmp_path):
+        # a version 2 file's beta, sigma2 and kriging weights are recomputed, not read,
+        # so zeroing them moves no predicted bit
+        surrogate, path = self.saved(tmp_path)
+        with open(path) as handle:
+            data = as_version_2(json.load(handle), surrogate.models)
+        pts = scale_to_box(lhd_sample(7, 3, seed=11), surrogate.box).points
+        expected = predict_curves(surrogate, pts)[0]
+        for zeroed in (False, True):
+            if zeroed:
+                for family in data["segments"][0]["families"].values():
+                    if family["kind"] == "gp":
+                        family["beta"], family["resid_solve"] = 0.0, [0.0] * len(family["resid_solve"])
+            fileio.atomic_write_text(path, json.dumps(data))
+            assert np.array_equal(predict_curves(fileio.load_surrogate(path), pts)[0], expected)
 
     def test_surrogate_rejects_other_files(self, tmp_path):
         path = str(tmp_path / "not.json")
@@ -202,7 +239,7 @@ class TestPinnedBits:
         fileio.save_surrogate(str(path), surrogate)
         values, _ = predict_curves(surrogate, scale_to_box(lhd_sample(50, 3, seed=11), box).points)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "4546155b9110a55d87334b6915cdc43ed5c410be873cd78936019e80a8871f97")
+            "51618dfd95c97a3155e3931e4f481c47a0aed5c97e0b82220013f23fdd21b2a4")
         assert hashlib.sha256(values.tobytes()).hexdigest() == (
             "e83f4e1a699b12e049841196a8c2ade4bbbd677bde7b6b4ee3e556872ab4b4b4")
 

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import json
 import math
 
@@ -6,9 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dynshape import fileio
-from dynshape.doe import lhd_sample
-from dynshape.errors import DegenerateResponseError
+from dynshape import fileio, gp as gp_module
+from dynshape.doe import lhd_sample, scale_to_box
+from dynshape.emulator import TrainConfig, train
+from dynshape.errors import DegenerateResponseError, FitFailureError, IllConditionedDesignError
 from dynshape.gp import (
     FitConfig,
     GpModel,
@@ -23,6 +25,7 @@ from dynshape.gp import (
     prediction_metrics,
     stack_models,
 )
+from dynshape.synth import co2_default_box, co2_style_spec, generate_functional_sim
 
 
 def saved_fields(model):
@@ -92,14 +95,15 @@ class TestCorrelation:
     def test_nonpositive_length_rejected(self):
         # every entry point that takes lengths from outside checks them
         pts, y = np.array([[0.0, 0.0], [0.5, 1.0], [1.0, 0.2]]), np.array([0.0, 1.0, 2.0])
-        saved = saved_fields(assemble_gp_model(pts, y, np.array([0.5, 0.5])))
+        model = assemble_gp_model(pts, y, np.array([0.5, 0.5]))
+        saved = saved_fields(model)
         for bad in ([1.0, 0.0], [1.0, -2.0], [np.inf, 1.0], [1.0, np.nan]):
             with pytest.raises(ValueError, match="positive and finite"):
                 assemble_gp_model(pts, y, np.array(bad))
             with pytest.raises(ValueError, match="positive and finite"):
                 from_saved({**saved, "lengths": bad})
             with pytest.raises(ValueError, match="positive and finite"):
-                GpModel(**{**saved, "lengths": np.array(bad)})
+                dataclasses.replace(model, lengths=np.array(bad))
 
 
 class TestBuildCorrelation:
@@ -122,6 +126,11 @@ class TestBuildCorrelation:
         factor, nugget = build_correlation(pts, lengths, nugget=1e-10)
         target = np.array([[gauss(a, b, lengths) for b in pts] for a in pts])
         assert np.allclose(factor @ factor.T, target + nugget * np.eye(6), rtol=1e-8)
+
+    def test_indefinite_corr_raises(self):
+        # no nugget up to NUGGET_MAX makes an eigenvalue of -1 positive
+        with pytest.raises(IllConditionedDesignError, match="not positive definite"):
+            build_correlation(np.eye(2), np.ones(2), corr=np.array([[1.0, 2.0], [2.0, 1.0]]))
 
 
 class TestGlsAndSigma:
@@ -253,6 +262,35 @@ class TestFit:
         y = np.array([1.0, 1.0, 2.0, 0.5])
         model = fit_gp(pts, y, FitConfig(multistarts=2, seed=0))
         assert model.nugget > 0
+
+    def test_failed_factorizations_keep_the_search_going(self, monkeypatch):
+        # above length 2 every factorization fails: the 1e25 stand-in steers the search
+        # away, and the model comes back at lengths that factor, within the bounds
+        design = lhd_sample(10, 2, seed=4).points
+        y = 2.0 + 3.0 * design[:, 0] - 1.5 * design[:, 1]
+        config = FitConfig(multistarts=6, seed=0)
+        assert fit_gp(design, y, config).lengths.max() > 2.0
+        original, raised = gp_module.build_correlation, []
+
+        def capped(points, lengths, *args, **kwargs):
+            if lengths.max() > 2.0:
+                raised.append(lengths)
+                raise IllConditionedDesignError("capped")
+            return original(points, lengths, *args, **kwargs)
+
+        monkeypatch.setattr(gp_module, "build_correlation", capped)
+        model = fit_gp(design, y, config)
+        assert raised
+        assert np.all(model.lengths >= config.length_lo) and np.all(model.lengths <= 2.0)
+
+    def test_every_start_failing_raises(self, monkeypatch):
+        def failing(*args, **kwargs):
+            raise IllConditionedDesignError("always")
+
+        monkeypatch.setattr(gp_module, "build_correlation", failing)
+        design = lhd_sample(8, 2, seed=9).points
+        with pytest.raises(FitFailureError, match="all likelihood-search starts failed"):
+            fit_gp(design, np.cos(4.0 * design[:, 0]), FitConfig(multistarts=3, seed=0))
 
     @pytest.mark.parametrize("where", ["response", "design"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -410,11 +448,10 @@ class TestSerialization:
         for x0 in rng.uniform(size=(4, 3)) * [1.0, 10.0, 100.0]:
             assert predict(clone, x0) == pytest.approx(predict(model, x0), rel=1e-10)
 
-    def test_saved_keys_are_the_init_fields_but_kinv(self):
-        # every constructor argument but kinv, in field order, so a new field is saved too
+    def test_saved_keys_are_the_assemble_arguments(self):
+        # assemble_gp_model's parameters, in order: a family is saved as what rebuilds it
         data = saved_fields(assemble_gp_model(np.eye(3), np.arange(3.0), np.ones(3)))
-        assert list(data) == [f.name for f in dataclasses.fields(GpModel)
-                              if f.init and f.name != "kinv"]
+        assert list(data) == list(inspect.signature(assemble_gp_model).parameters)
 
 
 class TestLoadedModel:
@@ -431,7 +468,8 @@ class TestLoadedModel:
         y = np.sin(pts @ [3.0, 0.2, 0.01]) + 0.1 * rng.normal(size=9)
         model = fit_gp(pts, y, FitConfig(multistarts=3, seed=2))
         clone = self.reload(model)
-        assert clone.kinv is None
+        assert np.array_equal(clone.kinv, model.kinv)
+        assert np.array_equal(clone.resid_solve, model.resid_solve)
         assert clone.beta == model.beta and clone.sigma2 == model.sigma2
         new = rng.uniform(size=(6, 3)) * scale
         for x0 in new:
@@ -453,16 +491,15 @@ class TestLoadedModel:
             assert predict(clone, x0) == predict(model, x0)
         assert loo_metrics(clone) == loo_metrics(model)
 
-    def test_variance_factors_a_loaded_model_once(self, monkeypatch):
-        import dynshape.gp as gp_module
-
+    def test_variance_factors_a_loaded_model_once(self, tmp_path, monkeypatch):
+        # load_surrogate factors each GP family's K once; the variance and LOO factor nothing more
         rng = np.random.default_rng(29)
-        pts = rng.uniform(size=(8, 2))
-        model = fit_gp(pts, np.cos(3.0 * pts[:, 0]) + pts[:, 1], FitConfig(multistarts=2))
-        clone = self.reload(model)
-        x0 = rng.uniform(size=2)
-        first = predict(clone, x0)
-        assert clone.kinv is not None
+        box = co2_default_box()
+        design = scale_to_box(lhd_sample(8, 3, seed=1), box)
+        surrogate = train(design, generate_functional_sim(co2_style_spec(j=11), design),
+                          TrainConfig(gp=FitConfig(multistarts=2)), box=box)
+        path = str(tmp_path / "surrogate.json")
+        fileio.save_surrogate(path, surrogate)
         calls = []
         original = gp_module.build_correlation
 
@@ -471,16 +508,25 @@ class TestLoadedModel:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(gp_module, "build_correlation", counted)
-        assert predict(clone, x0) == first == predict(model, x0)
+        models = fileio.load_surrogate(path).models
+        gps = [name for name, model in models.items() if isinstance(model, GpModel)]
+        assert gps and len(calls) == len(gps)
+        calls.clear()
+        for name in gps:
+            x0 = rng.uniform(size=3) * (box.upper - box.lower) + box.lower
+            assert predict(models[name], x0) == predict(surrogate.models[name], x0)
+            assert loo_metrics(models[name]) == loo_metrics(surrogate.models[name])
         assert calls == []
 
     def test_malformed_dictionary(self):
-        # the saved fields are GpModel's own, and the model checks them itself
-        data = saved_fields(assemble_gp_model(np.eye(3), np.arange(3.0), np.ones(3)))
-        GpModel(**data)
-        for key, bad in [("resid_solve", data["resid_solve"][:2]), ("responses", [0.0, 1.0]),
-                         ("design", [1.0, 2.0, 3.0]), ("design", np.ones((3, 2)).tolist()),
-                         ("lengths", [1.0, 1.0])]:
-            for build in (from_saved, lambda fields: GpModel(**fields)):
-                with pytest.raises(ValueError, match="n responses and weights"):
-                    build({**data, key: bad})
+        # assemble_gp_model checks the saved arguments, and GpModel its own fields
+        model = assemble_gp_model(np.eye(3), np.arange(3.0), np.ones(3))
+        data = saved_fields(model)
+        for key, bad in [("responses", [0.0, 1.0]), ("design", [1.0, 2.0, 3.0]),
+                         ("design", np.ones((3, 2)).tolist()), ("lengths", [1.0, 1.0])]:
+            with pytest.raises(ValueError, match="n responses and d lengths"):
+                from_saved({**data, key: bad})
+            with pytest.raises(ValueError, match="n responses and weights and d lengths"):
+                dataclasses.replace(model, **{key: np.asarray(bad)})
+        with pytest.raises(ValueError, match="n responses and weights"):
+            dataclasses.replace(model, resid_solve=model.resid_solve[:2])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dynshape.lbfgs import _minimize_box
+from dynshape.lbfgs import _minimize_box, _newton
 
 
 def rosenbrock(x):
@@ -105,3 +105,11 @@ def test_newton_shifts_an_indefinite_hessian():
                                        np.full(2, 5.0), maxiter=200, gtol=1e-10, ftol=1e-16)
     np.testing.assert_allclose(x, [1.0, 1.0], atol=1e-8)
     assert f <= 1e-16 and nit < 50
+
+
+@pytest.mark.parametrize("q", [[3.0, 4.0], [0.3, 0.4]])
+def test_newton_on_a_nan_hessian_takes_a_gradient_step(q):
+    # numpy factors a NaN matrix without an error, so the factor itself is checked
+    q = np.array(q)
+    step = _newton(np.full((2, 2), np.nan), q)
+    np.testing.assert_allclose(step, q / max(1.0, np.linalg.norm(q)), rtol=1e-15)
