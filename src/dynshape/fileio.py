@@ -413,21 +413,24 @@ def read_config(path: str, known_keys: set[str]) -> dict:
 # ---------------------------------------------------------------- JSON models
 
 
-# a GP family's keys: the arguments of assemble_gp_model, which rebuilds the family
-# from them on load; nugget is the one the fit used, so K factors as it did then
+# a GP family's keys: GpModel's init fields, which rebuild the family on load; the
+# nugget saved is the model's used_nugget, so K factors at the nugget it did before
 _GP_KEYS = ("design", "responses", "lengths", "nugget")
 
 
 def _family_to_dict(entry) -> dict:
     if isinstance(entry, GpModel):
-        return {"kind": "gp", **{key: np.asarray(getattr(entry, key)).tolist() for key in _GP_KEYS}}
+        return {"kind": "gp", "design": entry.design.tolist(), "responses": entry.responses.tolist(),
+                "lengths": entry.lengths.tolist(), "nugget": entry.used_nugget}
     return {"kind": "fixed", "value": float(entry)}
 
 
 def _family_from_dict(data: dict):
     if data["kind"] == "gp":
         return assemble_gp_model(**{key: data[key] for key in _GP_KEYS})
-    return float(data["value"])
+    if data["kind"] == "fixed":
+        return float(data["value"])
+    raise ValueError(f"unknown family kind {data['kind']!r}")
 
 
 def save_surrogate(path: str, surrogate: FunctionalSurrogate) -> None:
@@ -455,46 +458,55 @@ def _finite_number(text: str) -> float:
     return value
 
 
+def _reject_bools(value, where: str = "") -> None:
+    """Raise ValueError naming the first JSON true or false (to json, the ints 1 and 0)
+    in a parsed document, as "families.theta.lengths[1]"."""
+    if isinstance(value, bool):
+        raise ValueError(f"{where[1:]} is true or false, not a number")
+    if isinstance(value, (dict, list)):
+        for key, item in value.items() if isinstance(value, dict) else enumerate(value):
+            _reject_bools(item, f"{where}.{key}" if isinstance(value, dict) else f"{where}[{key}]")
+
+
 def load_surrogate(path: str) -> FunctionalSurrogate:
     """Surrogate saved by :func:`save_surrogate`, version 3 or 2; each GP family is
-    rebuilt by :func:`assemble_gp_model` from its saved arguments, which factors its K once.
+    rebuilt as a :class:`GpModel` from its four saved fields, which factors its K once.
 
     A version 2 file holds its pattern and families in a one-entry ``segments``
     list, and its saved beta, sigma2 and kriging weights are recomputed, not read.
     A missing, unreadable or malformed file, one of another format or
-    version (1 is from an older dynshape), one holding NaN, Infinity or an
-    overflowing number such as 1e999, a version 2 file with more than one fitted
-    time range, one with a pattern off its ``t_grid`` or a negative nugget, or one
-    whose GP families hold different designs raises :class:`InputConsistencyError`
-    naming the path.
+    version (1 is from an older dynshape), one holding NaN, Infinity, 1e999 or a
+    true or false, a version 2 file with more than one fitted time range, one with a
+    pattern off its ``t_grid``, a negative nugget or a family kind not "gp" or
+    "fixed", or one whose GP families hold different designs raises
+    :class:`InputConsistencyError` naming the path.
     """
     try:
         with open(path, "r") as handle:
             data = json.load(handle, parse_float=_finite_number, parse_constant=_finite_number)
         kind = (data.get("format"), data.get("version"))
-        if kind == ("dynshape-surrogate", 1):
+        if kind == ("dynshape-surrogate", 1) and kind[1] is not True:  # json's true == 1
             raise ValueError("written by an older dynshape; refit it")
         if kind not in (("dynshape-surrogate", 3), ("dynshape-surrogate", 2)):
             raise ValueError("not a dynshape-surrogate version 3 or 2 file")
-        box_data = data["box"]
-        box = InputBox(
-            lower=np.asarray(box_data["lower"], dtype=float),
-            upper=np.asarray(box_data["upper"], dtype=float),
-            names=tuple(box_data["names"]) if box_data.get("names") else None,
-        )
-        t_grid = np.asarray(data["t_grid"], dtype=float)
-        j = len(t_grid)
         fit = data
         if kind[1] == 2:  # the one fitted time range of a version 2 file
             fits = data["segments"]
             if len(fits) != 1:
                 raise ValueError(f"holds {len(fits)} fitted time ranges, not one; refit it")
             fit = fits[0]
-        if np.shape(fit["pattern_values"]) != (j,):
+        if np.shape(fit["pattern_values"]) != (len(data["t_grid"]),):
             raise ValueError("the pattern does not span its time grid")
+        _reject_bools(data)
+        box_data = data["box"]
+        box = InputBox(
+            lower=np.asarray(box_data["lower"], dtype=float),
+            upper=np.asarray(box_data["upper"], dtype=float),
+            names=tuple(box_data["names"]) if box_data.get("names") else None,
+        )
         return FunctionalSurrogate(
             box=box,
-            t_grid=t_grid,
+            t_grid=np.asarray(data["t_grid"], dtype=float),
             period=float(data["period"]),
             pattern=Pattern(values=fit["pattern_values"]),
             models={name: _family_from_dict(fit["families"][name]) for name in FAMILIES},

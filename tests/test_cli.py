@@ -765,7 +765,7 @@ class TestSurrogateErrors:
 
     @pytest.mark.parametrize("token", ['"text"', "[1.0]", "null"])
     def test_nugget_not_a_number_exits_3(self, tmp_path, box_file, capsys, token):
-        # assemble_gp_model compares the nugget with 0, so the loader needs no check of its own
+        # GpModel compares the nugget with 0, so the loader needs no check of its own
         def edit(data):
             data["families"]["theta"]["nugget"] = "BAD"
 
@@ -773,6 +773,44 @@ class TestSurrogateErrors:
                                                         ('"BAD"', token))
         assert code == 3
         assert f"{path}: cannot load surrogate" in err
+
+    @pytest.mark.parametrize("field, where", [
+        (("families", "theta", "nugget"), "families.theta.nugget"),
+        (("families", "theta", "lengths", 1), "families.theta.lengths[1]"),
+        (("families", "theta", "responses", 2), "families.theta.responses[2]"),
+        (("box", "lower", 0), "box.lower[0]"),
+        (("pattern_values", 4), "pattern_values[4]"),
+        (("families", "alpha"), "families.alpha.value"),
+        (("version",), None),
+    ], ids=["nugget", "length", "response", "box", "pattern", "fixed-value", "version"])
+    @pytest.mark.parametrize("token", ["true", "false"])
+    def test_boolean_exits_3(self, tmp_path, box_file, capsys, field, where, token):
+        # json reads true and false as the ints 1 and 0, so such a file once
+        # loaded (version true as version 1), most with other curves
+        def edit(data):
+            *keys, last = field
+            holder = data
+            for key in keys:
+                holder = holder[key]
+            holder[last] = {"kind": "fixed", "value": "BAD"} if last == "alpha" else "BAD"
+
+        code, path, err = self.predict_with_edited_file(tmp_path, box_file, capsys, edit,
+                                                        ('"BAD"', token))
+        assert code == 3
+        message = (f"ValueError: {where} is true or false, not a number" if where
+                   else "ValueError: not a dynshape-surrogate version 3 or 2 file")
+        assert f"{path}: cannot load surrogate: {message}" in err
+        assert not (tmp_path / "p.csv").exists()
+
+    @pytest.mark.parametrize("kind", ["GP", "Fixed", ""])
+    def test_unknown_family_kind_exits_3(self, tmp_path, box_file, capsys, kind):
+        # once a KeyError on 'value', as every kind but "gp" was read as fixed
+        def edit(data):
+            data["families"]["theta"]["kind"] = kind
+
+        code, path, err = self.predict_with_edited_file(tmp_path, box_file, capsys, edit)
+        assert code == 3
+        assert f"{path}: cannot load surrogate: ValueError: unknown family kind {kind!r}" in err
 
     @pytest.mark.parametrize("length", [0.0, -0.5])
     def test_nonpositive_length_exits_3(self, tmp_path, box_file, capsys, length):

@@ -189,7 +189,7 @@ class TestModelSerialization:
         assert np.array_equal(predict_curves(clone, pts)[0], predict_curves(surrogate, pts)[0])
 
     def test_version_3_keys(self, tmp_path):
-        # the pattern and families at the top level; a GP family is assemble_gp_model's arguments
+        # the pattern and families at the top level; a GP family is GpModel's init fields
         _, path = self.saved(tmp_path)
         with open(path) as handle:
             data = json.load(handle)

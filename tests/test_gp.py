@@ -448,9 +448,10 @@ class TestSerialization:
         for x0 in rng.uniform(size=(4, 3)) * [1.0, 10.0, 100.0]:
             assert predict(clone, x0) == pytest.approx(predict(model, x0), rel=1e-10)
 
-    def test_saved_keys_are_the_assemble_arguments(self):
-        # assemble_gp_model's parameters, in order: a family is saved as what rebuilds it
-        data = saved_fields(assemble_gp_model(np.eye(3), np.arange(3.0), np.ones(3)))
+    def test_saved_keys_are_the_init_fields(self):
+        # GpModel's init fields, in order: a family is saved as what rebuilds it
+        data = saved_fields(GpModel(np.eye(3), np.arange(3.0), np.ones(3)))
+        assert list(data) == [f.name for f in dataclasses.fields(GpModel) if f.init]
         assert list(data) == list(inspect.signature(assemble_gp_model).parameters)
 
 
@@ -484,9 +485,11 @@ class TestLoadedModel:
         pts = np.array([[0.0, 0.0], [0.5, 1.0], [0.5, 1.0], [1.0, 0.3], [0.2, 0.8]])
         y = np.array([0.1, 0.7, 0.7, -0.4, 0.5])
         model = assemble_gp_model(pts, y, lengths=np.array([0.4, 0.7]), nugget=0.0)
-        assert model.nugget > 0.0
+        assert model.nugget == 0.0 and model.used_nugget > 0.0
+        assert saved_fields(model)["nugget"] == model.used_nugget
         clone = self.reload(model)
-        assert clone.nugget == model.nugget
+        # the clone asks for the nugget K was factored at, and factors there with no escalation
+        assert clone.nugget == clone.used_nugget == model.used_nugget
         for x0 in [[0.3, 0.3], [0.9, 0.9], [0.5, 1.0]]:
             assert predict(clone, x0) == predict(model, x0)
         assert loo_metrics(clone) == loo_metrics(model)
@@ -519,14 +522,30 @@ class TestLoadedModel:
         assert calls == []
 
     def test_malformed_dictionary(self):
-        # assemble_gp_model checks the saved arguments, and GpModel its own fields
+        # GpModel checks the saved fields once, however it is built; derived fields are not inputs
         model = assemble_gp_model(np.eye(3), np.arange(3.0), np.ones(3))
         data = saved_fields(model)
         for key, bad in [("responses", [0.0, 1.0]), ("design", [1.0, 2.0, 3.0]),
                          ("design", np.ones((3, 2)).tolist()), ("lengths", [1.0, 1.0])]:
             with pytest.raises(ValueError, match="n responses and d lengths"):
                 from_saved({**data, key: bad})
-            with pytest.raises(ValueError, match="n responses and weights and d lengths"):
-                dataclasses.replace(model, **{key: np.asarray(bad)})
-        with pytest.raises(ValueError, match="n responses and weights"):
-            dataclasses.replace(model, resid_solve=model.resid_solve[:2])
+            with pytest.raises(ValueError, match="n responses and d lengths"):
+                GpModel(**{**data, key: np.asarray(bad)})
+        for key in ("resid_solve", "kinv", "beta", "used_nugget"):
+            with pytest.raises(ValueError, match=key):
+                dataclasses.replace(model, **{key: getattr(model, key)})
+
+    @pytest.mark.parametrize("change", ["lengths", "nugget", "responses"])
+    def test_replaced_model_derives_anew(self, change):
+        # replacing a saved field refactors K, so no model holds another model's weights
+        rng = np.random.default_rng(31)
+        design, y = rng.uniform(size=(7, 2)), rng.normal(size=7)
+        model = GpModel(design, y, np.array([0.3, 0.8]), 1e-10)
+        new = {"lengths": np.array([0.6, 0.2]), "nugget": 1e-6, "responses": y[::-1].copy()}[change]
+        replaced = dataclasses.replace(model, **{change: new})
+        fresh = GpModel(**{"design": design, "responses": y, "lengths": model.lengths,
+                           "nugget": 1e-10, change: new})
+        assert np.array_equal(replaced.kinv, fresh.kinv)
+        assert np.array_equal(replaced.resid_solve, fresh.resid_solve)
+        assert (replaced.beta, replaced.sigma2) == (fresh.beta, fresh.sigma2)
+        assert not np.array_equal(replaced.resid_solve, model.resid_solve)

@@ -80,6 +80,45 @@ def test_benchmark_counters_read_real_results(tmp_path):
     assert counts["gp.predict_many.points"] == 5
 
 
+def test_benchmark_spans_one_model_build_per_gp_family(tmp_path):
+    # the benchmark's gp.assemble_gp_model.s reads these spans; a fit or load
+    # that built its models another way would make it read 0 on working code
+    from dynshape import emulator, fileio
+    from dynshape.doe import lhd_sample, scale_to_box
+    from dynshape.gp import FitConfig, GpModel
+    from dynshape.synth import co2_default_box, co2_style_spec, generate_functional_sim
+
+    tracer = load_perfbench("tracer")
+    box = co2_default_box()
+    design = scale_to_box(lhd_sample(8, 3, seed=1), box)
+    curves = generate_functional_sim(co2_style_spec(j=21), design)
+    path = str(tmp_path / "surrogate.json")
+    with tracer.Tracer() as trace:
+        surrogate = emulator.train(design, curves, emulator.TrainConfig(gp=FitConfig(multistarts=2)),
+                                   box=box)
+        fileio.save_surrogate(path, surrogate)
+        loaded = fileio.load_surrogate(path)
+    assert tracer.leftover_wrappers() == []
+    gps = sum(isinstance(model, GpModel) for model in surrogate.models.values())
+    assert gps >= 1 and gps == sum(isinstance(model, GpModel) for model in loaded.models.values())
+    spans = trace.spans
+
+    def builds_under(stage):
+        """gp.assemble_gp_model spans with ``stage`` among their callers."""
+        count = 0
+        for name, _, _, parent in spans:
+            if name != "gp.assemble_gp_model":
+                continue
+            while parent >= 0 and spans[parent][0] != stage:
+                parent = spans[parent][3]
+            count += parent >= 0
+        return count
+
+    assert builds_under("emulator.train") == builds_under("fileio.load_surrogate") == gps
+    assert builds_under("fileio.save_surrogate") == 0
+    assert trace.metrics()["gp.assemble_gp_model.s"] > 0
+
+
 SCIPY_LOADED = "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
 
 
