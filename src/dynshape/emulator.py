@@ -6,8 +6,10 @@ over the experimental design.  Prediction evaluates the GP families' means at
 a new input in one kernel pass over their shared design and deforms the
 pattern through its shift basis (see :class:`FunctionalSurrogate`): a full
 output curve costs one kernel pass and one small combination of basis rows,
-with no Fourier transform per curve.  Families whose estimated values are
-numerically constant are held fixed at their mean instead of being GP-fitted.
+with no Fourier transform per curve.  The basis has as many rows as the
+pattern's own spectrum needs for a 2^-53 tail, at most ``SHIFT_TERMS``.
+Families whose estimated values are numerically constant are held fixed at
+their mean instead of being GP-fitted.
 """
 from __future__ import annotations
 
@@ -49,8 +51,9 @@ __all__ = [
 
 FAMILIES = ("alpha", "theta", "v")
 MIN_TRAINING_CURVES = 4
-# Taylor terms K of the sub-grid shift: each |l phi 2 pi / J| < pi/2, so the tail
-# is at most (pi/2)^K / K! * 2 sum|c_l|; the least K that puts it below 2^-53 sum|c_l|
+# the most Taylor terms K of the sub-grid shift: each |l phi 2 pi / J| <= pi/2, so the
+# tail is at most (pi/2)^K / K! * 2 sum|c_l|; the least K that puts it below 2^-53 sum|c_l|
+# for any pattern (a pattern whose spectrum falls needs fewer; see FunctionalSurrogate)
 SHIFT_TERMS = next(k for k in range(1, 99) if 2 * (math.pi / 2) ** k / math.factorial(k) < 2**-53)
 
 
@@ -83,6 +86,9 @@ class FunctionalSurrogate:
     s = theta J / 2 pi, q = rint(s) and phi = s - q, a curve is
     alpha sum_i phi^i B_i[(j - q) mod J] + v, and row B_i (highest i first) is
     ``inverse_fourier(c (-i l 2 pi / J)^i / i!)`` for the pattern's half spectrum c.
+    The basis keeps K rows, i < K, for the least K <= ``SHIFT_TERMS`` with
+    2 sum_l |c_l| (pi l / J)^K / K! < 2^-53 sum_l |c_l|: the bound behind
+    ``SHIFT_TERMS``, taken on c rather than on the worst case l = J / 2.
     """
 
     box: InputBox
@@ -97,7 +103,7 @@ class FunctionalSurrogate:
     gp_families: tuple = field(init=False, repr=False)
     kernel: GpStack | None = field(init=False, repr=False)  # stack of the gp_families
     inside: tuple = field(init=False, repr=False)  # (lower, upper) beyond which points extrapolate
-    shift_basis: np.ndarray = field(init=False, repr=False)  # SHIFT_TERMS x J
+    shift_basis: np.ndarray = field(init=False, repr=False)  # K x J, K <= SHIFT_TERMS
 
     def __post_init__(self):
         CurveSet(values=self.pattern.values[None, :], t_grid=self.t_grid, period=self.period)
@@ -109,10 +115,15 @@ class FunctionalSurrogate:
                            stack_models([self.models[name] for name in names]) if names else None)
         tol = 1e-12 * np.maximum(self.box.span, 1.0)
         object.__setattr__(self, "inside", (self.box.lower - tol, self.box.upper + tol))
-        ell = np.arange(self.pattern.coeffs.shape[0])
+        coeffs = self.pattern.coeffs
+        ell = np.arange(coeffs.shape[0])
         steps = (-2j * np.pi / self.j) * ell / np.arange(1, SHIFT_TERMS)[:, None]
-        terms = np.cumprod(np.vstack((self.pattern.coeffs, steps)), axis=0)
-        object.__setattr__(self, "shift_basis", inverse_fourier(terms)[::-1].copy())
+        terms = np.cumprod(np.vstack((coeffs, steps)), axis=0)
+        # |phi| <= 1/2, so term k is at most 2 sum_l |terms[k, l]| 2^-k: keep the rows
+        # before the first k where that falls below 2^-53 sum|c_l|, SHIFT_TERMS at most
+        tails = 2.0 * np.abs(terms[1:]).sum(axis=1) * 0.5 ** np.arange(1, SHIFT_TERMS)
+        rows = 1 + int(np.argmax(np.append(tails < 2**-53 * np.abs(coeffs).sum(), True)))
+        object.__setattr__(self, "shift_basis", inverse_fourier(terms[:rows])[::-1].copy())
 
     @property
     def j(self) -> int:
@@ -234,7 +245,8 @@ def _predict(surrogate: FunctionalSurrogate, points: np.ndarray) -> tuple[np.nda
     q = np.rint(theta * (j / (2.0 * np.pi)))
     phi = (theta - q * head - q * tail) * (j / (2.0 * np.pi))
     # phi^i from the highest i down; einsum, not BLAS, so a point keeps its bits in any batch
-    unshifted = np.einsum("mk,kj->mj", np.vander(phi, SHIFT_TERMS), surrogate.shift_basis)
+    basis = surrogate.shift_basis
+    unshifted = np.einsum("mk,kj->mj", np.vander(phi, basis.shape[0]), basis)
     values = np.empty_like(unshifted)
     # roll each row by its q; fmax sends a NaN (theta not finite, row all NaN) to 0
     for row, k in enumerate(np.fmax(q % j, 0.0).astype(int).tolist()):

@@ -458,14 +458,22 @@ def _finite_number(text: str) -> float:
     return value
 
 
-def _reject_bools(value, where: str = "") -> None:
+# the keys whose values are text; everywhere else a JSON string is an error
+_TEXT_KEYS = ("format", "kind", "names")
+
+
+def _reject_non_numbers(value, where: str = "") -> None:
     """Raise ValueError naming the first JSON true or false (to json, the ints 1 and 0)
-    in a parsed document, as "families.theta.lengths[1]"."""
-    if isinstance(value, bool):
-        raise ValueError(f"{where[1:]} is true or false, not a number")
+    or string outside ``_TEXT_KEYS`` in a parsed document, as "families.theta.lengths[1]";
+    float() and numpy would read a string such as "0.5" as a number."""
+    if isinstance(value, (bool, str)):
+        what = "a string" if isinstance(value, str) else "true or false"
+        raise ValueError(f"{where[1:]} is {what}, not a number")
     if isinstance(value, (dict, list)):
         for key, item in value.items() if isinstance(value, dict) else enumerate(value):
-            _reject_bools(item, f"{where}.{key}" if isinstance(value, dict) else f"{where}[{key}]")
+            if key not in _TEXT_KEYS:  # a list index never is
+                _reject_non_numbers(item, f"{where}.{key}" if isinstance(value, dict)
+                                    else f"{where}[{key}]")
 
 
 def load_surrogate(path: str) -> FunctionalSurrogate:
@@ -475,11 +483,11 @@ def load_surrogate(path: str) -> FunctionalSurrogate:
     A version 2 file holds its pattern and families in a one-entry ``segments``
     list, and its saved beta, sigma2 and kriging weights are recomputed, not read.
     A missing, unreadable or malformed file, one of another format or
-    version (1 is from an older dynshape), one holding NaN, Infinity, 1e999 or a
-    true or false, a version 2 file with more than one fitted time range, one with a
-    pattern off its ``t_grid``, a negative nugget or a family kind not "gp" or
-    "fixed", or one whose GP families hold different designs raises
-    :class:`InputConsistencyError` naming the path.
+    version (1 is from an older dynshape), one holding NaN, Infinity, 1e999, or a
+    true, false or string where a number belongs, a version 2 file with more than
+    one fitted time range, one with a pattern off its ``t_grid``, a negative nugget
+    or a family kind not "gp" or "fixed", or one whose GP families hold different
+    designs raises :class:`InputConsistencyError` naming the path.
     """
     try:
         with open(path, "r") as handle:
@@ -497,7 +505,7 @@ def load_surrogate(path: str) -> FunctionalSurrogate:
             fit = fits[0]
         if np.shape(fit["pattern_values"]) != (len(data["t_grid"]),):
             raise ValueError("the pattern does not span its time grid")
-        _reject_bools(data)
+        _reject_non_numbers(data)
         box_data = data["box"]
         box = InputBox(
             lower=np.asarray(box_data["lower"], dtype=float),

@@ -168,9 +168,17 @@ def _sq_diff(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _corr(a: np.ndarray, b: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Correlations between the rows of a (m x d) and of b (n x d), m x n; lengths of
-    shape k x 1 x 1 x d give k such matrices at once.  The sum runs over the last
-    (d) axis, so one model's correlations have the same bits alone or stacked."""
-    return np.exp(-(_sq_diff(a, b) / lengths).sum(axis=-1))
+    shape k x 1 x 1 x d give k such matrices at once.  The exponent sums the scaled
+    squared differences in dimension order, ((s_0 + s_1) + s_2) + ..., one whole-array
+    add per dimension, so one model's correlations have the same bits alone or
+    stacked.  For d <= 7 that is the order of numpy's ``sum(axis=-1)``; above, numpy
+    sums pairwise."""
+    sq = _sq_diff(a, b)
+    total = sq[..., 0] / lengths[..., 0]
+    for col in range(1, sq.shape[-1]):
+        total += sq[..., col] / lengths[..., col]
+    np.negative(total, out=total)
+    return np.exp(total, out=total)
 
 
 def build_correlation(

@@ -802,6 +802,40 @@ class TestSurrogateErrors:
         assert f"{path}: cannot load surrogate: {message}" in err
         assert not (tmp_path / "p.csv").exists()
 
+    @pytest.mark.parametrize("version, field, where", [
+        (3, ("period",), "period"),
+        (3, ("t_grid", 3), "t_grid[3]"),
+        (3, ("pattern_values", 4), "pattern_values[4]"),
+        (3, ("box", "lower", 0), "box.lower[0]"),
+        (3, ("box", "upper", 2), "box.upper[2]"),
+        (3, ("families", "theta", "design", 1, 2), "families.theta.design[1][2]"),
+        (3, ("families", "theta", "responses", 2), "families.theta.responses[2]"),
+        (3, ("families", "theta", "lengths", 1), "families.theta.lengths[1]"),
+        (3, ("families", "theta", "nugget"), "families.theta.nugget"),
+        (3, ("families", "alpha"), "families.alpha.value"),
+        (2, ("families", "theta", "lengths", 0), "segments[0].families.theta.lengths[0]"),
+    ], ids=["period", "t-grid", "pattern", "box-lower", "box-upper", "design", "response",
+            "length", "nugget", "fixed-value", "version-2-length"])
+    def test_number_as_string_exits_3(self, tmp_path, box_file, capsys, version, field, where):
+        # float() and numpy read "55" or "0.5" as a number, so such a file once
+        # loaded and predicted with exit 0
+        def edit(data):
+            *keys, last = field
+            holder = data["segments"][0] if version == 2 and keys[0] == "families" else data
+            for key in keys:
+                holder = holder[key]
+            if last == "alpha":
+                holder[last] = {"kind": "fixed", "value": "0.5"}
+            else:
+                holder[last] = str(holder[last])
+
+        code, path, err = self.predict_with_edited_file(tmp_path, box_file, capsys, edit,
+                                                        version=version)
+        assert code == 3
+        assert err == (f"error: {path}: cannot load surrogate: ValueError: "
+                       f"{where} is a string, not a number\n")
+        assert not (tmp_path / "p.csv").exists()
+
     @pytest.mark.parametrize("kind", ["GP", "Fixed", ""])
     def test_unknown_family_kind_exits_3(self, tmp_path, box_file, capsys, kind):
         # once a KeyError on 'value', as every kind but "gp" was read as fixed
@@ -1114,10 +1148,10 @@ QUICK_START_SHA256 = {
     "params.csv": "a68fd0a284f4e30838cfc9f626f486aad072632fc648be2a4cc46f1ef2b2b337",
     "pattern.csv": "7d44564f571bc58ac68be818d4524a8d5158faea38f020055e0453a94a7b68f7",
     "diagnostics.txt": "08d65b94a6c952f35002953945ddc97accc9cbd531ec90601848b97434d92190",
-    "predicted.csv": "c2c2070cd913af986e8dc7121c0df4b8f8037ec773b3e1a89850565526e5105b",
-    "report.csv": "4a1142f4c84f081f3d8f89b7d812dcb1469bb57a72622382d297515f01e174f2",
-    "comparison.csv": "35ef7a21a49040023100e4967925a766f4027fa5907916542e43765ff678a0bf",
-    "crossplot.csv": "18aa22cd443d88c51edfec2abdb9608ddcc1282674ffa6fe49ce74024d067dfb",
+    "predicted.csv": "daa8ebc6e141066fab1439ce378e649b877918afa0b125131617f3c7e2d5ef32",
+    "report.csv": "ba3d0c5e6a7c23f8e38e4e8a893e26c8b8ca237360d55594e8aea8dc4c779400",
+    "comparison.csv": "662d2e870843f1a8030910f7a235d65f81b4b50a7900e632b90510014ae909f0",
+    "crossplot.csv": "09fbe640e0f1a3cd6afd86ce1a7699ba23304392404786bbbc42c8a6d535cb16",
     "aligned.csv": "49dd65ea70731f4cfe4cda840801c1d570d57170af03ecc7ef9fa0dd2645aa33",
     "surrogate.json": "7f808120781bba306554f15d04ab435f970de3c618215378a51c9db5bdd2c014",
 }

@@ -7,6 +7,7 @@ from dynshape import fileio
 from dynshape.doe import DesignMatrix, InputBox, lhd_sample, scale_to_box
 from dynshape.emulator import (
     FAMILIES,
+    SHIFT_TERMS,
     FunctionalSurrogate,
     TrainConfig,
     per_step_gp_predictions,
@@ -284,12 +285,16 @@ def long_double_curves(values, alpha, theta, v):
     return np.asarray(alpha, dtype=np.longdouble)[:, None] * curves + np.asarray(v)[:, None]
 
 
+def basis_rows(values):
+    return fixed_surrogate(values, 1.0, 0.0, 0.0).shift_basis.shape[0]
+
+
 class TestShiftBasis:
-    @pytest.mark.parametrize("j", [3, 21, 55, 401])
-    def test_accuracy_against_long_double_sum(self, j):
-        rng = np.random.default_rng(j)
-        grid = TWO_PI * np.arange(j) / j
-        values = 5.0 + np.exp(np.sin(grid)) + 0.3 * np.cos(3 * grid) + rng.normal(0.0, 0.1, j)
+    @staticmethod
+    def assert_as_accurate_as_irfft(values, rng):
+        """Each curve through the shift basis is within twice the inverse FFT's error of
+        a long-double sum, over theta in [-pi, pi], the ties phi = +-1/2 and |theta| = 50."""
+        j = values.size
         ties = TWO_PI * (np.arange(-3, 3) + 0.5) / j  # phi = +-1/2
         theta = np.concatenate((np.linspace(-np.pi, np.pi, 161), ties, [-np.pi, np.pi, 50.0, -50.0]))
         alpha = rng.uniform(0.3, 3.0, theta.size)
@@ -302,6 +307,52 @@ class TestShiftBasis:
         err_basis = float((np.abs(basis - exact) / scale).max())
         err_irfft = float((np.abs(irfft - exact) / scale).max())
         assert err_basis <= 2.0 * err_irfft
+
+    @pytest.mark.parametrize("j", [3, 21, 55, 401])
+    def test_accuracy_against_long_double_sum(self, j):
+        rng = np.random.default_rng(j)
+        grid = TWO_PI * np.arange(j) / j
+        values = 5.0 + np.exp(np.sin(grid)) + 0.3 * np.cos(3 * grid) + rng.normal(0.0, 0.1, j)
+        self.assert_as_accurate_as_irfft(values, rng)
+
+    @pytest.mark.parametrize("j", [55, 401])
+    def test_smooth_pattern_needs_fewer_rows_and_keeps_the_accuracy(self, j):
+        # the rows follow the pattern's own spectrum, whose coefficients fall
+        # fast here, not the worst case l = J / 2 that SHIFT_TERMS is sized for
+        grid = TWO_PI * np.arange(j) / j
+        values = 5.0 + np.exp(np.sin(grid)) + 0.3 * np.cos(3 * grid)
+        assert basis_rows(values) < SHIFT_TERMS
+        self.assert_as_accurate_as_irfft(values, np.random.default_rng(j))
+
+    @pytest.mark.parametrize("j", [21, 55, 401])
+    def test_slowly_decaying_spectrum_keeps_its_rows(self, j):
+        rng = np.random.default_rng(j)
+        grid = TWO_PI * np.arange(j) / j
+        # all of the spectrum at the top frequency is the worst case: every row
+        assert basis_rows(np.cos(j // 2 * grid)) == SHIFT_TERMS
+        # white noise and a kink (coefficients ~ 1 / l^2) stay near it
+        for values in (rng.normal(0.0, 1.0, j), (grid - np.pi) ** 2):
+            assert basis_rows(values) >= SHIFT_TERMS - 4
+            self.assert_as_accurate_as_irfft(values, rng)
+
+    @pytest.mark.parametrize("j", [3, 5, 21, 55, 401])
+    def test_no_pattern_gets_more_than_shift_terms_rows(self, j):
+        rng = np.random.default_rng(j)
+        grid = TWO_PI * np.arange(j) / j
+        impulse = np.zeros(j)
+        impulse[0] = 1.0
+        for values in (np.zeros(j), np.full(j, 3.0), impulse, np.cos(j // 2 * grid),
+                       rng.normal(0.0, 1e-300, j), rng.normal(0.0, 1e300, j),
+                       np.exp(np.sin(grid))):
+            assert 1 <= basis_rows(values) <= SHIFT_TERMS
+
+    @pytest.mark.parametrize("j", [3, 55, 401])
+    def test_constant_pattern_gives_finite_flat_curves(self, j):
+        surrogate = fixed_surrogate(np.full(j, 3.0), 1.5, 0.4, -2.0)
+        assert surrogate.shift_basis.shape[0] >= 1
+        values = predict_curve(surrogate, [0.5]).values
+        assert np.isfinite(values).all()
+        np.testing.assert_allclose(values, 2.5, rtol=0.0, atol=1e-14)
 
     def test_theta_and_theta_plus_two_pi_agree(self):
         j = 401

@@ -241,7 +241,7 @@ class TestPinnedBits:
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
             "51618dfd95c97a3155e3931e4f481c47a0aed5c97e0b82220013f23fdd21b2a4")
         assert hashlib.sha256(values.tobytes()).hexdigest() == (
-            "e83f4e1a699b12e049841196a8c2ade4bbbd677bde7b6b4ee3e556872ab4b4b4")
+            "277688e240132cae3b23c9e03ecc5fe482f743f14698eedfc413429a8a12a715")
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)

@@ -16,6 +16,7 @@ from dynshape.gp import (
     GpModel,
     assemble_gp_model,
     _corr,
+    _sq_diff,
     build_correlation,
     fit_gp,
     likelihood_with_gradient,
@@ -91,6 +92,17 @@ class TestCorrelation:
         np.testing.assert_allclose(_corr(x, y, lengths), _corr(y, x, lengths).T, rtol=1e-14)
         for a, row in zip(x, _corr(x, y, lengths)):
             np.testing.assert_allclose(row, [gauss(a, b, lengths) for b in y], rtol=1e-13)
+
+    @pytest.mark.parametrize("d", range(1, 8))
+    def test_ordered_sum_keeps_the_bits_of_numpys_sum_up_to_d_7(self, d):
+        # fits, their likelihood evaluations and saved surrogates of d <= 7 keep
+        # the bits they had when the kernel summed with sum(axis=-1)
+        rng = np.random.default_rng(d)
+        a, b = rng.uniform(-1.0, 2.0, size=(40, d)), rng.uniform(-1.0, 2.0, size=(9, d))
+        lengths = 10.0 ** rng.uniform(-3.0, 3.0, size=(3, 1, 1, d))
+        for stacked_or_alone in (lengths, lengths[0, 0, 0]):
+            assert np.array_equal(_corr(a, b, stacked_or_alone),
+                                  np.exp(-(_sq_diff(a, b) / stacked_or_alone).sum(axis=-1)))
 
     def test_nonpositive_length_rejected(self):
         # every entry point that takes lengths from outside checks them
@@ -373,12 +385,18 @@ class TestPredict:
 
     @pytest.mark.parametrize("d", range(1, 13))
     def test_stacked_kernel_keeps_the_bits_of_one_model_at_a_time(self, d):
-        # numpy sums a last axis of 8 or more entries pairwise, so the d axis
-        # must stay last for the stacked pass to round like one model alone
+        # the oracle: one model, its scaled squared differences summed in
+        # dimension order, ((s_0 + s_1) + s_2) + ...; the stacked pass must round
+        # the same way for every d, also past d = 7, where numpy's sum over the
+        # last axis turns pairwise and would no longer be this order
         def one_model_means(model, points):
             a = (points - model.x_lo) / model.x_span
             diff = np.abs(a[:, None, :] - model.normalized_design()[None, :, :])
-            r = np.exp(-((diff ** np.full(d, 2.0)) / model.lengths).sum(axis=2))
+            scaled = (diff ** np.full(d, 2.0)) / model.lengths
+            exponent = scaled[:, :, 0]
+            for col in range(1, d):
+                exponent = exponent + scaled[:, :, col]
+            r = np.exp(-exponent)
             return model.beta + (r * model.resid_solve).sum(axis=1)
 
         rng = np.random.default_rng(d)
