@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import functools
 import json
-import math
 import os
+import sys
 import tempfile
 
 import numpy as np
@@ -450,74 +450,62 @@ def save_surrogate(path: str, surrogate: FunctionalSurrogate) -> None:
     atomic_write_text(path, json.dumps(data, indent=1) + "\n")
 
 
-def _finite_number(text: str) -> float:
-    """A JSON number or constant (NaN, Infinity) as a float; ValueError unless finite."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"non-finite number {text}")
-    return value
-
-
-# the keys whose values are text; everywhere else a JSON string is an error
-_TEXT_KEYS = ("format", "kind", "names")
-
-
-def _reject_non_numbers(value, where: str = "") -> None:
-    """Raise ValueError naming the first JSON true or false (to json, the ints 1 and 0)
-    or string outside ``_TEXT_KEYS`` in a parsed document, as "families.theta.lengths[1]";
-    float() and numpy would read a string such as "0.5" as a number."""
-    if isinstance(value, (bool, str)):
-        what = "a string" if isinstance(value, str) else "true or false"
-        raise ValueError(f"{where[1:]} is {what}, not a number")
-    if isinstance(value, (dict, list)):
-        for key, item in value.items() if isinstance(value, dict) else enumerate(value):
-            if key not in _TEXT_KEYS:  # a list index never is
-                _reject_non_numbers(item, f"{where}.{key}" if isinstance(value, dict)
-                                    else f"{where}[{key}]")
+def _check_values(value, where: str = "") -> None:
+    """Raise ValueError naming, as "families.theta.lengths[1]", the first value of a
+    parsed surrogate document that is not a finite number.  Text belongs only under
+    ``format`` and ``kind``, which the loader compares with known text, and
+    ``box.names`` is null or a list of strings.  json reads true and false as the
+    ints 1 and 0, and NaN, Infinity and 1e999 as non-finite floats; float() and
+    numpy would read a string such as "0.5" as a number."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            at = f"{where}.{key}" if where else key
+            if at == "box.names":
+                if item is not None and not (isinstance(item, list)
+                                             and all(isinstance(name, str) for name in item)):
+                    raise ValueError("box.names is not null or a list of strings")
+            elif key not in ("format", "kind"):
+                _check_values(item, at)
+    elif isinstance(value, list):
+        for index, item in enumerate(value):
+            _check_values(item, f"{where}[{index}]")
+    elif isinstance(value, (bool, str)) or value is None:
+        what = "a string" if isinstance(value, str) else "null" if value is None else "true or false"
+        raise ValueError(f"{where} is {what}, not a number")
+    elif not abs(value) <= sys.float_info.max:  # also an int too large for a float
+        raise ValueError(f"{where} is not finite")
 
 
 def load_surrogate(path: str) -> FunctionalSurrogate:
-    """Surrogate saved by :func:`save_surrogate`, version 3 or 2; each GP family is
+    """Surrogate saved by :func:`save_surrogate` (version 3); each GP family is
     rebuilt as a :class:`GpModel` from its four saved fields, which factors its K once.
 
-    A version 2 file holds its pattern and families in a one-entry ``segments``
-    list, and its saved beta, sigma2 and kriging weights are recomputed, not read.
-    A missing, unreadable or malformed file, one of another format or
-    version (1 is from an older dynshape), one holding NaN, Infinity, 1e999, or a
-    true, false or string where a number belongs, a version 2 file with more than
-    one fitted time range, one with a pattern off its ``t_grid``, a negative nugget
-    or a family kind not "gp" or "fixed", or one whose GP families hold different
-    designs raises :class:`InputConsistencyError` naming the path.
+    A missing, unreadable or malformed file, one of another format or version
+    (1 and 2 are from an older dynshape), one with a pattern off its ``t_grid``,
+    one holding NaN, Infinity, 1e999, null, or a true, false or string where a
+    number belongs, a ``box.names`` that is not null or one string per input, a
+    negative nugget or a family kind not "gp" or "fixed", or one whose GP families
+    hold different designs raises :class:`InputConsistencyError` naming the path.
     """
     try:
         with open(path, "r") as handle:
-            data = json.load(handle, parse_float=_finite_number, parse_constant=_finite_number)
-        kind = (data.get("format"), data.get("version"))
-        if kind == ("dynshape-surrogate", 1) and kind[1] is not True:  # json's true == 1
+            data = json.load(handle)
+        version = data.get("version")
+        # versions 1 and 2 are from an older dynshape; json's true == 1 is neither
+        if data.get("format") == "dynshape-surrogate" and version in (1, 2) and version is not True:
             raise ValueError("written by an older dynshape; refit it")
-        if kind not in (("dynshape-surrogate", 3), ("dynshape-surrogate", 2)):
-            raise ValueError("not a dynshape-surrogate version 3 or 2 file")
-        fit = data
-        if kind[1] == 2:  # the one fitted time range of a version 2 file
-            fits = data["segments"]
-            if len(fits) != 1:
-                raise ValueError(f"holds {len(fits)} fitted time ranges, not one; refit it")
-            fit = fits[0]
-        if np.shape(fit["pattern_values"]) != (len(data["t_grid"]),):
+        if (data.get("format"), version) != ("dynshape-surrogate", 3):
+            raise ValueError("not a dynshape-surrogate version 3 file")
+        if np.shape(data["pattern_values"]) != (len(data["t_grid"]),):
             raise ValueError("the pattern does not span its time grid")
-        _reject_non_numbers(data)
-        box_data = data["box"]
-        box = InputBox(
-            lower=np.asarray(box_data["lower"], dtype=float),
-            upper=np.asarray(box_data["upper"], dtype=float),
-            names=tuple(box_data["names"]) if box_data.get("names") else None,
-        )
+        _check_values(data)
+        box = data["box"]
         return FunctionalSurrogate(
-            box=box,
+            box=InputBox(lower=box["lower"], upper=box["upper"], names=box.get("names")),
             t_grid=np.asarray(data["t_grid"], dtype=float),
             period=float(data["period"]),
-            pattern=Pattern(values=fit["pattern_values"]),
-            models={name: _family_from_dict(fit["families"][name]) for name in FAMILIES},
+            pattern=Pattern(values=data["pattern_values"]),
+            models={name: _family_from_dict(data["families"][name]) for name in FAMILIES},
         )
     except (OSError, ValueError, KeyError, TypeError, AttributeError, OverflowError, RecursionError) as err:
         raise InputConsistencyError(f"{path}: cannot load surrogate: {type(err).__name__}: {err}") from err

@@ -51,23 +51,3 @@ def small_deformed():
     v = np.array([0.0, -1.0, 2.5, 0.3, -0.7])
     return deformed_curves(alpha, theta, v, j=31)
 
-
-# The version 2 surrogate layout, which load_surrogate still reads: the tests
-# write it to check that a file from an older dynshape predicts as before.
-def as_version_2(data: dict, models: dict) -> dict:
-    """A version 3 surrogate file's ``data`` in the version 2 layout: the pattern and
-    families in a one-entry ``segments`` list with the whole grid as its span, and
-    each GP family with the beta, sigma2 and kriging weights of its model in ``models``."""
-    j = len(data["t_grid"])
-    families = {}
-    for name, family in data["families"].items():
-        if family["kind"] == "gp":
-            family, model = dict(family), models[name]
-            nugget = family.pop("nugget")
-            family.update(beta=model.beta, sigma2=model.sigma2, nugget=nugget,
-                          resid_solve=model.resid_solve.tolist())
-        families[name] = family
-    segment = {"start": 0, "stop": j, "grid_start": 0, "grid_stop": j,
-               "pattern_values": data["pattern_values"], "families": families}
-    return {"format": data["format"], "version": 2, "box": data["box"], "t_grid": data["t_grid"],
-            "period": data["period"], "segments": [segment]}

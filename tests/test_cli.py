@@ -6,7 +6,6 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import as_version_2
 from dynshape import cli, fileio, gp
 from dynshape.cli import SETTINGS, _train_config, build_parser, int_or_none, main
 from dynshape.emulator import TrainConfig
@@ -711,20 +710,24 @@ class TestSurrogateErrors:
         assert str(path) in capsys.readouterr().err
 
     def test_version_1_surrogate_asks_for_a_refit(self, tmp_path, box_file, capsys):
+        # version 1 was written before the kriging weights were stored; version 2
+        # held its pattern and families in a one-entry list of fitted time ranges
         design, curves = make_dataset(tmp_path, box_file)
         path = tmp_path / "sur.json"
         assert run("fit", "--design", design, "--curves", curves, "--gp-multistarts", "3",
                    "--surrogate-out", str(path)) == 0
         data = json.loads(path.read_text())
-        data["version"] = 1  # as written before the kriging weights were stored
-        path.write_text(json.dumps(data))
+        segment = {"pattern_values": data.pop("pattern_values"), "families": data.pop("families")}
         points = tmp_path / "pts.csv"
         points.write_text("x1,x2,x3\n0.2,100,0.7\n")
-        capsys.readouterr()
-        assert run("predict", "--surrogate", str(path), "--points", str(points),
-                   "--out", str(tmp_path / "p.csv")) == 3
-        err = capsys.readouterr().err
-        assert str(path) in err and "written by an older dynshape; refit it" in err
+        for old in ({**data, "version": 1, **segment}, {**data, "version": 2, "segments": [segment]}):
+            path.write_text(json.dumps(old))
+            capsys.readouterr()
+            assert run("predict", "--surrogate", str(path), "--points", str(points),
+                       "--out", str(tmp_path / "p.csv")) == 3
+            assert capsys.readouterr().err == (f"error: {path}: cannot load surrogate: "
+                                               "ValueError: written by an older dynshape; refit it\n")
+            assert not (tmp_path / "p.csv").exists()
 
     def test_families_on_different_designs_exit_3(self, tmp_path, box_file, capsys):
         def edit(data):
@@ -736,32 +739,35 @@ class TestSurrogateErrors:
         assert code == 3
         assert path in err and "different designs" in err
 
-    @pytest.mark.parametrize("version, field, token", [
-        (2, ("families", "theta", "resid_solve", 0), "NaN"),
-        (3, ("pattern_values", 3), "Infinity"),
-        (3, ("pattern_values", 0), "-Infinity"),
-        (2, ("families", "theta", "beta"), "NaN"),
-        (2, ("families", "theta", "sigma2"), "1e999"),
-        (3, ("families", "theta", "design", 0, 0), "1" + "0" * 400),
-        (3, ("families", "theta", "responses", 0), "NaN"),
-        (3, ("families", "theta", "nugget"), "NaN"),
-        (3, ("families", "theta", "nugget"), "1e999"),
+    @pytest.mark.parametrize("field, token, where", [
+        (("families", "theta", "resid_solve", 0), "NaN", "families.theta.resid_solve[0]"),
+        (("pattern_values", 3), "Infinity", "pattern_values[3]"),
+        (("pattern_values", 0), "-Infinity", "pattern_values[0]"),
+        (("families", "theta", "beta"), "NaN", "families.theta.beta"),
+        (("families", "theta", "sigma2"), "1e999", "families.theta.sigma2"),
+        (("families", "theta", "design", 0, 0), "1" + "0" * 400, "families.theta.design[0][0]"),
+        (("families", "theta", "responses", 0), "NaN", "families.theta.responses[0]"),
+        (("families", "theta", "nugget"), "NaN", "families.theta.nugget"),
+        (("families", "theta", "nugget"), "1e999", "families.theta.nugget"),
     ], ids=["nan-weight", "inf-pattern", "neg-inf-pattern", "nan-beta", "1e999-sigma2",
             "huge-int-design", "nan-response", "nan-nugget", "1e999-nugget"])
-    def test_non_finite_number_exits_3(self, tmp_path, box_file, capsys, version, field, token):
-        # the reader rejects a non-finite number anywhere, even in a key of a
-        # version 2 file (weights, beta, sigma2) that loading recomputes, not reads
+    def test_non_finite_number_exits_3(self, tmp_path, box_file, capsys, field, token, where):
+        # the reader rejects a non-finite number anywhere, even under a key that
+        # loading does not read, such as the weights, beta and sigma2 of older files
         def edit(data):
+            theta = data["families"]["theta"]
+            theta.update(beta=0.0, sigma2=1.0, resid_solve=[0.0] * len(theta["responses"]))
             *keys, last = field
-            holder = data["segments"][0] if version == 2 else data
+            holder = data
             for key in keys:
                 holder = holder[key]
             holder[last] = "BAD"
 
         code, path, err = self.predict_with_edited_file(tmp_path, box_file, capsys, edit,
-                                                        ('"BAD"', token), version)
+                                                        ('"BAD"', token))
         assert code == 3
-        assert path in err and "cannot load surrogate" in err
+        assert err == f"error: {path}: cannot load surrogate: ValueError: {where} is not finite\n"
+        assert not (tmp_path / "p.csv").exists()
 
     @pytest.mark.parametrize("token", ['"text"', "[1.0]", "null"])
     def test_nugget_not_a_number_exits_3(self, tmp_path, box_file, capsys, token):
@@ -798,30 +804,29 @@ class TestSurrogateErrors:
                                                         ('"BAD"', token))
         assert code == 3
         message = (f"ValueError: {where} is true or false, not a number" if where
-                   else "ValueError: not a dynshape-surrogate version 3 or 2 file")
+                   else "ValueError: not a dynshape-surrogate version 3 file")
         assert f"{path}: cannot load surrogate: {message}" in err
         assert not (tmp_path / "p.csv").exists()
 
-    @pytest.mark.parametrize("version, field, where", [
-        (3, ("period",), "period"),
-        (3, ("t_grid", 3), "t_grid[3]"),
-        (3, ("pattern_values", 4), "pattern_values[4]"),
-        (3, ("box", "lower", 0), "box.lower[0]"),
-        (3, ("box", "upper", 2), "box.upper[2]"),
-        (3, ("families", "theta", "design", 1, 2), "families.theta.design[1][2]"),
-        (3, ("families", "theta", "responses", 2), "families.theta.responses[2]"),
-        (3, ("families", "theta", "lengths", 1), "families.theta.lengths[1]"),
-        (3, ("families", "theta", "nugget"), "families.theta.nugget"),
-        (3, ("families", "alpha"), "families.alpha.value"),
-        (2, ("families", "theta", "lengths", 0), "segments[0].families.theta.lengths[0]"),
+    @pytest.mark.parametrize("field, where", [
+        (("period",), "period"),
+        (("t_grid", 3), "t_grid[3]"),
+        (("pattern_values", 4), "pattern_values[4]"),
+        (("box", "lower", 0), "box.lower[0]"),
+        (("box", "upper", 2), "box.upper[2]"),
+        (("families", "theta", "design", 1, 2), "families.theta.design[1][2]"),
+        (("families", "theta", "responses", 2), "families.theta.responses[2]"),
+        (("families", "theta", "lengths", 1), "families.theta.lengths[1]"),
+        (("families", "theta", "nugget"), "families.theta.nugget"),
+        (("families", "alpha"), "families.alpha.value"),
     ], ids=["period", "t-grid", "pattern", "box-lower", "box-upper", "design", "response",
-            "length", "nugget", "fixed-value", "version-2-length"])
-    def test_number_as_string_exits_3(self, tmp_path, box_file, capsys, version, field, where):
+            "length", "nugget", "fixed-value"])
+    def test_number_as_string_exits_3(self, tmp_path, box_file, capsys, field, where):
         # float() and numpy read "55" or "0.5" as a number, so such a file once
         # loaded and predicted with exit 0
         def edit(data):
             *keys, last = field
-            holder = data["segments"][0] if version == 2 and keys[0] == "families" else data
+            holder = data
             for key in keys:
                 holder = holder[key]
             if last == "alpha":
@@ -829,8 +834,7 @@ class TestSurrogateErrors:
             else:
                 holder[last] = str(holder[last])
 
-        code, path, err = self.predict_with_edited_file(tmp_path, box_file, capsys, edit,
-                                                        version=version)
+        code, path, err = self.predict_with_edited_file(tmp_path, box_file, capsys, edit)
         assert code == 3
         assert err == (f"error: {path}: cannot load surrogate: ValueError: "
                        f"{where} is a string, not a number\n")
@@ -868,17 +872,14 @@ class TestSurrogateErrors:
         assert not (tmp_path / "p.csv").exists()
 
     @staticmethod
-    def predict_with_edited_file(tmp_path, box_file, capsys, edit, replace=("", ""), version=3):
-        """Exit code, path and stderr of predict from a J = 11 surrogate file, in the
-        layout of ``version``, after edit(data), with the text ``replace[0]`` then
-        written as ``replace[1]``."""
+    def predict_with_edited_file(tmp_path, box_file, capsys, edit, replace=("", "")):
+        """Exit code, path and stderr of predict from a J = 11 surrogate file after
+        edit(data), with the text ``replace[0]`` then written as ``replace[1]``."""
         design, curves = make_dataset(tmp_path, box_file, n=6, j=11)
         path = tmp_path / "sur.json"
         assert run("fit", "--design", design, "--curves", curves, "--gp-multistarts", "1",
                    "--surrogate-out", str(path)) == 0
         data = json.loads(path.read_text())
-        if version == 2:
-            data = as_version_2(data, fileio.load_surrogate(str(path)).models)
         edit(data)
         path.write_text(json.dumps(data).replace(*replace))
         points = tmp_path / "pts.csv"
@@ -961,14 +962,31 @@ class TestSurrogateErrors:
         assert (f"{path}: cannot load surrogate: ValueError: GP family designs must have the "
                 "box's 2 columns") in err
 
-    def test_two_fitted_time_ranges_ask_for_a_refit(self, tmp_path, box_file, capsys):
-        # a version 2 file held a list of fitted time ranges; one is read, two are not
+    @pytest.mark.parametrize("token, message", [
+        ('"abc"', "box.names is not null or a list of strings"),
+        ("[1, 2, 3]", "box.names is not null or a list of strings"),
+        ("[{}, {}, {}]", "box.names is not null or a list of strings"),
+        ('[["a"], ["b"], ["c"]]', "box.names is not null or a list of strings"),
+        ("[]", "names must match the box dimension"),
+    ], ids=["string", "numbers", "objects", "lists", "empty"])
+    def test_bad_names_exit_3(self, tmp_path, box_file, capsys, token, message):
+        # once exit 0: the box's names were never checked, and [] loaded as no names
         def edit(data):
-            data["segments"].append(dict(data["segments"][0]))
+            data["box"]["names"] = "BAD"
 
-        code, path, err = self.predict_with_edited_file(tmp_path, box_file, capsys, edit, version=2)
+        code, path, err = self.predict_with_edited_file(tmp_path, box_file, capsys, edit,
+                                                        ('"BAD"', token))
         assert code == 3
-        assert path in err and "holds 2 fitted time ranges, not one; refit it" in err
+        assert err == f"error: {path}: cannot load surrogate: ValueError: {message}\n"
+        assert not (tmp_path / "p.csv").exists()
+
+    def test_null_names_load(self, tmp_path, box_file, capsys):
+        def edit(data):
+            data["box"]["names"] = None
+
+        code, _, err = self.predict_with_edited_file(tmp_path, box_file, capsys, edit)
+        assert code == 0 and err == ""
+        assert (tmp_path / "p.csv").exists()
 
     def test_linalg_error_exits_4(self, tmp_path, box_file, monkeypatch):
         design, curves = make_dataset(tmp_path, box_file, n=6, j=11)
@@ -1192,6 +1210,11 @@ class TestPinnedArtifacts:
         got = {name: hashlib.sha256((quick_start / name).read_bytes()).hexdigest()
                for name in QUICK_START_SHA256}
         assert got == QUICK_START_SHA256
+
+    def test_loaded_surrogate_saves_its_bytes(self, quick_start, tmp_path):
+        path = tmp_path / "surrogate.json"
+        fileio.save_surrogate(str(path), fileio.load_surrogate(str(quick_start / "surrogate.json")))
+        assert path.read_bytes() == (quick_start / "surrogate.json").read_bytes()
 
     def test_report_is_the_comparisons_sim_columns(self, quick_start):
         # validate and bench write one per-step layout: bench's first five columns are
