@@ -6,8 +6,10 @@ over the experimental design.  Prediction evaluates the GP families' means at
 a new input in one kernel pass over their shared design and deforms the
 pattern through its shift basis (see :class:`FunctionalSurrogate`): a full
 output curve costs one kernel pass and one small combination of basis rows,
-with no Fourier transform per curve.  The basis has as many rows as the
-pattern's own spectrum needs for a 2^-53 tail, at most ``SHIFT_TERMS``.
+with no Fourier transform per curve.  The points of a batch that share a whole
+shift take one einsum against the doubled basis, with alpha in the weights.
+The basis has as many rows as the pattern's own spectrum needs for a 2^-53
+tail, at most ``SHIFT_TERMS``.
 Families whose estimated values are numerically constant are held fixed at
 their mean instead of being GP-fitted.
 """
@@ -89,6 +91,8 @@ class FunctionalSurrogate:
     The basis keeps K rows, i < K, for the least K <= ``SHIFT_TERMS`` with
     2 sum_l |c_l| (pi l / J)^K / K! < 2^-53 sum_l |c_l|: the bound behind
     ``SHIFT_TERMS``, taken on c rather than on the worst case l = J / 2.
+    ``shift_basis`` holds those K rows twice side by side, K x 2J, so that its
+    columns J - k .. 2J - k, k = q mod J, are the rows rolled by q.
     """
 
     box: InputBox
@@ -103,7 +107,7 @@ class FunctionalSurrogate:
     gp_families: tuple = field(init=False, repr=False)
     kernel: GpStack | None = field(init=False, repr=False)  # stack of the gp_families
     inside: tuple = field(init=False, repr=False)  # (lower, upper) beyond which points extrapolate
-    shift_basis: np.ndarray = field(init=False, repr=False)  # K x J, K <= SHIFT_TERMS
+    shift_basis: np.ndarray = field(init=False, repr=False)  # K x 2J, K <= SHIFT_TERMS
 
     def __post_init__(self):
         CurveSet(values=self.pattern.values[None, :], t_grid=self.t_grid, period=self.period)
@@ -123,7 +127,8 @@ class FunctionalSurrogate:
         # before the first k where that falls below 2^-53 sum|c_l|, SHIFT_TERMS at most
         tails = 2.0 * np.abs(terms[1:]).sum(axis=1) * 0.5 ** np.arange(1, SHIFT_TERMS)
         rows = 1 + int(np.argmax(np.append(tails < 2**-53 * np.abs(coeffs).sum(), True)))
-        object.__setattr__(self, "shift_basis", inverse_fourier(terms[:rows])[::-1].copy())
+        basis = inverse_fourier(terms[:rows])[::-1]
+        object.__setattr__(self, "shift_basis", np.hstack((basis, basis)))
 
     @property
     def j(self) -> int:
@@ -244,15 +249,16 @@ def _predict(surrogate: FunctionalSurrogate, points: np.ndarray) -> tuple[np.nda
     tail = (2.0 * np.pi - head * j + 2.4492935982947064e-16) / j
     q = np.rint(theta * (j / (2.0 * np.pi)))
     phi = (theta - q * head - q * tail) * (j / (2.0 * np.pi))
-    # phi^i from the highest i down; einsum, not BLAS, so a point keeps its bits in any batch
+    # one einsum per whole shift k = q mod J, with alpha in the weights phi^i (highest i
+    # first); fmax sends a NaN theta to k = 0, where its row is all NaN.  einsum, not
+    # BLAS, so a point keeps its bits in any batch
     basis = surrogate.shift_basis
-    unshifted = np.einsum("mk,kj->mj", np.vander(phi, basis.shape[0]), basis)
-    values = np.empty_like(unshifted)
-    # roll each row by its q; fmax sends a NaN (theta not finite, row all NaN) to 0
-    for row, k in enumerate(np.fmax(q % j, 0.0).astype(int).tolist()):
-        values[row, k:] = unshifted[row, : j - k]
-        values[row, :k] = unshifted[row, j - k :]
-    values *= params["alpha"][:, None]
+    weights = np.vander(phi, basis.shape[0]) * params["alpha"][:, None]
+    shift = np.fmax(q % j, 0.0).astype(int)
+    values = np.empty((points.shape[0], j))
+    for k in set(shift.tolist()):
+        rows = shift == k
+        values[rows] = np.einsum("mk,kj->mj", weights[rows], basis[:, j - k : 2 * j - k])
     values += params["v"][:, None]
     lower, upper = surrogate.inside
     outside = ~((points >= lower) & (points <= upper))

@@ -10,7 +10,9 @@ Correlation lengths are found by minimizing the concentrated negative log likeli
     (1/2) [ n log sigma2_hat(theta) + log det(R(theta) + nugget I) + n ]
 
 over log-lengths with a multistart projected L-BFGS search (``lbfgs``) that is
-given the likelihood's analytic gradient (see ``likelihood_with_gradient``).
+given the likelihood's analytic gradient (see ``likelihood_with_gradient``); the
+design's squared differences are formed once per fit, by multiplication, and
+every evaluation builds R and its gradient from them.
 One concentration step gives Kinv and the closed-form beta and sigma2 to both the
 likelihood and ``GpModel``, so a model stores the sigma2 the search saw.
 Inputs are normalized to the design's bounding box inside fit and predict, so
@@ -158,22 +160,19 @@ def _unit_box(design: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _sq_diff(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Squared coordinate differences between the rows of a (m x d) and of b (n x d), m x n x d."""
-    diff = np.abs(a[:, None, :] - b[None, :, :])
-    # Square with a per-dimension exponent array, never a scalar 2: numpy
-    # squares a scalar or broadcast exponent by multiplication, which differs
-    # in the last bit for some entries and moves the fitted lengths.
-    return diff ** np.full(diff.shape[-1], 2.0)
+    """Squared coordinate differences between the rows of a (m x d) and of b (n x d),
+    m x n x d, each the correctly rounded product diff * diff."""
+    diff = a[:, None, :] - b[None, :, :]
+    return diff * diff
 
 
-def _corr(a: np.ndarray, b: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Correlations between the rows of a (m x d) and of b (n x d), m x n; lengths of
-    shape k x 1 x 1 x d give k such matrices at once.  The exponent sums the scaled
-    squared differences in dimension order, ((s_0 + s_1) + s_2) + ..., one whole-array
-    add per dimension, so one model's correlations have the same bits alone or
-    stacked.  For d <= 7 that is the order of numpy's ``sum(axis=-1)``; above, numpy
-    sums pairwise."""
-    sq = _sq_diff(a, b)
+def _corr(sq: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Correlations from the squared differences ``sq`` (m x n x d, see ``_sq_diff``),
+    m x n; lengths of shape k x 1 x 1 x d give k such matrices at once.  The exponent
+    sums the scaled squared differences in dimension order, ((s_0 + s_1) + s_2) + ...,
+    one whole-array add per dimension, so one model's correlations have the same bits
+    alone or stacked.  For d <= 7 that is the order of numpy's ``sum(axis=-1)``; above,
+    numpy sums pairwise."""
     total = sq[..., 0] / lengths[..., 0]
     for col in range(1, sq.shape[-1]):
         total += sq[..., col] / lengths[..., col]
@@ -197,7 +196,7 @@ def build_correlation(
     if nugget < 0:
         raise ValueError("nugget must be nonnegative")
     if corr is None:
-        corr = _corr(points, points, lengths)
+        corr = _corr(_sq_diff(points, points), lengths)
     trial = nugget
     while True:
         try:
@@ -242,7 +241,9 @@ def likelihood_with_gradient(
     """Concentrated negative log likelihood and its gradient in the log-lengths.
 
     The value omits the (n/2) log 2 pi constant; ``sq_diff`` holds the
-    design's squared coordinate differences, n x n x d.  With K = R + nugget I,
+    design's squared coordinate differences, n x n x d (``_sq_diff(points, points)``,
+    formed once per design by the caller), and both R and the gradient read it, so
+    an evaluation squares no difference.  With K = R + nugget I,
     a = Kinv (Y - beta 1) and D_j the squared differences in dimension j,
 
         d nll / d log length_j = (1/2) tr[(Kinv - a a' / sigma2) (R o D_j)] / length_j,
@@ -250,7 +251,7 @@ def likelihood_with_gradient(
     where o is the elementwise product; beta and sigma2 are at their
     closed-form optima, so their own variation drops out.
     """
-    corr = _corr(points, points, lengths)
+    corr = _corr(sq_diff, lengths)
     factor, _ = build_correlation(points, lengths, nugget, corr)
     n = responses.shape[0]
     kinv, _, a, s2 = _concentrate(factor, responses)
@@ -306,7 +307,7 @@ def fit_gp(design: np.ndarray, responses: np.ndarray, config: FitConfig | None =
     pts = (pts_raw - x_lo) / x_span
 
     log_lo, log_hi = np.log(config.length_lo), np.log(config.length_hi)
-    sq_diff = (pts[:, None, :] - pts[None, :, :]) ** 2
+    sq_diff = _sq_diff(pts, pts)
 
     def objective(log_lengths: np.ndarray) -> tuple[float, np.ndarray]:
         try:
@@ -345,7 +346,7 @@ def predict(model: GpModel, x0: np.ndarray) -> tuple[float, float]:
     if x0.shape != (model.d,):
         raise ValueError(f"x0 must have {model.d} coordinates")
     x0 = (x0 - model.x_lo) / model.x_span
-    r = _corr(x0[None, :], model.normalized_design(), model.lengths)[0]
+    r = _corr(_sq_diff(x0[None, :], model.normalized_design()), model.lengths)[0]
     mean = model.beta + (r * model.resid_solve).sum()
     rinv_1 = model.kinv.sum(axis=1)
     var = model.sigma2 * (1.0 - r @ (model.kinv @ r) + (1.0 - rinv_1 @ r) ** 2 / rinv_1.sum())
@@ -366,7 +367,7 @@ def predict_many(stack: GpStack, points: np.ndarray) -> np.ndarray:
     d = stack.design.shape[1]
     if points.ndim != 2 or points.shape[1] != d:
         raise ValueError(f"points must be m x {d}")
-    r = _corr((points - stack.x_lo) / stack.x_span, stack.design, stack.lengths)
+    r = _corr(_sq_diff((points - stack.x_lo) / stack.x_span, stack.design), stack.lengths)
     return (stack.betas + (r * stack.weights).sum(axis=-1)).T
 
 

@@ -44,6 +44,28 @@ def deform(coeffs: np.ndarray, alpha: np.ndarray, theta: np.ndarray, v: np.ndarr
     return out
 
 
+# The deformation through the shift basis as prediction once ran it, one row at a time:
+# the tests keep it as the oracle for the grouped shifts.
+def rolled_curves(basis: np.ndarray, alpha: np.ndarray, theta: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """alpha_k f(t - theta_k) + v_k from a K x J shift basis (highest power first).
+
+    theta J / 2 pi is split into a whole shift q and a rest phi as prediction splits it;
+    the rows sum alpha phi^i B_i with one einsum over the K x J basis, then each row is
+    rolled by q with two slice copies (a NaN q rolls by 0).
+    """
+    j = basis.shape[1]
+    head = round(2.0 * np.pi / j * 2**26) / 2**26
+    tail = (2.0 * np.pi - head * j + 2.4492935982947064e-16) / j
+    q = np.rint(theta * (j / (2.0 * np.pi)))
+    phi = (theta - q * head - q * tail) * (j / (2.0 * np.pi))
+    unshifted = np.einsum("mk,kj->mj", np.vander(phi, basis.shape[0]) * alpha[:, None], basis)
+    values = np.empty_like(unshifted)
+    for row, k in enumerate(np.fmax(q % j, 0.0).astype(int).tolist()):
+        values[row, k:] = unshifted[row, : j - k]
+        values[row, :k] = unshifted[row, j - k :]
+    return values + v[:, None]
+
+
 @pytest.fixture
 def small_deformed():
     alpha = np.array([1.0, 1.4, 0.6, 2.2, 0.9])

@@ -193,7 +193,7 @@ class TestFitCommand:
             "dropped_last_step = 0\n"
             "block_size = 10\n"
             "alpha_model = gp\n"
-            "alpha_loo_q2 = 0.99999972314376906\n"
+            "alpha_loo_q2 = 0.99999972314437247\n"
             "theta_model = fixed\n"
             "theta_fixed_value = 0\n"
             "v_model = fixed\n"
@@ -1165,13 +1165,13 @@ class TestTimesAndPeriodAreGone:
 QUICK_START_SHA256 = {
     "params.csv": "a68fd0a284f4e30838cfc9f626f486aad072632fc648be2a4cc46f1ef2b2b337",
     "pattern.csv": "7d44564f571bc58ac68be818d4524a8d5158faea38f020055e0453a94a7b68f7",
-    "diagnostics.txt": "08d65b94a6c952f35002953945ddc97accc9cbd531ec90601848b97434d92190",
-    "predicted.csv": "daa8ebc6e141066fab1439ce378e649b877918afa0b125131617f3c7e2d5ef32",
-    "report.csv": "ba3d0c5e6a7c23f8e38e4e8a893e26c8b8ca237360d55594e8aea8dc4c779400",
-    "comparison.csv": "662d2e870843f1a8030910f7a235d65f81b4b50a7900e632b90510014ae909f0",
-    "crossplot.csv": "09fbe640e0f1a3cd6afd86ce1a7699ba23304392404786bbbc42c8a6d535cb16",
+    "diagnostics.txt": "fc2caddfb415f7e7fa076ea979788651cdc1b91c9cda118ea9662353b8da75a5",
+    "predicted.csv": "ccecf35be8ba1b0aff95d7323f7d475c81558ed05d65c9197455aca6968d9f0c",
+    "report.csv": "3feec3a85459e871808db852176b3172d0870611d4adbf231c115f4a05ec6035",
+    "comparison.csv": "188992862e9ce397f5beb7747fdb5a4fc02416f4fba38ba5466d3e7228bddcfa",
+    "crossplot.csv": "451d7d3ebca25fd30b3c43ffdbc83425d703aacf2c1bf3c0fd9ba460efab63df",
     "aligned.csv": "49dd65ea70731f4cfe4cda840801c1d570d57170af03ecc7ef9fa0dd2645aa33",
-    "surrogate.json": "7f808120781bba306554f15d04ab435f970de3c618215378a51c9db5bdd2c014",
+    "surrogate.json": "35c660606cbed41d1f1a29022a3540b76a770422cce8c6d7739c4a109f432bd3",
 }
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import TWO_PI, deform
+from conftest import TWO_PI, deform, rolled_curves
 from dynshape import fileio
 from dynshape.doe import DesignMatrix, InputBox, lhd_sample, scale_to_box
 from dynshape.emulator import (
@@ -353,6 +353,39 @@ class TestShiftBasis:
         values = predict_curve(surrogate, [0.5]).values
         assert np.isfinite(values).all()
         np.testing.assert_allclose(values, 2.5, rtol=0.0, atol=1e-14)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 10**6), j=st.sampled_from([3, 21, 55, 401]),
+           m=st.sampled_from([1, 2, 7, 1000]),
+           shifts=st.sampled_from(["any", "one", "own", "special"]))
+    @example(seed=1, j=401, m=1000, shifts="one")
+    @example(seed=2, j=401, m=7, shifts="own")
+    @example(seed=3, j=3, m=1000, shifts="own")
+    @example(seed=4, j=55, m=7, shifts="special")
+    @example(seed=5, j=401, m=1000, shifts="special")
+    def test_shift_groups_equal_the_per_row_roll_bitwise(self, seed, j, m, shifts):
+        # any mix of shifts, every row on one shift, every row on its own (cycling
+        # when m > J), or theta = +-pi, +-50 and NaN in the first rows of a mix
+        rng = np.random.default_rng(seed)
+        grid = TWO_PI * np.arange(j) / j
+        surrogate = fixed_surrogate(5.0 + np.exp(np.sin(grid)) + rng.normal(0.0, 0.1, j),
+                                    1.0, 0.0, 0.0)
+        theta, rest = rng.uniform(-np.pi, np.pi, m), rng.uniform(-0.5, 0.5, m) * TWO_PI / j
+        if shifts == "one":
+            theta = TWO_PI * rng.integers(j) / j + rest
+        elif shifts == "own":
+            theta = TWO_PI * (np.arange(m) % j) / j + rest
+        elif shifts == "special":
+            theta[:5] = np.array([np.pi, -np.pi, 50.0, -50.0, np.nan])[:m]
+        alpha, v = rng.uniform(0.3, 3.0, m), rng.normal(0.0, 2.0, m)
+        params = {"alpha": alpha, "theta": theta, "v": v}
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(FunctionalSurrogate, "evaluate_params", lambda self, points: params)
+            values, _ = predict_curves(surrogate, np.full((m, 1), 0.5))
+        expected = rolled_curves(surrogate.shift_basis[:, :j], alpha, theta, v)
+        assert np.array_equal(values, expected, equal_nan=True)
+        nan_rows = np.isnan(theta)
+        assert np.isnan(values[nan_rows]).all() and np.isfinite(values[~nan_rows]).all()
 
     def test_theta_and_theta_plus_two_pi_agree(self):
         j = 401

@@ -73,15 +73,14 @@ def dense_reference(points, responses, lengths, nugget=0.0):
 
 
 class TestCorrelation:
-    # the one kernel, _corr, between the rows of two point sets
+    # the one kernel, _corr, on the squared differences between the rows of two point sets
     def test_same_point_is_one(self):
         x = np.array([[0.4, -1.2]])
-        assert _corr(x, x, np.array([0.3, 2.0]))[0, 0] == 1.0
+        assert _corr(_sq_diff(x, x), np.array([0.3, 2.0]))[0, 0] == 1.0
 
     def test_unit_distance_value(self):
-        assert _corr(np.array([[0.0]]), np.array([[1.0]]), np.array([1.0]))[0, 0] == pytest.approx(
-            math.exp(-1.0), rel=1e-12
-        )
+        sq = _sq_diff(np.array([[0.0]]), np.array([[1.0]]))
+        assert _corr(sq, np.array([1.0]))[0, 0] == pytest.approx(math.exp(-1.0), rel=1e-12)
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 10**6))
@@ -89,8 +88,9 @@ class TestCorrelation:
         rng = np.random.default_rng(seed)
         lengths = rng.uniform(0.1, 5.0, 3)
         x, y = rng.normal(size=(4, 3)), rng.normal(size=(5, 3))
-        np.testing.assert_allclose(_corr(x, y, lengths), _corr(y, x, lengths).T, rtol=1e-14)
-        for a, row in zip(x, _corr(x, y, lengths)):
+        np.testing.assert_allclose(_corr(_sq_diff(x, y), lengths), _corr(_sq_diff(y, x), lengths).T,
+                                   rtol=1e-14)
+        for a, row in zip(x, _corr(_sq_diff(x, y), lengths)):
             np.testing.assert_allclose(row, [gauss(a, b, lengths) for b in y], rtol=1e-13)
 
     @pytest.mark.parametrize("d", range(1, 8))
@@ -101,7 +101,7 @@ class TestCorrelation:
         a, b = rng.uniform(-1.0, 2.0, size=(40, d)), rng.uniform(-1.0, 2.0, size=(9, d))
         lengths = 10.0 ** rng.uniform(-3.0, 3.0, size=(3, 1, 1, d))
         for stacked_or_alone in (lengths, lengths[0, 0, 0]):
-            assert np.array_equal(_corr(a, b, stacked_or_alone),
+            assert np.array_equal(_corr(_sq_diff(a, b), stacked_or_alone),
                                   np.exp(-(_sq_diff(a, b) / stacked_or_alone).sum(axis=-1)))
 
     def test_nonpositive_length_rejected(self):
@@ -275,6 +275,22 @@ class TestFit:
         model = fit_gp(pts, y, FitConfig(multistarts=2, seed=0))
         assert model.nugget > 0
 
+    @pytest.mark.parametrize("multistarts", [1, 4])
+    def test_one_squared_difference_array_per_design(self, monkeypatch, multistarts):
+        # the search squares the design's differences once, and every likelihood
+        # evaluation builds R and its gradient from that array; the model the fit
+        # returns squares them once more, as any GpModel construction does
+        original, calls = gp_module._sq_diff, []
+
+        def counted(a, b):
+            calls.append(a.shape)
+            return original(a, b)
+
+        monkeypatch.setattr(gp_module, "_sq_diff", counted)
+        design = lhd_sample(10, 2, seed=4).points
+        fit_gp(design, np.sin(3.0 * design[:, 0]) + design[:, 1], FitConfig(multistarts=multistarts))
+        assert calls == [(10, 2), (10, 2)]
+
     def test_failed_factorizations_keep_the_search_going(self, monkeypatch):
         # above length 2 every factorization fails: the 1e25 stand-in steers the search
         # away, and the model comes back at lengths that factor, within the bounds
@@ -391,8 +407,8 @@ class TestPredict:
         # last axis turns pairwise and would no longer be this order
         def one_model_means(model, points):
             a = (points - model.x_lo) / model.x_span
-            diff = np.abs(a[:, None, :] - model.normalized_design()[None, :, :])
-            scaled = (diff ** np.full(d, 2.0)) / model.lengths
+            diff = a[:, None, :] - model.normalized_design()[None, :, :]
+            scaled = (diff * diff) / model.lengths
             exponent = scaled[:, :, 0]
             for col in range(1, d):
                 exponent = exponent + scaled[:, :, col]

@@ -119,6 +119,34 @@ def test_benchmark_spans_one_model_build_per_gp_family(tmp_path):
     assert trace.metrics()["gp.assemble_gp_model.s"] > 0
 
 
+def test_benchmark_counts_one_correlation_build_per_likelihood_evaluation(monkeypatch):
+    # the benchmark's gp.evals_per_fit counts gp.build_correlation spans under
+    # gp.fit_gp: one per likelihood evaluation, plus the returned model's build
+    from dynshape import gp
+    from dynshape.doe import lhd_sample
+
+    tracer = load_perfbench("tracer")
+    original, evaluations = gp.likelihood_with_gradient, []
+
+    def counted(*args, **kwargs):
+        evaluations.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(gp, "likelihood_with_gradient", counted)
+    design = lhd_sample(10, 2, seed=4).points
+    with tracer.Tracer() as trace:
+        gp.fit_gp(design, np.sin(3.0 * design[:, 0]) + design[:, 1], gp.FitConfig(multistarts=3))
+    assert tracer.leftover_wrappers() == []
+    spans = trace.spans
+    builds = 0
+    for name, _, _, parent in spans:
+        while name == "gp.build_correlation" and parent >= 0 and spans[parent][0] != "gp.fit_gp":
+            parent = spans[parent][3]
+        builds += name == "gp.build_correlation" and parent >= 0
+    assert len(evaluations) > 3 and builds == len(evaluations) + 1
+    assert trace.metrics()["gp.evals_per_fit"] == builds
+
+
 SCIPY_LOADED = "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
 
 
